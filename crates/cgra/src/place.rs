@@ -534,15 +534,6 @@ fn place_memo_key(netlist: &Netlist, fabric: &Fabric, options: &PlaceOptions) ->
     s
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// [`place`] behind a content-addressed memo keyed on the collapsed
 /// netlist structure, fabric shape, and options: a DSE sweep places the
 /// same (app, fabric-shape) pair once per sibling-variant family instead
@@ -559,7 +550,7 @@ pub fn place_cached(
 ) -> Result<Placement, PlaceError> {
     apex_fault::fail_point!("place::start", PlaceError::Injected("place::start"));
     let key = place_memo_key(netlist, fabric, options);
-    let hash = fnv1a(key.as_bytes());
+    let hash = apex_fault::fnv1a(&[&key]);
     // a poisoned lock (a panicking thread mid-insert) falls back to the
     // uncached path rather than unwrapping
     if let Ok(memo) = PLACE_MEMO.lock() {

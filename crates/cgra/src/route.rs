@@ -15,7 +15,7 @@
 
 use crate::fabric::{Fabric, TileId};
 use crate::place::{place_class, trace_through_regs, Placement};
-use apex_fault::{ApexError, Provenance, Stage, StageBudget};
+use apex_fault::{ApexError, Budget, Provenance, Stage};
 use apex_ir::ValueType;
 use apex_map::Netlist;
 use apex_rewrite::RuleSet;
@@ -203,7 +203,7 @@ pub struct RouteOptions {
     /// fabric — is bit-identical to the full-reroute reference engine.
     pub incremental: bool,
     /// Wall-clock / step budget for the negotiation loop.
-    pub budget: StageBudget,
+    pub budget: Budget,
 }
 
 impl Default for RouteOptions {
@@ -212,7 +212,7 @@ impl Default for RouteOptions {
             max_iterations: 10,
             history_increment: 2.0,
             incremental: true,
-            budget: StageBudget::unlimited(),
+            budget: Budget::unlimited(),
         }
     }
 }
@@ -494,7 +494,7 @@ pub fn route(
 
     // reroutes one connection and accumulates its usage
     let route_one = |st: &mut RouterState,
-                     meter: &mut apex_fault::BudgetMeter,
+                     meter: &mut apex_fault::Meter,
                      (consumer, slot, producer, regs, word): (u32, usize, u32, u32, bool)|
      -> Result<RoutedEdge, RouteError> {
         if !meter.tick() {
@@ -966,7 +966,7 @@ mod tests {
             &fabric,
             &placement,
             &RouteOptions {
-                budget: StageBudget::unlimited()
+                budget: Budget::unlimited()
                     .with_deadline(std::time::Duration::ZERO),
                 ..RouteOptions::default()
             },

@@ -169,7 +169,7 @@ mod inject {
         dse_evaluate_suite, run_checkpointed, specialized_variant, DseOptions, JobReport,
         PeVariant, SubgraphSelection, SweepJob, SweepJobResult, SweepJournal, VariantCache,
     };
-    use apex_fault::{failpoints, interrupt, ApexError, Provenance, ResourceBudget, Stage};
+    use apex_fault::{failpoints, interrupt, ApexError, Budget, Provenance, Stage};
     use apex_merge::MergeOptions;
     use apex_mining::MinerConfig;
     use apex_serve::{client, proto, DseRunner, RunSummary, ServeConfig, Server};
@@ -255,15 +255,20 @@ mod inject {
 
     fn miner_config(budget: Option<u64>) -> MinerConfig {
         MinerConfig {
-            resource: budget.map_or(ResourceBudget::unlimited(), ResourceBudget::with_max_bytes),
+            budget: Budget {
+                max_bytes: budget,
+                ..Budget::unlimited()
+            },
             ..MinerConfig::default()
         }
     }
 
     fn merge_options(budget: Option<u64>) -> MergeOptions {
         MergeOptions {
-            resource: budget.map_or(ResourceBudget::unlimited(), ResourceBudget::with_max_bytes),
-            ..MergeOptions::default()
+            budget: Budget {
+                max_bytes: budget,
+                ..MergeOptions::default().budget
+            },
         }
     }
 

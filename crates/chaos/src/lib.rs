@@ -10,7 +10,7 @@
 //!    then seeded multi-fault combinations. A schedule names the sites
 //!    to arm, the hit on which each fires, the execution mode
 //!    (in-process sweep or a real daemon over TCP), and an optional
-//!    memory budget ([`apex_fault::ResourceBudget`]).
+//!    memory budget ([`apex_fault::Budget`]).
 //! 2. **Runs the workload** under each schedule: a reference run with no
 //!    faults, the faulted run (under `catch_unwind`, so an escaped panic
 //!    is evidence rather than a crashed campaign), and two `--resume`

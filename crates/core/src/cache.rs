@@ -10,7 +10,9 @@
 //!   round-trips exactly — two structurally identical graphs hash equal),
 //! * the [`MinerConfig`], [`SubgraphSelection`], [`MergeOptions`] and
 //!   [`TechModel`] (via their `Debug` form — any field change changes the
-//!   key), and
+//!   key), with each [`Budget`] reduced to its deterministic limits
+//!   (`max_steps`, `max_bytes`): a deadline or a cancel flag does not
+//!   change what a completed build produces, and
 //! * a codec format version, so stale entries from older builds can never
 //!   be misread (they simply miss).
 //!
@@ -32,7 +34,9 @@
 
 use crate::variant::{PeVariant, SubgraphSelection};
 use apex_apps::Application;
-use apex_fault::{ApexError, Degradation, DegradationKind, Stage};
+use apex_fault::{
+    fnv1a, parse_byte_size, ApexError, Budget, Degradation, DegradationKind, Provenance, Stage,
+};
 use apex_ir::{from_text, op_from_token, op_to_token, to_text, Graph, NodeId, OpKind};
 use apex_merge::{DatapathConfig, DpNode, DpSource, MergeOptions, MergedDatapath, NodeConfig};
 use apex_mining::MinerConfig;
@@ -55,24 +59,6 @@ const FORMAT: &str = "apex-variant v2";
 // ---------------------------------------------------------------------------
 // key hashing
 // ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a over a sequence of byte strings (each terminated with a
-/// separator byte so `["ab","c"]` and `["a","bc"]` hash differently).
-pub fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= 0x1F; // unit separator
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The content-addressed cache key for one variant-construction request.
 ///
@@ -99,6 +85,13 @@ pub fn variant_cache_key(
     for app in eval_apps {
         parts.push(to_text(&app.graph));
     }
+    let miner = miner.map(|m| MinerConfig {
+        budget: deterministic(&m.budget),
+        ..m.clone()
+    });
+    let merge_opts = merge_opts.map(|o| MergeOptions {
+        budget: deterministic(&o.budget),
+    });
     parts.push(format!("miner:{miner:?}"));
     parts.push(format!("selection:{selection:?}"));
     parts.push(format!("merge:{merge_opts:?}"));
@@ -106,6 +99,27 @@ pub fn variant_cache_key(
     parts.push(format!("extra:{extra_kinds:?}"));
     let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     fnv1a(&refs)
+}
+
+/// The part of a budget a completed build is a pure function of: the step
+/// and byte caps, without the deadline and the cancel flag.
+fn deterministic(budget: &Budget) -> Budget {
+    Budget {
+        deadline: None,
+        cancel: None,
+        ..budget.clone()
+    }
+}
+
+/// Whether a search inside the build stopped on its deadline or a cancel
+/// flag. Such a variant is not a pure function of its cache key (more
+/// time would build a different one), so it is returned but not stored.
+fn stopped_by_clock(variant: &PeVariant) -> bool {
+    variant.degradations.iter().any(|d| {
+        [Provenance::TimedOut, Provenance::Cancelled]
+            .into_iter()
+            .any(|p| Degradation::from_provenance(d.stage, p).as_ref() == Some(d))
+    })
 }
 
 /// A short fingerprint of a variant's architectural datapath — what the
@@ -409,7 +423,8 @@ impl VariantCache {
     }
 
     /// The memoizing entry point: returns the cached variant for `key`, or
-    /// builds, stores, and returns it. Build errors are never cached.
+    /// builds, stores, and returns it. Build errors and builds stopped by
+    /// a deadline or cancel flag are never cached.
     ///
     /// # Errors
     /// Propagates the builder's error on a miss.
@@ -422,7 +437,9 @@ impl VariantCache {
             return Ok(v);
         }
         let v = build()?;
-        self.store(key, &v);
+        if !stopped_by_clock(&v) {
+            self.store(key, &v);
+        }
         Ok(v)
     }
 
@@ -528,25 +545,6 @@ pub(crate) fn sanitize_tenant(tenant: &str) -> String {
         out = "default".to_owned();
     }
     out
-}
-
-/// Parses "12345", "512k", "64m", "2g" (case-insensitive, 1024-based)
-/// into bytes; `None` on anything else (the cap is then left unset).
-pub fn parse_byte_size(s: &str) -> Option<u64> {
-    let s = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match s.strip_suffix(['k', 'm', 'g']) {
-        Some(d) => {
-            let mult = match s.as_bytes().last() {
-                Some(b'k') => 1u64 << 10,
-                Some(b'm') => 1 << 20,
-                _ => 1 << 30,
-            };
-            (d, mult)
-        }
-        None => (s.as_str(), 1),
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    n.checked_mul(mult)
 }
 
 /// Recursively collects `(is_corrupt, mtime, path, len)` for every cache
@@ -1185,6 +1183,31 @@ mod tests {
     }
 
     #[test]
+    fn builds_stopped_by_the_clock_are_returned_but_not_stored() {
+        let dir = std::env::temp_dir().join(format!("apex-cache-clock-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = VariantCache::at(&dir);
+        let app = gaussian();
+        for (key, stop) in [(1, Provenance::TimedOut), (2, Provenance::Cancelled)] {
+            let mut builds = 0;
+            for _ in 0..2 {
+                let v = cache
+                    .get_or_build(key, || {
+                        builds += 1;
+                        let mut v = baseline_variant(&[&app])?;
+                        v.degradations.extend(Degradation::from_provenance(Stage::Mine, stop));
+                        Ok(v)
+                    })
+                    .unwrap();
+                assert_eq!(v.degradations.len(), 1, "{stop}: the stopped build is returned");
+            }
+            assert_eq!(builds, 2, "{stop}: a clock-stopped build must not be stored");
+        }
+        assert_eq!(cache.hits(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn disabled_cache_is_pass_through() {
         let cache = VariantCache::disabled();
         let v = spec_variant();
@@ -1265,18 +1288,6 @@ mod tests {
         assert!(sanitize_tenant(&"x".repeat(200)).len() <= 64);
         // traversal can never survive sanitization
         assert!(!sanitize_tenant("../../x").contains('/'));
-    }
-
-    #[test]
-    fn parse_byte_size_accepts_suffixes() {
-        assert_eq!(parse_byte_size("12345"), Some(12345));
-        assert_eq!(parse_byte_size("512k"), Some(512 << 10));
-        assert_eq!(parse_byte_size("64M"), Some(64 << 20));
-        assert_eq!(parse_byte_size("2g"), Some(2 << 30));
-        assert_eq!(parse_byte_size(" 8k "), Some(8 << 10));
-        assert_eq!(parse_byte_size(""), None);
-        assert_eq!(parse_byte_size("lots"), None);
-        assert_eq!(parse_byte_size("-3"), None);
     }
 
     #[test]

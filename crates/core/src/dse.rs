@@ -346,12 +346,7 @@ pub fn dse_evaluate_app_supervised(
     }
 
     let mut options = options.clone();
-    options.eval.route.budget = options
-        .eval
-        .route
-        .budget
-        .clone()
-        .with_cancel(std::sync::Arc::clone(&ctx.cancel));
+    options.eval.route.budget.cancel = Some(std::sync::Arc::clone(&ctx.cancel));
     let mut outcome = dse_evaluate_app(variant, app, tech, &options);
     if ctx.timed_out() {
         outcome.degradations.push(Degradation::new(
@@ -519,7 +514,7 @@ mod tests {
         let mut options = DseOptions::default();
         options.route_relax_retry = false;
         options.eval.route.budget =
-            apex_fault::StageBudget::unlimited().with_deadline(Duration::ZERO);
+            apex_fault::Budget::unlimited().with_deadline(Duration::ZERO);
         let outcome = dse_evaluate_app(&v, &app, &tech, &options);
         assert!(outcome.is_degraded());
         assert!(outcome.result.is_err());
@@ -552,8 +547,7 @@ mod tests {
         let app = gaussian();
         let tech = TechModel::default();
         let merge_opts = MergeOptions {
-            budget: apex_fault::StageBudget::unlimited().with_deadline(Duration::ZERO),
-            ..MergeOptions::default()
+            budget: MergeOptions::default().budget.with_deadline(Duration::ZERO),
         };
         let v = crate::variant::specialized_variant(
             "pe_merge_timeout",

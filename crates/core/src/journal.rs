@@ -7,7 +7,7 @@
 //! Ctrl-C loses at most the jobs still in flight:
 //!
 //! * **sweep key** — derived from the same content hash the variant cache
-//!   uses ([`crate::cache::fnv1a`] over the sweep's configuration), so a
+//!   uses ([`apex_fault::fnv1a`] over the sweep's configuration), so a
 //!   config change yields a different journal file and a clean start;
 //! * **record** — one line per completed job carrying the job's own
 //!   content-addressed key, the rendered result payload, its digest, the
@@ -24,8 +24,8 @@
 //! uninterrupted one), runs only the remainder, and stops dispatching as
 //! soon as the interrupt flag rises.
 
-use crate::cache::{fnv1a, workspace_target_subdir};
-use apex_fault::{fail_point, ApexError, Provenance, Stage};
+use crate::cache::workspace_target_subdir;
+use apex_fault::{fail_point, fnv1a, ApexError, Provenance, Stage};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

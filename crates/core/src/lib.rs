@@ -41,9 +41,10 @@ mod evaluate;
 mod journal;
 mod variant;
 
+pub use apex_fault::{fnv1a, parse_byte_size};
 pub use cache::{
-    datapath_hash, decode_variant, encode_variant, fnv1a, parse_byte_size, thread_tenant,
-    variant_cache_key, with_thread_tenant, VariantCache,
+    datapath_hash, decode_variant, encode_variant, thread_tenant, variant_cache_key,
+    with_thread_tenant, VariantCache,
 };
 pub use dse::{
     dse_evaluate_app, dse_evaluate_app_supervised, dse_evaluate_grid, dse_evaluate_suite,

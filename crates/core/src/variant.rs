@@ -217,7 +217,7 @@ impl Default for SubgraphSelection {
 /// needs elsewhere.
 ///
 /// The returned [`Provenance`] says whether the mining search completed
-/// or was cut short by the miner's [`apex_fault::StageBudget`].
+/// or was cut short by the miner's [`apex_fault::Budget`].
 ///
 /// # Errors
 /// Propagates mining failures.

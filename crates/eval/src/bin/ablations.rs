@@ -71,7 +71,7 @@ fn run() -> Result<(), ApexError> {
         &["Application", "Budget", "PE area um2", "Mux legs"],
     );
     for app in apps {
-        for (name, budget) in [("greedy-only", 1usize), ("exact B&B", 500_000)] {
+        for (name, budget) in [("greedy-only", 1u64), ("exact B&B", 500_000)] {
             let v = specialized_variant(
                 "ablate_clique",
                 &[app],
@@ -79,8 +79,7 @@ fn run() -> Result<(), ApexError> {
                 &MinerConfig::default(),
                 &SubgraphSelection::default(),
                 &MergeOptions {
-                    clique_budget: budget,
-                    ..MergeOptions::default()
+                    budget: MergeOptions::default().budget.with_max_steps(budget),
                 },
                 tech,
                 &BTreeSet::new(),

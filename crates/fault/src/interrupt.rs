@@ -3,7 +3,7 @@
 //! [`install`] registers SIGINT/SIGTERM handlers (std-only — the raw
 //! `signal(2)` symbol is declared directly, no libc crate) that set a
 //! process-wide [`AtomicBool`]. The sweep runtime fans that flag into
-//! every [`crate::BudgetMeter`] and into the per-job watchdog, so the
+//! every [`crate::Meter`] and into the per-job watchdog, so the
 //! first Ctrl-C stops dispatching new jobs and lets in-flight jobs drain
 //! cooperatively; a **second** Ctrl-C hard-exits immediately (the only
 //! async-signal-safe escape when a drain is itself wedged).

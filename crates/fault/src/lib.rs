@@ -7,9 +7,11 @@
 //!
 //! * [`ApexError`] — the unified error type every stage error converts
 //!   into, carrying the [`Stage`] it came from and an optional source chain.
-//! * [`StageBudget`] / [`BudgetMeter`] — wall-clock deadlines, step budgets
-//!   and cooperative cancellation for the search loops (clique
-//!   branch-and-bound, embedding enumeration, PathFinder).
+//! * [`Budget`] / [`Meter`] — wall-clock deadlines, step budgets, byte
+//!   caps and cooperative cancellation for the search loops (embedding
+//!   enumeration, MIS analysis, clique branch-and-bound, PathFinder): one
+//!   meter per stage invocation with [`Meter::tick`], [`Meter::charge`]
+//!   and a single [`Meter::provenance`].
 //! * [`Provenance`] — how a search result ended: ran to completion, was
 //!   truncated by a step budget, hit its deadline, or was cancelled.
 //! * [`Degradation`] / [`DseOutcome`] — per-application records of every
@@ -21,11 +23,9 @@
 //! * [`FAILPOINT_CATALOG`] — the enumerable registry of every fail-point
 //!   site in the workspace, so chaos campaigns can enumerate fault
 //!   schedules instead of hand-picking them.
-//! * [`ResourceBudget`] / [`ResourceMeter`] — approximate byte accounting
-//!   for the memory-hungry search structures (embedding lists, overlap
-//!   graphs, clique matrices), checked alongside [`StageBudget`] so
-//!   exceeding a cap truncates with a [`Degradation`] instead of
-//!   OOM-aborting.
+//! * [`fnv1a`] / [`parse_byte_size`] — the workspace's one content hash
+//!   (cache keys, journal checksums, memo keys) and its one `k`/`m`/`g`
+//!   byte-size parser.
 //! * [`iofault`] — an injected-I/O-fault adapter for journal/cache writes
 //!   (ENOSPC, short write, fsync failure), a plain passthrough without the
 //!   `fault-injection` feature.
@@ -185,27 +185,35 @@ impl Error for ApexError {
     }
 }
 
-/// Resource limits for a single search stage.
+/// The limits of one search stage: a wall-clock deadline, a step budget,
+/// an approximate byte cap, and a cooperative cancellation flag.
 ///
-/// All limits are optional; [`StageBudget::unlimited`] never stops a
-/// search. Budgets are checked cooperatively through a [`BudgetMeter`]
-/// inside each stage's hot loop.
+/// All limits are optional; [`Budget::unlimited`] never stops a search.
+/// A stage checks its budget through the one [`Meter`] that
+/// [`Budget::start`] returns: [`Meter::tick`] once per unit of work,
+/// [`Meter::charge`] before each dominant allocation (embedding rows,
+/// overlap graphs, clique matrices), so exceeding any limit truncates the
+/// search with a partial [`Provenance`] instead of hanging or
+/// OOM-aborting.
 #[derive(Debug, Clone, Default)]
-pub struct StageBudget {
+pub struct Budget {
     /// Wall-clock allowance for the stage.
     pub deadline: Option<Duration>,
     /// Maximum number of cooperative steps (loop iterations, search nodes).
     pub max_steps: Option<u64>,
+    /// Approximate byte cap on the stage's accounted allocations.
+    pub max_bytes: Option<u64>,
     /// External cancellation flag (e.g. a sweep-wide abort).
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
 // Manual equality so option structs embedding a budget can keep deriving
 // `PartialEq`/`Eq`; cancellation flags compare by identity.
-impl PartialEq for StageBudget {
+impl PartialEq for Budget {
     fn eq(&self, other: &Self) -> bool {
         self.deadline == other.deadline
             && self.max_steps == other.max_steps
+            && self.max_bytes == other.max_bytes
             && match (&self.cancel, &other.cancel) {
                 (None, None) => true,
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -214,12 +222,24 @@ impl PartialEq for StageBudget {
     }
 }
 
-impl Eq for StageBudget {}
+impl Eq for Budget {}
 
-impl StageBudget {
+impl Budget {
     /// A budget that never interrupts the search.
     pub fn unlimited() -> Self {
-        StageBudget::default()
+        Budget::default()
+    }
+
+    /// The byte cap `APEX_MEM_BUDGET` requests (byte count, `k`/`m`/`g`
+    /// suffixes), no other limit; unlimited when unset or unparseable — a
+    /// bad value must not abort production runs.
+    pub fn from_env() -> Self {
+        Budget {
+            max_bytes: std::env::var("APEX_MEM_BUDGET")
+                .ok()
+                .and_then(|v| parse_byte_size(&v)),
+            ..Budget::default()
+        }
     }
 
     /// Sets a wall-clock deadline.
@@ -234,6 +254,12 @@ impl StageBudget {
         self
     }
 
+    /// Caps the accounted bytes.
+    pub fn with_max_bytes(mut self, bytes: u64) -> Self {
+        self.max_bytes = Some(bytes);
+        self
+    }
+
     /// Attaches a cooperative cancellation flag.
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = Some(flag);
@@ -241,42 +267,55 @@ impl StageBudget {
     }
 
     /// Starts metering this budget (records the start instant).
-    pub fn start(&self) -> BudgetMeter {
-        BudgetMeter {
+    pub fn start(&self) -> Meter {
+        Meter {
             started: Instant::now(),
             deadline: self.deadline,
             max_steps: self.max_steps,
+            max_bytes: self.max_bytes,
             cancel: self.cancel.clone(),
             steps: 0,
+            used: 0,
             stopped: None,
+            bytes_rejected: false,
         }
     }
 }
 
-/// How often the meter consults the clock / cancellation flag; step-count
+/// How often the meter consults the clock; step-count and cancellation
 /// checks happen on every tick.
 const CLOCK_CHECK_MASK: u64 = 0xFF;
 
 /// A running budget check for one stage invocation.
 ///
-/// Call [`BudgetMeter::tick`] once per unit of work; it returns `false`
-/// once any limit trips, after which [`BudgetMeter::provenance`] reports
-/// which limit it was. The clock is only consulted every 256 ticks so
-/// metering stays out of the hot path; the cancellation flag is a single
-/// relaxed atomic load and is consulted on **every** tick, so a watchdog
-/// or Ctrl-C is observed within one unit of work rather than up to 255
-/// (possibly slow) steps later.
+/// Call [`Meter::tick`] once per unit of work; it returns `false` once the
+/// step budget, the deadline or the cancellation flag trips, and latches.
+/// The clock is only consulted every 256 ticks so metering stays out of
+/// the hot path; the cancellation flag is a single relaxed atomic load
+/// and is consulted on **every** tick, so a watchdog or Ctrl-C is
+/// observed within one unit of work rather than up to 255 (possibly slow)
+/// steps later.
+///
+/// [`Meter::charge`] approves or rejects an allocation *before* it
+/// happens: on rejection nothing is accounted and the byte stop latches,
+/// so the caller truncates its structure at a deterministic point (the
+/// same point on every run with the same inputs and budget). A rejected
+/// charge does not stop [`Meter::tick`]; [`Meter::provenance`] reports
+/// the worse of the two stops.
 #[derive(Debug)]
-pub struct BudgetMeter {
+pub struct Meter {
     started: Instant,
     deadline: Option<Duration>,
     max_steps: Option<u64>,
+    max_bytes: Option<u64>,
     cancel: Option<Arc<AtomicBool>>,
     steps: u64,
+    used: u64,
     stopped: Option<Provenance>,
+    bytes_rejected: bool,
 }
 
-impl BudgetMeter {
+impl Meter {
     /// Accounts one unit of work. Returns `true` while the search may
     /// continue. Once a limit trips the meter latches and keeps returning
     /// `false`.
@@ -327,9 +366,30 @@ impl BudgetMeter {
         true
     }
 
-    /// Whether any limit has tripped.
-    pub fn exhausted(&self) -> bool {
-        self.stopped.is_some()
+    /// Asks to account `bytes` more. Returns `true` (and accounts them)
+    /// while the total stays within the cap; on `false` nothing was
+    /// accounted and the byte stop latches into [`Meter::provenance`].
+    pub fn charge(&mut self, bytes: u64) -> bool {
+        match self.max_bytes {
+            Some(max) if self.used.saturating_add(bytes) > max => {
+                self.bytes_rejected = true;
+                false
+            }
+            _ => {
+                self.used = self.used.saturating_add(bytes);
+                true
+            }
+        }
+    }
+
+    /// Returns previously-charged bytes (a freed scratch structure).
+    pub fn release(&mut self, bytes: u64) {
+        self.used = self.used.saturating_sub(bytes);
+    }
+
+    /// Bytes accounted so far.
+    pub fn used(&self) -> u64 {
+        self.used
     }
 
     /// Units of work accounted so far.
@@ -337,9 +397,15 @@ impl BudgetMeter {
         self.steps
     }
 
-    /// The search outcome as seen by this meter.
+    /// The search outcome as seen by this meter: the worse of the
+    /// step/clock/cancel stop and the byte stop.
     pub fn provenance(&self) -> Provenance {
-        self.stopped.unwrap_or(Provenance::Completed)
+        let ticked = self.stopped.unwrap_or(Provenance::Completed);
+        if self.bytes_rejected {
+            ticked.worst(Provenance::TruncatedByBudget)
+        } else {
+            ticked
+        }
     }
 }
 
@@ -800,135 +866,41 @@ pub fn failpoint_info(name: &str) -> Option<&'static FailpointInfo> {
     FAILPOINT_CATALOG.iter().find(|f| f.name == name)
 }
 
-/// An approximate byte budget for one memory-hungry search structure.
-///
-/// The search stages account the dominant allocations (embedding-list
-/// rows, overlap-graph edges, clique compatibility matrices) against a
-/// [`ResourceMeter`] started from this budget; a failed [`charge`]
-/// truncates the search deterministically with a
-/// [`Provenance::TruncatedByBudget`] record instead of OOM-aborting.
-/// The default budget ([`ResourceBudget::from_env`]) reads
-/// `APEX_MEM_BUDGET` (byte count, `k`/`m`/`g` suffixes); unset means
-/// unlimited.
-///
-/// [`charge`]: ResourceMeter::charge
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResourceBudget {
-    /// Approximate byte cap; `None` never stops a search.
-    pub max_bytes: Option<u64>,
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over a sequence of byte strings (each terminated with a
+/// separator byte so `["ab","c"]` and `["a","bc"]` hash differently).
+pub fn fnv1a(parts: &[&str]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for part in parts {
+        for b in part.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h ^= 0x1F; // unit separator
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
-impl ResourceBudget {
-    /// A budget that never stops a search.
-    pub fn unlimited() -> Self {
-        ResourceBudget::default()
-    }
-
-    /// Caps the accounted bytes.
-    pub fn with_max_bytes(bytes: u64) -> Self {
-        ResourceBudget {
-            max_bytes: Some(bytes),
+/// Parses "12345", "512k", "64m", "2g" (case-insensitive, 1024-based)
+/// into bytes; `None` on anything else, overflow included.
+pub fn parse_byte_size(s: &str) -> Option<u64> {
+    let s = s.trim().to_ascii_lowercase();
+    let (digits, mult) = match s.strip_suffix(['k', 'm', 'g']) {
+        Some(d) => {
+            let mult = match s.as_bytes().last() {
+                Some(b'k') => 1u64 << 10,
+                Some(b'm') => 1 << 20,
+                _ => 1 << 30,
+            };
+            (d, mult)
         }
-    }
-
-    /// The budget `APEX_MEM_BUDGET` requests (unlimited when unset or
-    /// unparseable — a bad value must not abort production runs).
-    pub fn from_env() -> Self {
-        match std::env::var("APEX_MEM_BUDGET") {
-            Ok(v) => ResourceBudget {
-                max_bytes: parse_mem_budget(&v),
-            },
-            Err(_) => ResourceBudget::unlimited(),
-        }
-    }
-
-    /// Starts accounting against this budget.
-    pub fn start(&self) -> ResourceMeter {
-        ResourceMeter {
-            max_bytes: self.max_bytes,
-            used: 0,
-            exhausted: false,
-        }
-    }
-}
-
-/// Parses a byte count with optional `k`/`m`/`g` suffix (1024-based);
-/// `None` on malformed input.
-fn parse_mem_budget(s: &str) -> Option<u64> {
-    let s = s.trim();
-    if s.is_empty() {
-        return None;
-    }
-    let (digits, shift) = match s.as_bytes()[s.len() - 1].to_ascii_lowercase() {
-        b'k' => (&s[..s.len() - 1], 10),
-        b'm' => (&s[..s.len() - 1], 20),
-        b'g' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
+        None => (s.as_str(), 1),
     };
     let n: u64 = digits.trim().parse().ok()?;
-    n.checked_shl(shift)
-}
-
-/// Running byte accounting for one stage invocation.
-///
-/// [`charge`] approves or rejects an allocation *before* it happens: on
-/// rejection nothing is accounted and the meter latches `exhausted`, so
-/// the caller truncates its structure at a deterministic point (the same
-/// point on every run with the same inputs and budget).
-///
-/// [`charge`]: ResourceMeter::charge
-#[derive(Debug)]
-pub struct ResourceMeter {
-    max_bytes: Option<u64>,
-    used: u64,
-    exhausted: bool,
-}
-
-impl ResourceMeter {
-    /// A meter that never rejects (for paths without a budget).
-    pub fn unlimited() -> Self {
-        ResourceBudget::unlimited().start()
-    }
-
-    /// Asks to account `bytes` more. Returns `true` (and accounts them)
-    /// while the total stays within the cap; on `false` nothing was
-    /// accounted and [`exhausted`](ResourceMeter::exhausted) latches.
-    pub fn charge(&mut self, bytes: u64) -> bool {
-        match self.max_bytes {
-            Some(max) if self.used.saturating_add(bytes) > max => {
-                self.exhausted = true;
-                false
-            }
-            _ => {
-                self.used = self.used.saturating_add(bytes);
-                true
-            }
-        }
-    }
-
-    /// Returns previously-charged bytes (a freed scratch structure).
-    pub fn release(&mut self, bytes: u64) {
-        self.used = self.used.saturating_sub(bytes);
-    }
-
-    /// Bytes accounted so far.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Whether any charge was ever rejected.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// The outcome this meter implies for the enclosing search.
-    pub fn provenance(&self) -> Provenance {
-        if self.exhausted {
-            Provenance::TruncatedByBudget
-        } else {
-            Provenance::Completed
-        }
-    }
+    n.checked_mul(mult)
 }
 
 /// Injected-I/O-fault adapter for durability-critical writes.
@@ -1005,21 +977,8 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_truncates() {
-        let mut m = StageBudget::unlimited().with_max_steps(10).start();
-        let mut n = 0;
-        while m.tick() {
-            n += 1;
-            assert!(n < 1000, "meter never tripped");
-        }
-        assert_eq!(n, 10);
-        assert_eq!(m.provenance(), Provenance::TruncatedByBudget);
-        assert!(!m.tick(), "meter latches");
-    }
-
-    #[test]
     fn zero_deadline_times_out() {
-        let mut m = StageBudget::unlimited()
+        let mut m = Budget::unlimited()
             .with_deadline(Duration::from_millis(0))
             .start();
         // the clock is only consulted every 256 ticks
@@ -1038,7 +997,7 @@ mod tests {
         // arbitrarily late when steps are slow. It must now trip on the
         // very next tick.
         let flag = Arc::new(AtomicBool::new(false));
-        let mut m = StageBudget::unlimited()
+        let mut m = Budget::unlimited()
             .with_cancel(Arc::clone(&flag))
             .start();
         for _ in 0..3 {
@@ -1116,22 +1075,13 @@ mod tests {
     #[test]
     fn cancellation_flag_stops_search() {
         let flag = Arc::new(AtomicBool::new(false));
-        let mut m = StageBudget::unlimited()
+        let mut m = Budget::unlimited()
             .with_cancel(Arc::clone(&flag))
             .start();
         assert!(m.check_slow());
         flag.store(true, Ordering::Relaxed);
         assert!(!m.check_slow());
         assert_eq!(m.provenance(), Provenance::Cancelled);
-    }
-
-    #[test]
-    fn unlimited_budget_never_stops() {
-        let mut m = StageBudget::unlimited().start();
-        for _ in 0..100_000 {
-            assert!(m.tick());
-        }
-        assert_eq!(m.provenance(), Provenance::Completed);
     }
 
     #[test]
@@ -1173,39 +1123,134 @@ mod tests {
     }
 
     #[test]
-    fn resource_meter_charges_and_latches() {
-        let mut m = ResourceBudget::with_max_bytes(100).start();
-        assert!(m.charge(60));
-        assert!(m.charge(40));
-        assert_eq!(m.used(), 100);
-        assert!(!m.charge(1), "over-cap charge must be rejected");
-        assert!(m.exhausted(), "rejection latches");
-        assert_eq!(m.used(), 100, "a rejected charge accounts nothing");
-        assert_eq!(m.provenance(), Provenance::TruncatedByBudget);
-        m.release(50);
-        assert!(m.charge(30), "released bytes can be re-charged");
-        assert!(m.exhausted(), "the latch survives later successes");
+    fn byte_size_parses_suffixes() {
+        assert_eq!(parse_byte_size("12345"), Some(12345));
+        assert_eq!(parse_byte_size("1024"), Some(1024));
+        assert_eq!(parse_byte_size("4k"), Some(4 << 10));
+        assert_eq!(parse_byte_size("512k"), Some(512 << 10));
+        assert_eq!(parse_byte_size("16M"), Some(16 << 20));
+        assert_eq!(parse_byte_size("64M"), Some(64 << 20));
+        assert_eq!(parse_byte_size("2g"), Some(2 << 30));
+        assert_eq!(parse_byte_size(" 8k "), Some(8 << 10));
+        assert_eq!(parse_byte_size(" 8 m "), Some(8 << 20));
+        assert_eq!(parse_byte_size(""), None);
+        assert_eq!(parse_byte_size("lots"), None);
+        assert_eq!(parse_byte_size("-3"), None);
+        assert_eq!(parse_byte_size("-3k"), None);
+        // 2^34 GiB is 2^64 bytes: overflow is malformed, not a zero cap
+        assert_eq!(parse_byte_size("17179869184g"), None);
+    }
+
+    /// One step of a [`meter_contract`] script.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `n` ticks, each expected to return the given value.
+        Ticks(u64, bool),
+        /// One charge and its expected verdict.
+        Charge(u64, bool),
+        Release(u64),
+        /// Raises the case's cancellation flag.
+        Cancel,
+        /// Expected `(steps, used)` at this point.
+        Counts(u64, u64),
+        /// Expected provenance at this point.
+        Is(Provenance),
     }
 
     #[test]
-    fn unlimited_resource_meter_never_rejects() {
-        let mut m = ResourceMeter::unlimited();
-        assert!(m.charge(u64::MAX));
-        assert!(m.charge(u64::MAX));
-        assert!(!m.exhausted());
-        assert_eq!(m.provenance(), Provenance::Completed);
-    }
-
-    #[test]
-    fn mem_budget_parses_suffixes() {
-        assert_eq!(parse_mem_budget("1024"), Some(1024));
-        assert_eq!(parse_mem_budget("4k"), Some(4 << 10));
-        assert_eq!(parse_mem_budget("16M"), Some(16 << 20));
-        assert_eq!(parse_mem_budget("2g"), Some(2 << 30));
-        assert_eq!(parse_mem_budget(" 8 m "), Some(8 << 20));
-        assert_eq!(parse_mem_budget(""), None);
-        assert_eq!(parse_mem_budget("lots"), None);
-        assert_eq!(parse_mem_budget("-3k"), None);
+    fn meter_contract() {
+        use Op::*;
+        use Provenance::*;
+        type MakeBudget = fn(Arc<AtomicBool>) -> Budget;
+        let cases: &[(&str, MakeBudget, &[Op])] = &[
+            (
+                "step budget truncates and latches",
+                |_| Budget::unlimited().with_max_steps(10),
+                &[Ticks(10, true), Ticks(1, false), Is(TruncatedByBudget), Ticks(1, false)],
+            ),
+            (
+                "unlimited never stops",
+                |_| Budget::unlimited(),
+                &[
+                    Ticks(100_000, true),
+                    Charge(u64::MAX, true),
+                    Charge(u64::MAX, true),
+                    Is(Completed),
+                ],
+            ),
+            (
+                "charges account, a rejection accounts nothing and latches",
+                |_| Budget::unlimited().with_max_bytes(100),
+                &[
+                    Charge(60, true),
+                    Charge(40, true),
+                    Counts(0, 100),
+                    Is(Completed),
+                    Charge(1, false),
+                    Counts(0, 100),
+                    Is(TruncatedByBudget),
+                    Release(50),
+                    Charge(30, true),
+                    Counts(0, 80),
+                    Is(TruncatedByBudget),
+                ],
+            ),
+            (
+                "a rejected charge does not stop ticks; a smaller one still fits",
+                |_| Budget::unlimited().with_max_bytes(100),
+                &[
+                    Charge(101, false),
+                    Ticks(1_000, true),
+                    Charge(100, true),
+                    Counts(1_000, 100),
+                    Is(TruncatedByBudget),
+                ],
+            ),
+            (
+                "cancel is seen on the very next tick",
+                |flag| Budget::unlimited().with_cancel(flag),
+                &[Ticks(3, true), Cancel, Ticks(1, false), Counts(4, 0), Is(Cancelled)],
+            ),
+            (
+                "the clock is read every 256 ticks",
+                |_| Budget::unlimited().with_deadline(Duration::ZERO),
+                &[Ticks(255, true), Ticks(1, false), Counts(256, 0), Is(TimedOut)],
+            ),
+            (
+                "a timeout outranks the byte stop",
+                |_| Budget::unlimited().with_deadline(Duration::ZERO).with_max_bytes(0),
+                &[Charge(1, false), Is(TruncatedByBudget), Ticks(255, true), Ticks(1, false), Is(TimedOut)],
+            ),
+            (
+                "a cancel outranks the byte stop",
+                |flag| Budget::unlimited().with_cancel(flag).with_max_bytes(0),
+                &[Charge(1, false), Cancel, Ticks(1, false), Is(Cancelled)],
+            ),
+            (
+                "a step stop and a byte stop read as one truncation",
+                |_| Budget::unlimited().with_max_steps(0).with_max_bytes(0),
+                &[Ticks(1, false), Charge(1, false), Is(TruncatedByBudget)],
+            ),
+        ];
+        for (name, make, ops) in cases {
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut m = make(Arc::clone(&flag)).start();
+            for (i, op) in ops.iter().enumerate() {
+                let at = format!("{name}: op {i} {op:?}");
+                match *op {
+                    Ticks(n, want) => {
+                        for _ in 0..n {
+                            assert_eq!(m.tick(), want, "{at}");
+                        }
+                    }
+                    Charge(bytes, want) => assert_eq!(m.charge(bytes), want, "{at}"),
+                    Release(bytes) => m.release(bytes),
+                    Cancel => flag.store(true, Ordering::Relaxed),
+                    Counts(steps, used) => assert_eq!((m.steps(), m.used()), (steps, used), "{at}"),
+                    Is(p) => assert_eq!(m.provenance(), p, "{at}"),
+                }
+            }
+        }
     }
 
     #[test]

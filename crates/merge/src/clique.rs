@@ -1,16 +1,17 @@
 //! Maximum-weight clique search over the compatibility graph
 //! (Fig. 5d of the paper).
 //!
-//! Exact branch-and-bound with a weight-sum upper bound under a
-//! [`StageBudget`] (search-node budget, wall-clock deadline, cooperative
-//! cancellation); a greedy multi-start pass seeds the incumbent, so when
+//! Exact branch-and-bound with a weight-sum upper bound under the
+//! caller's [`Meter`] (search-node budget, wall-clock deadline, byte cap,
+//! cooperative cancellation); a greedy multi-start pass seeds the
+//! incumbent, so when
 //! any limit trips the result degrades gracefully to the best clique found
 //! so far and the [`Provenance`] in the solution says why the search
 //! stopped. An optional *set feasibility* predicate supports constraints
 //! that are not pairwise (datapath merging must reject candidate sets
 //! whose union would create a combinational cycle).
 
-use apex_fault::{ApexError, BudgetMeter, Provenance, ResourceMeter, Stage, StageBudget};
+use apex_fault::{ApexError, Budget, Meter, Provenance, Stage};
 
 /// A max-weight-clique instance.
 pub struct CliqueProblem<'a> {
@@ -21,10 +22,6 @@ pub struct CliqueProblem<'a> {
     /// Set-level feasibility: may the candidate be added to the current
     /// clique? Called with (current clique, candidate).
     pub feasible: Option<&'a dyn Fn(&[usize], usize) -> bool>,
-    /// Branch-and-bound node budget before falling back to the incumbent.
-    pub budget: usize,
-    /// Deadline / cancellation limits layered on top of the node budget.
-    pub stage_budget: StageBudget,
 }
 
 /// The result of a clique search: the members plus how the search ended.
@@ -65,41 +62,23 @@ impl CliqueProblem<'_> {
     ///
     /// # Errors
     /// Propagates [`CliqueProblem::validate`] failures.
-    pub fn try_solve(&self) -> Result<CliqueSolution, ApexError> {
-        let mut unlimited = ResourceMeter::unlimited();
-        self.try_solve_budgeted(&mut unlimited)
-    }
-
-    /// Like [`CliqueProblem::try_solve`], but charges the solver's
-    /// auxiliary allocations against `resource`: when the memory budget is
-    /// exhausted the search degrades to the greedy incumbent (or the empty
-    /// clique when even the ordering arrays do not fit) with
-    /// [`Provenance::TruncatedByBudget`] instead of allocating anyway.
-    ///
-    /// # Errors
-    /// Propagates [`CliqueProblem::validate`] failures.
-    pub fn try_solve_budgeted(
-        &self,
-        resource: &mut ResourceMeter,
-    ) -> Result<CliqueSolution, ApexError> {
+    pub fn try_solve(&self, meter: &mut Meter) -> Result<CliqueSolution, ApexError> {
         self.validate()?;
-        Ok(self.solve_budgeted(resource))
+        Ok(self.solve(meter))
     }
 
-    /// Solves the instance. The greedy seeding pass always runs, so even a
-    /// zero budget or an already-expired deadline yields a valid clique —
-    /// just one with partial provenance.
+    /// Solves the instance, ticking `meter` once per search-tree node and
+    /// charging the solver's auxiliary arrays against it. The greedy
+    /// seeding pass always runs, so even a zero step budget or an
+    /// already-expired deadline yields a valid clique — just one with
+    /// partial provenance. When the byte cap is exhausted the search
+    /// degrades to the greedy incumbent (or the empty clique when even the
+    /// ordering arrays do not fit) with [`Provenance::TruncatedByBudget`]
+    /// instead of allocating anyway.
     ///
     /// Assumes finite weights (see [`CliqueProblem::try_solve`]); with a
     /// NaN in the instance the pruning bound is unsound.
-    pub fn solve(&self) -> CliqueSolution {
-        let mut unlimited = ResourceMeter::unlimited();
-        self.solve_budgeted(&mut unlimited)
-    }
-
-    /// Memory-budgeted [`CliqueProblem::solve`]; see
-    /// [`CliqueProblem::try_solve_budgeted`] for the degradation ladder.
-    pub fn solve_budgeted(&self, resource: &mut ResourceMeter) -> CliqueSolution {
+    pub fn solve(&self, meter: &mut Meter) -> CliqueSolution {
         let n = self.weights.len();
         if n == 0 {
             return CliqueSolution {
@@ -113,10 +92,10 @@ impl CliqueProblem<'_> {
         // (a valid merge outcome: nothing merges)
         let order_bytes =
             (n * std::mem::size_of::<usize>() + (n + 1) * std::mem::size_of::<f64>()) as u64;
-        if !resource.charge(order_bytes) {
+        if !meter.charge(order_bytes) {
             return CliqueSolution {
                 members: Vec::new(),
-                provenance: Provenance::TruncatedByBudget,
+                provenance: meter.provenance(),
                 explored: 0,
             };
         }
@@ -147,10 +126,10 @@ impl CliqueProblem<'_> {
         // refinement; when they do not fit, the greedy incumbent stands
         let color_bytes =
             (n * std::mem::size_of::<usize>() + 2 * (n + 1) * std::mem::size_of::<f64>()) as u64;
-        if !resource.charge(color_bytes) {
+        if !meter.charge(color_bytes) {
             return CliqueSolution {
                 members: best,
-                provenance: Provenance::TruncatedByBudget,
+                provenance: meter.provenance(),
                 explored: 0,
             };
         }
@@ -196,16 +175,7 @@ impl CliqueProblem<'_> {
         // the bound used at each depth: both bounds are sound, take the min
         let bound: Vec<f64> = (0..=n).map(|k| suffix[k].min(colored[k])).collect();
 
-        let node_budget = self.budget as u64;
-        let meter_budget = StageBudget {
-            deadline: self.stage_budget.deadline,
-            max_steps: Some(match self.stage_budget.max_steps {
-                Some(s) => s.min(node_budget),
-                None => node_budget,
-            }),
-            cancel: self.stage_budget.cancel.clone(),
-        };
-        let mut meter = meter_budget.start();
+        let steps_before = meter.steps();
         let mut state = Search {
             problem: self,
             order: &order,
@@ -216,12 +186,12 @@ impl CliqueProblem<'_> {
         // an already-expired deadline or tripped cancel flag skips the
         // branch-and-bound entirely and reports why
         if meter.check_slow() {
-            state.recurse(&mut Vec::new(), 0.0, 0, &mut meter);
+            state.recurse(&mut Vec::new(), 0.0, 0, meter);
         }
         CliqueSolution {
             members: state.best,
             provenance: meter.provenance(),
-            explored: meter.steps(),
+            explored: meter.steps() - steps_before,
         }
     }
 
@@ -253,7 +223,7 @@ struct Search<'p, 'a> {
 }
 
 impl Search<'_, '_> {
-    fn recurse(&mut self, clique: &mut Vec<usize>, weight: f64, depth: usize, meter: &mut BudgetMeter) {
+    fn recurse(&mut self, clique: &mut Vec<usize>, weight: f64, depth: usize, meter: &mut Meter) {
         if !meter.tick() {
             return;
         }
@@ -279,16 +249,15 @@ impl Search<'_, '_> {
     }
 }
 
-/// Convenience wrapper for unconstrained instances.
-pub fn max_weight_clique(weights: &[f64], compatible: &[Vec<bool>], budget: usize) -> Vec<usize> {
+/// Convenience wrapper for unconstrained instances under a search-node
+/// budget.
+pub fn max_weight_clique(weights: &[f64], compatible: &[Vec<bool>], budget: u64) -> Vec<usize> {
     CliqueProblem {
         weights: weights.to_vec(),
         compatible: compatible.to_vec(),
         feasible: None,
-        budget,
-        stage_budget: StageBudget::unlimited(),
     }
-    .solve()
+    .solve(&mut Budget::unlimited().with_max_steps(budget).start())
     .members
 }
 
@@ -344,10 +313,8 @@ mod tests {
             weights: w,
             compatible: compat,
             feasible: Some(&feasible),
-            budget: 1 << 20,
-            stage_budget: StageBudget::unlimited(),
         };
-        let sol = p.solve();
+        let sol = p.solve(&mut Budget::unlimited().with_max_steps(1 << 20).start());
         assert_eq!(sol.provenance, Provenance::Completed);
         assert_eq!(sol.members.len(), 2, "best feasible clique has 2 nodes: {sol:?}");
     }
@@ -379,10 +346,8 @@ mod tests {
             weights: w.clone(),
             compatible: compat,
             feasible: Some(&feasible),
-            budget: 3,
-            stage_budget: StageBudget::unlimited(),
         };
-        let sol = p.solve();
+        let sol = p.solve(&mut Budget::unlimited().with_max_steps(3).start());
         assert_eq!(sol.provenance, Provenance::TruncatedByBudget);
         // the greedy incumbent already found a best feasible pair
         let weight: f64 = sol.members.iter().map(|&i| w[i]).sum();
@@ -397,10 +362,11 @@ mod tests {
             weights: w.clone(),
             compatible: compat,
             feasible: None,
-            budget: 1 << 22,
-            stage_budget: StageBudget::unlimited().with_deadline(Duration::ZERO),
         };
-        let sol = p.solve();
+        let budget = Budget::unlimited()
+            .with_max_steps(1 << 22)
+            .with_deadline(Duration::ZERO);
+        let sol = p.solve(&mut budget.start());
         assert_eq!(sol.provenance, Provenance::TimedOut);
         let weight: f64 = sol.members.iter().map(|&i| w[i]).sum();
         assert_eq!(weight, 9.0, "greedy incumbent survives timeout: {sol:?}");
@@ -553,10 +519,8 @@ mod tests {
                 weights: weights.clone(),
                 compatible: compat.clone(),
                 feasible: None,
-                budget: 1 << 30,
-                stage_budget: StageBudget::unlimited(),
             };
-            let sol = p.solve();
+            let sol = p.solve(&mut Budget::unlimited().with_max_steps(1 << 30).start());
             assert_eq!(sol.provenance, Provenance::Completed);
             let want = reference_suffix_only(&weights, &compat);
             assert_eq!(sol.members, want, "trial {trial} diverged");
@@ -575,11 +539,9 @@ mod tests {
             weights: vec![1.0, 1.0, 1.0],
             compatible: compat,
             feasible: None,
-            budget: 1 << 20,
-            stage_budget: StageBudget::unlimited(),
         };
-        let mut meter = apex_fault::ResourceBudget::with_max_bytes(0).start();
-        let sol = p.solve_budgeted(&mut meter);
+        let mut meter = Budget::unlimited().with_max_steps(1 << 20).with_max_bytes(0).start();
+        let sol = p.solve(&mut meter);
         assert!(sol.members.is_empty());
         assert_eq!(sol.provenance, Provenance::TruncatedByBudget);
     }
@@ -598,16 +560,14 @@ mod tests {
             weights: w.clone(),
             compatible: compat,
             feasible: None,
-            budget: 1 << 20,
-            stage_budget: StageBudget::unlimited(),
         };
-        let mut meter = apex_fault::ResourceBudget::with_max_bytes(order_bytes).start();
-        let a = p.solve_budgeted(&mut meter);
+        let mut meter = Budget::unlimited().with_max_steps(1 << 20).with_max_bytes(order_bytes).start();
+        let a = p.solve(&mut meter);
         assert_eq!(a.provenance, Provenance::TruncatedByBudget);
         assert!(!a.members.is_empty(), "greedy incumbent survives: {a:?}");
         // deterministic: same budget, same degradation
-        let mut meter2 = apex_fault::ResourceBudget::with_max_bytes(order_bytes).start();
-        let b = p.solve_budgeted(&mut meter2);
+        let mut meter2 = Budget::unlimited().with_max_steps(1 << 20).with_max_bytes(order_bytes).start();
+        let b = p.solve(&mut meter2);
         assert_eq!(a.members, b.members);
     }
 
@@ -622,10 +582,8 @@ mod tests {
             weights: w,
             compatible: compat,
             feasible: None,
-            budget: 1 << 20,
-            stage_budget: StageBudget::unlimited(),
         };
-        let err = p.try_solve().unwrap_err();
+        let err = p.try_solve(&mut Budget::unlimited().with_max_steps(1 << 20).start()).unwrap_err();
         assert_eq!(err.stage(), apex_fault::Stage::Merge);
         assert!(err.message().contains("weight 1"), "{err}");
     }
@@ -638,10 +596,8 @@ mod tests {
                 weights: vec![1.0, bad],
                 compatible: compat.clone(),
                 feasible: None,
-                budget: 1 << 20,
-                stage_budget: StageBudget::unlimited(),
             };
-            assert!(p.try_solve().is_err(), "{bad} must be rejected");
+            assert!(p.try_solve(&mut Budget::unlimited().with_max_steps(1 << 20).start()).is_err(), "{bad} must be rejected");
         }
     }
 
@@ -652,10 +608,8 @@ mod tests {
             weights: vec![1.0, 2.0, 3.0],
             compatible: compat,
             feasible: None,
-            budget: 1 << 20,
-            stage_budget: StageBudget::unlimited(),
         };
-        let sol = p.try_solve().unwrap();
+        let sol = p.try_solve(&mut Budget::unlimited().with_max_steps(1 << 20).start()).unwrap();
         assert_eq!(sol.members.len(), 3);
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::clique::CliqueProblem;
 use crate::datapath::{DatapathConfig, DpNode, DpSource, MergedDatapath, NodeConfig};
-use apex_fault::{fail_point, ApexError, Provenance, ResourceBudget, Stage, StageBudget};
+use apex_fault::{fail_point, ApexError, Budget, Provenance, Stage};
 use apex_ir::{Graph, NodeId, Op, ValueType};
 use apex_tech::{fu_class, FuClass, TechModel};
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,24 +24,20 @@ use std::fmt;
 /// Options controlling the merge search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeOptions {
-    /// Branch-and-bound budget for the clique search.
-    pub clique_budget: usize,
-    /// Deadline / cancellation limits for the clique search.
-    pub budget: StageBudget,
-    /// Approximate memory budget for the merge step's dominant
-    /// allocations (the candidate compatibility matrix, the clique
-    /// solver's bound arrays). Exceeding it deterministically shrinks the
-    /// candidate set instead of OOM-aborting, flagged in
-    /// [`MergeReport::provenance`].
-    pub resource: ResourceBudget,
+    /// Limits for one merge step: `max_steps` is the clique search's
+    /// branch-and-bound node budget (500 000 by default), `deadline` and
+    /// `cancel` stop the search early, and `max_bytes` caps the step's
+    /// dominant allocations (the candidate compatibility matrix, the
+    /// clique solver's bound arrays). Exceeding the byte cap
+    /// deterministically shrinks the candidate set instead of
+    /// OOM-aborting; every stop is flagged in [`MergeReport::provenance`].
+    pub budget: Budget,
 }
 
 impl Default for MergeOptions {
     fn default() -> Self {
         MergeOptions {
-            clique_budget: 500_000,
-            budget: StageBudget::unlimited(),
-            resource: ResourceBudget::from_env(),
+            budget: Budget::from_env().with_max_steps(500_000),
         }
     }
 }
@@ -264,9 +260,9 @@ pub fn merge_graph(
     // under memory pressure keep a deterministic prefix of the candidate
     // list whose matrix fits (enumeration order is deterministic, so the
     // same inputs and budget always keep the same prefix)
-    let mut resource = options.resource.start();
+    let mut meter = options.budget.start();
     let mut n = candidates.len();
-    while n > 0 && !resource.charge((n as u64).saturating_mul(n as u64)) {
+    while n > 0 && !meter.charge((n as u64).saturating_mul(n as u64)) {
         n /= 2;
     }
     if n < candidates.len() {
@@ -313,10 +309,8 @@ pub fn merge_graph(
         weights: weights.clone(),
         compatible,
         feasible: Some(&feasible),
-        budget: options.clique_budget,
-        stage_budget: options.budget.clone(),
     }
-    .try_solve_budgeted(&mut resource)
+    .try_solve(&mut meter)
     .map_err(|e| MergeError::NonFiniteWeight {
         detail: e.message().to_owned(),
     })?;
@@ -496,7 +490,7 @@ pub fn merge_graph(
         candidates: n,
         clique_size: clique.len(),
         saved_area,
-        provenance: solution.provenance.worst(resource.provenance()),
+        provenance: solution.provenance,
     };
     Ok((out, report))
 }

@@ -318,14 +318,13 @@ proptest! {
 }
 
 #[test]
-fn tiny_clique_budget_truncates_but_merges_validly() {
+fn tiny_clique_node_budget_truncates_but_merges_validly() {
     use apex_fault::Provenance;
     // zero search nodes: the branch-and-bound cannot even open the root
     // (with the colored bound, tiny instances complete inside one node,
     // so a 1-node budget no longer reliably truncates)
     let opts = MergeOptions {
-        clique_budget: 0,
-        ..MergeOptions::default()
+        budget: MergeOptions::default().budget.with_max_steps(0),
     };
     let (dp, reports) = merge_all(&[mac(), sub_chain()], &tech(), &opts).unwrap();
     assert!(dp.validate().is_ok(), "greedy incumbent must be a valid merge");
@@ -341,13 +340,12 @@ fn tiny_clique_budget_truncates_but_merges_validly() {
 
 #[test]
 fn tiny_memory_budget_truncates_but_merges_validly() {
-    use apex_fault::{Provenance, ResourceBudget};
+    use apex_fault::Provenance;
     // far below the compatibility matrix's footprint: the candidate list
     // shrinks deterministically, the merge still produces a valid datapath
     // implementing both graphs, and the report says TruncatedByBudget
     let opts = MergeOptions {
-        resource: ResourceBudget::with_max_bytes(16),
-        ..MergeOptions::default()
+        budget: MergeOptions::default().budget.with_max_bytes(16),
     };
     let (dp, reports) = merge_all(&[mac(), sub_chain()], &tech(), &opts).unwrap();
     assert!(dp.validate().is_ok(), "degraded merge must stay valid");
@@ -366,11 +364,10 @@ fn tiny_memory_budget_truncates_but_merges_validly() {
 
 #[test]
 fn zero_deadline_times_out_but_merges_validly() {
-    use apex_fault::{Provenance, StageBudget};
+    use apex_fault::Provenance;
     use std::time::Duration;
     let opts = MergeOptions {
-        budget: StageBudget::unlimited().with_deadline(Duration::ZERO),
-        ..MergeOptions::default()
+        budget: MergeOptions::default().budget.with_deadline(Duration::ZERO),
     };
     let (dp, reports) = merge_all(&[mac(), sub_chain()], &tech(), &opts).unwrap();
     assert!(dp.validate().is_ok(), "greedy incumbent must be a valid merge");

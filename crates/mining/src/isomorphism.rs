@@ -20,7 +20,7 @@
 
 use crate::bitset::Bitset;
 use crate::pattern::Pattern;
-use apex_fault::{BudgetMeter, ResourceMeter, StageBudget};
+use apex_fault::{Budget, Meter};
 use apex_ir::{Graph, NodeId, OpKind};
 use std::collections::BTreeMap;
 
@@ -241,35 +241,20 @@ impl<'g> GraphIndex<'g> {
 /// Enumerates embeddings of `pattern` into the indexed graph, stopping at
 /// `limit`.
 pub fn find_embeddings(pattern: &Pattern, index: &GraphIndex<'_>, limit: usize) -> EmbeddingSet {
-    let mut meter = StageBudget::unlimited().start();
-    find_embeddings_metered(pattern, index, limit, &mut meter)
+    find_embeddings_metered(pattern, index, limit, &mut Budget::unlimited().start())
 }
 
-/// Like [`find_embeddings`], but accounts every backtracking step against
-/// an external [`BudgetMeter`] (the miner's stage budget). When the meter
-/// trips, the set found so far is returned with `truncated` set.
+/// Like [`find_embeddings`], but ticks `meter` (the miner's budget) on
+/// every backtracking step and charges every stored embedding row against
+/// it. A tripped tick or a rejected charge truncates the search exactly
+/// like hitting `limit`: the embeddings found so far are returned with
+/// `truncated` set, so an exhausted budget degrades to lower-bound
+/// statistics instead of a hang or an OOM abort.
 pub fn find_embeddings_metered(
     pattern: &Pattern,
     index: &GraphIndex<'_>,
     limit: usize,
-    meter: &mut BudgetMeter,
-) -> EmbeddingSet {
-    let mut resource = ResourceMeter::unlimited();
-    find_embeddings_budgeted(pattern, index, limit, meter, &mut resource)
-}
-
-/// Like [`find_embeddings_metered`], but additionally charges every stored
-/// embedding row against a [`ResourceMeter`] (the miner's memory budget).
-/// A rejected charge truncates the search exactly like hitting `limit`:
-/// the embeddings found so far are returned with `truncated` set, so
-/// memory exhaustion degrades to lower-bound statistics instead of an
-/// OOM abort.
-pub fn find_embeddings_budgeted(
-    pattern: &Pattern,
-    index: &GraphIndex<'_>,
-    limit: usize,
-    meter: &mut BudgetMeter,
-    resource: &mut ResourceMeter,
+    meter: &mut Meter,
 ) -> EmbeddingSet {
     let n = pattern.len();
     if n == 0 {
@@ -303,7 +288,6 @@ pub fn find_embeddings_budgeted(
         limit,
         truncated: false,
         meter,
-        resource,
     };
     state.recurse(0);
     EmbeddingSet {
@@ -360,10 +344,9 @@ struct SearchState<'a, 'g> {
     out: EmbeddingList,
     limit: usize,
     truncated: bool,
-    meter: &'a mut BudgetMeter,
-    /// Byte accounting for the stored embeddings (the miner's memory
-    /// budget); a rejected charge truncates like a hit `limit`.
-    resource: &'a mut ResourceMeter,
+    /// The miner's budget: ticked per step, charged per stored row; a
+    /// stop or a rejected charge truncates like a hit `limit`.
+    meter: &'a mut Meter,
 }
 
 impl SearchState<'_, '_> {
@@ -386,7 +369,7 @@ impl SearchState<'_, '_> {
             }
             if ports_feasible(self.pattern, self.index.graph(), &self.row) {
                 let bytes = (self.row.len() * std::mem::size_of::<NodeId>()) as u64;
-                if !self.resource.charge(bytes) {
+                if !self.meter.charge(bytes) {
                     self.truncated = true;
                     return;
                 }

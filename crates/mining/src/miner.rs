@@ -5,11 +5,11 @@
 //! node-plus-edge or one internal edge, de-duplicate via canonical codes,
 //! and prune with GraMi's anti-monotone MNI support.
 
-use crate::isomorphism::{find_embeddings_budgeted, EmbeddingSet, GraphIndex};
-use crate::mis::{maximal_independent_set, maximal_independent_set_budgeted};
+use crate::isomorphism::{find_embeddings_metered, EmbeddingSet, GraphIndex};
+use crate::mis::{maximal_independent_set, maximal_independent_set_metered};
 use crate::pattern::Pattern;
 use crate::MineError;
-use apex_fault::{Provenance, ResourceBudget, StageBudget};
+use apex_fault::{Budget, Provenance};
 use apex_ir::{Graph, NodeId, OpKind};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -35,13 +35,12 @@ pub struct MinerConfig {
     /// reached. Patterns already on the frontier are still harvested into
     /// the results.
     pub max_patterns: usize,
-    /// Wall-clock / step budget for the whole mining run.
-    pub budget: StageBudget,
-    /// Approximate memory budget for the run's dominant allocations
-    /// (embedding rows, MIS overlap graph). Exceeding it truncates the
-    /// affected statistics deterministically with a
+    /// Limits for the whole mining run: wall clock, steps, cancellation,
+    /// and an approximate byte cap on the run's dominant allocations
+    /// (embedding rows, MIS overlap graph). Exceeding the byte cap
+    /// truncates the affected statistics deterministically with a
     /// [`Provenance::TruncatedByBudget`] record instead of OOM-aborting.
-    pub resource: ResourceBudget,
+    pub budget: Budget,
 }
 
 impl Default for MinerConfig {
@@ -52,8 +51,7 @@ impl Default for MinerConfig {
             min_pattern_nodes: 2,
             max_embeddings: 20_000,
             max_patterns: 400,
-            budget: StageBudget::unlimited(),
-            resource: ResourceBudget::from_env(),
+            budget: Budget::from_env(),
         }
     }
 }
@@ -199,7 +197,7 @@ pub struct MineOutcome {
     /// Mined subgraphs, ranked by MIS size then pattern size.
     pub subgraphs: Vec<MinedSubgraph>,
     /// Whether the pattern-growth search ran to completion or was cut
-    /// short by the configured [`StageBudget`].
+    /// short by the configured [`Budget`].
     pub provenance: Provenance,
 }
 
@@ -215,7 +213,6 @@ pub struct MineOutcome {
 pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineError> {
     apex_fault::fail_point!("mine::start", MineError::Injected("mine::start"));
     let mut meter = config.budget.start();
-    let mut resource = config.resource.start();
     meter.check_slow();
     let index = GraphIndex::new(graph);
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -229,13 +226,7 @@ pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineErro
     for (label, nodes) in index.labels() {
         if nodes.len() >= config.min_support {
             let p = Pattern::single(label);
-            let es = find_embeddings_budgeted(
-                &p,
-                &index,
-                config.max_embeddings,
-                &mut meter,
-                &mut resource,
-            );
+            let es = find_embeddings_metered(&p, &index, config.max_embeddings, &mut meter);
             seen.insert(p.canonical_code());
             frontier.push_back((p, es));
         }
@@ -255,7 +246,7 @@ pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineErro
             // under memory pressure analyse a deterministic prefix and
             // truncate the stored occurrences to match (the verifier
             // recomputes the MIS over whatever is stored)
-            let (mis, analysed) = maximal_independent_set_budgeted(&occurrences, &mut resource);
+            let (mis, analysed) = maximal_independent_set_metered(&occurrences, &mut meter);
             let occ_truncated = analysed < occurrences.len();
             if occ_truncated {
                 occurrences.truncate(analysed);
@@ -298,13 +289,7 @@ pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineErro
             if !seen.insert(code) {
                 continue;
             }
-            let es = find_embeddings_budgeted(
-                &child,
-                &index,
-                config.max_embeddings,
-                &mut meter,
-                &mut resource,
-            );
+            let es = find_embeddings_metered(&child, &index, config.max_embeddings, &mut meter);
             if es.mni_support(child.len()) >= config.min_support {
                 explored += 1;
                 frontier.push_back((child, es));
@@ -315,7 +300,7 @@ pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineErro
     rank(&mut results);
     Ok(MineOutcome {
         subgraphs: results,
-        provenance: meter.provenance().worst(resource.provenance()),
+        provenance: meter.provenance(),
     })
 }
 
@@ -531,7 +516,7 @@ mod tests {
         let g = conv_graph();
         let cfg = MinerConfig {
             min_support: 2,
-            budget: StageBudget::unlimited().with_max_steps(8),
+            budget: Budget::unlimited().with_max_steps(8),
             ..MinerConfig::default()
         };
         let out = mine(&g, &cfg).unwrap();
@@ -701,7 +686,7 @@ mod tests {
         // the run completes, flagged TruncatedByBudget
         let tight = MinerConfig {
             min_support: 2,
-            resource: ResourceBudget::with_max_bytes(256),
+            budget: Budget::unlimited().with_max_bytes(256),
             ..MinerConfig::default()
         };
         let a = mine(&g, &tight).unwrap();
@@ -729,7 +714,7 @@ mod tests {
             &g,
             &MinerConfig {
                 min_support: 2,
-                resource: ResourceBudget::with_max_bytes(0),
+                budget: Budget::unlimited().with_max_bytes(0),
                 ..MinerConfig::default()
             },
         )

@@ -7,56 +7,8 @@
 //! size of a maximal independent set of that graph estimates how many
 //! fully-utilized PEs implementing the subgraph the application can use.
 
-use apex_fault::ResourceMeter;
+use apex_fault::{Budget, Meter};
 use apex_ir::NodeId;
-
-/// Builds the overlap graph: `adj[i]` lists occurrences sharing at least
-/// one application node with occurrence `i` (each list sorted ascending,
-/// duplicate-free).
-///
-/// Built from a node → occurrence inverted index rather than all-pairs
-/// node-set intersection: every application node lists the occurrences
-/// containing it, and exactly the pairs co-listed somewhere become edges.
-/// Cost is proportional to the overlap actually present instead of
-/// O(n²) pairwise scans, which dominated MIS analysis for patterns with
-/// thousands of occurrences.
-pub fn overlap_graph(occurrences: &[Vec<NodeId>]) -> Vec<Vec<usize>> {
-    let n = occurrences.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    if n == 0 {
-        return adj;
-    }
-    let max_node = occurrences
-        .iter()
-        .flatten()
-        .map(|id| id.index())
-        .max()
-        .unwrap_or(0);
-    let mut owners: Vec<Vec<u32>> = vec![Vec::new(); max_node + 1];
-    for (i, occ) in occurrences.iter().enumerate() {
-        for &node in occ {
-            let slot = &mut owners[node.index()];
-            // occurrence node sets are deduplicated, but stay correct for
-            // callers that pass repeated nodes
-            if slot.last() != Some(&(i as u32)) {
-                slot.push(i as u32);
-            }
-        }
-    }
-    for list in &owners {
-        for (k, &a) in list.iter().enumerate() {
-            for &b in &list[k + 1..] {
-                adj[a as usize].push(b as usize);
-                adj[b as usize].push(a as usize);
-            }
-        }
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    adj
-}
 
 #[cfg(test)]
 fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
@@ -71,14 +23,22 @@ fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
     false
 }
 
-/// Like [`overlap_graph`], but charges the inverted index and the
-/// adjacency lists against `resource` as they grow; `None` the moment a
-/// charge is rejected (nothing partial escapes — a missing edge would let
-/// overlapping occurrences masquerade as independent).
-fn overlap_graph_charged(
-    occurrences: &[Vec<NodeId>],
-    resource: &mut ResourceMeter,
-) -> Option<Vec<Vec<usize>>> {
+/// Builds the overlap graph: `adj[i]` lists occurrences sharing at least
+/// one application node with occurrence `i` (each list sorted ascending,
+/// duplicate-free).
+///
+/// Built from a node → occurrence inverted index rather than all-pairs
+/// node-set intersection: every application node lists the occurrences
+/// containing it, and exactly the pairs co-listed somewhere become edges.
+/// Cost is proportional to the overlap actually present instead of
+/// O(n²) pairwise scans, which dominated MIS analysis for patterns with
+/// thousands of occurrences.
+///
+/// The inverted index and the adjacency lists are charged against `meter`
+/// as they grow; `None` the moment a charge is rejected (nothing partial
+/// escapes — a missing edge would let overlapping occurrences masquerade
+/// as independent).
+pub fn overlap_graph(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<Vec<Vec<usize>>> {
     let n = occurrences.len();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     if n == 0 {
@@ -91,16 +51,18 @@ fn overlap_graph_charged(
         .max()
         .unwrap_or(0);
     let index_bytes = ((max_node + 1) * std::mem::size_of::<Vec<u32>>()) as u64;
-    if !resource.charge(index_bytes) {
+    if !meter.charge(index_bytes) {
         return None;
     }
     let mut owners: Vec<Vec<u32>> = vec![Vec::new(); max_node + 1];
     for (i, occ) in occurrences.iter().enumerate() {
-        if !resource.charge((occ.len() * std::mem::size_of::<u32>()) as u64) {
+        if !meter.charge((occ.len() * std::mem::size_of::<u32>()) as u64) {
             return None;
         }
         for &node in occ {
             let slot = &mut owners[node.index()];
+            // occurrence node sets are deduplicated, but stay correct for
+            // callers that pass repeated nodes
             if slot.last() != Some(&(i as u32)) {
                 slot.push(i as u32);
             }
@@ -110,7 +72,7 @@ fn overlap_graph_charged(
     for list in &owners {
         for (k, &a) in list.iter().enumerate() {
             for &b in &list[k + 1..] {
-                if !resource.charge(edge_bytes) {
+                if !meter.charge(edge_bytes) {
                     return None;
                 }
                 adj[a as usize].push(b as usize);
@@ -133,44 +95,37 @@ fn overlap_graph_charged(
 /// definition; the min-degree heuristic makes it a good estimate of the
 /// maximum.
 pub fn maximal_independent_set(occurrences: &[Vec<NodeId>]) -> Vec<usize> {
-    let adj = overlap_graph(occurrences);
-    greedy_mis(occurrences.len(), &adj)
+    maximal_independent_set_metered(occurrences, &mut Budget::unlimited().start()).0
 }
 
-/// Budgeted MIS analysis for the miner: accounts the overlap-analysis
-/// scratch (inverted index + adjacency lists) against `resource`. When a
-/// charge is rejected the analysis deterministically retries over the
-/// first half of the occurrence list, repeatedly, until it fits — so
-/// memory exhaustion degrades to a conservative utilization estimate over
-/// an occurrence *prefix* instead of aborting. Returns the selected
-/// indices and the prefix length analysed (`< occurrences.len()` exactly
-/// when the budget truncated the analysis); the caller must shrink its
-/// stored occurrence list to that prefix to stay verifier-consistent.
-/// Scratch charges are released before returning (the structures are
-/// dropped here).
-pub fn maximal_independent_set_budgeted(
+/// [`maximal_independent_set`] for the miner: accounts the
+/// overlap-analysis scratch (inverted index + adjacency lists) against
+/// `meter`. When a charge is rejected the analysis deterministically
+/// retries over the first half of the occurrence list, repeatedly, until
+/// it fits — so memory exhaustion degrades to a conservative utilization
+/// estimate over an occurrence *prefix* instead of aborting. Returns the
+/// selected indices and the prefix length analysed (`< occurrences.len()`
+/// exactly when the budget truncated the analysis); the caller must
+/// shrink its stored occurrence list to that prefix to stay
+/// verifier-consistent. Scratch charges are released before returning
+/// (the structures are dropped here).
+pub fn maximal_independent_set_metered(
     occurrences: &[Vec<NodeId>],
-    resource: &mut ResourceMeter,
+    meter: &mut Meter,
 ) -> (Vec<usize>, usize) {
     let mut n = occurrences.len();
     loop {
-        let before = resource.used();
-        match overlap_graph_charged(&occurrences[..n], resource) {
-            Some(adj) => {
-                let mis = greedy_mis(n, &adj);
-                resource.release(resource.used() - before);
-                return (mis, n);
-            }
-            None => {
-                resource.release(resource.used() - before);
-                n /= 2;
-            }
+        let before = meter.used();
+        let adj = overlap_graph(&occurrences[..n], meter);
+        meter.release(meter.used() - before);
+        match adj {
+            Some(adj) => return (greedy_mis(n, &adj), n),
+            None => n /= 2,
         }
     }
 }
 
-/// The greedy min-degree selection shared by the plain and budgeted
-/// entry points.
+/// The greedy min-degree selection over a built overlap graph.
 fn greedy_mis(n: usize, adj: &[Vec<usize>]) -> Vec<usize> {
     let mut alive = vec![true; n];
     let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
@@ -206,6 +161,7 @@ pub fn mis_size(occurrences: &[Vec<NodeId>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_fault::Provenance;
 
     fn ids(v: &[u32]) -> Vec<NodeId> {
         v.iter().map(|&x| NodeId(x)).collect()
@@ -255,7 +211,7 @@ mod tests {
             ids(&[4, 5]),
             ids(&[6, 7]),
         ];
-        let adj = overlap_graph(&occ);
+        let adj = overlap_graph(&occ, &mut Budget::unlimited().start()).unwrap();
         let mis = maximal_independent_set(&occ);
         // independent
         for (i, &a) in mis.iter().enumerate() {
@@ -298,7 +254,7 @@ mod tests {
                     v
                 })
                 .collect();
-            let got = overlap_graph(&occ);
+            let got = overlap_graph(&occ, &mut Budget::unlimited().start()).unwrap();
             // all-pairs reference (the original implementation)
             let mut want = vec![Vec::new(); n];
             for i in 0..n {
@@ -316,33 +272,37 @@ mod tests {
     #[test]
     fn budgeted_mis_with_room_matches_unbudgeted() {
         let occ = vec![ids(&[0, 1]), ids(&[1, 2]), ids(&[2, 3]), ids(&[3, 4])];
-        let mut meter = apex_fault::ResourceBudget::unlimited().start();
-        let (mis, analysed) = maximal_independent_set_budgeted(&occ, &mut meter);
+        let mut meter = Budget::unlimited().start();
+        let (mis, analysed) = maximal_independent_set_metered(&occ, &mut meter);
         assert_eq!(analysed, occ.len());
         assert_eq!(mis, maximal_independent_set(&occ));
-        assert!(!meter.exhausted());
+        assert_eq!(meter.provenance(), Provenance::Completed);
         assert_eq!(meter.used(), 0, "scratch charges are released");
     }
 
     #[test]
     fn budgeted_mis_truncates_to_a_prefix_deterministically() {
         let occ: Vec<Vec<NodeId>> = (0..64).map(|i| ids(&[i, i + 1])).collect();
-        let mut meter = apex_fault::ResourceBudget::with_max_bytes(600).start();
-        let (mis, analysed) = maximal_independent_set_budgeted(&occ, &mut meter);
-        assert!(meter.exhausted(), "a 600-byte budget cannot fit 64 occurrences");
+        let mut meter = Budget::unlimited().with_max_bytes(600).start();
+        let (mis, analysed) = maximal_independent_set_metered(&occ, &mut meter);
+        assert_eq!(
+            meter.provenance(),
+            Provenance::TruncatedByBudget,
+            "a 600-byte budget cannot fit 64 occurrences"
+        );
         assert!(analysed < occ.len());
         assert_eq!(mis, maximal_independent_set(&occ[..analysed]));
         // deterministic: same inputs + budget → same truncation point
-        let mut meter2 = apex_fault::ResourceBudget::with_max_bytes(600).start();
-        let (mis2, analysed2) = maximal_independent_set_budgeted(&occ, &mut meter2);
+        let mut meter2 = Budget::unlimited().with_max_bytes(600).start();
+        let (mis2, analysed2) = maximal_independent_set_metered(&occ, &mut meter2);
         assert_eq!((mis, analysed), (mis2, analysed2));
     }
 
     #[test]
     fn zero_budget_mis_degrades_to_empty_not_panic() {
         let occ = vec![ids(&[0, 1]), ids(&[1, 2])];
-        let mut meter = apex_fault::ResourceBudget::with_max_bytes(0).start();
-        let (mis, analysed) = maximal_independent_set_budgeted(&occ, &mut meter);
+        let mut meter = Budget::unlimited().with_max_bytes(0).start();
+        let (mis, analysed) = maximal_independent_set_metered(&occ, &mut meter);
         assert_eq!(analysed, 0);
         assert!(mis.is_empty());
     }
@@ -352,7 +312,7 @@ mod tests {
         // defensive: callers outside the miner may pass un-deduplicated
         // node lists; the inverted index must not self-link an occurrence
         let occ = vec![ids(&[1, 1, 2]), ids(&[3, 4])];
-        let adj = overlap_graph(&occ);
+        let adj = overlap_graph(&occ, &mut Budget::unlimited().start()).unwrap();
         assert!(adj[0].is_empty() && adj[1].is_empty());
         assert_eq!(mis_size(&occ), 2);
     }

@@ -1,6 +1,7 @@
 //! Property tests on the miner: soundness of reported statistics on
 //! random DAGs, canonical-code invariance, and MIS independence.
 
+use apex_fault::Budget;
 use apex_ir::{Graph, NodeId, Op};
 use apex_mining::{
     find_embeddings, find_embeddings_reference, maximal_independent_set, mine, overlap_graph,
@@ -104,7 +105,8 @@ proptest! {
         .unwrap()
         .subgraphs;
         for m in mined.iter().take(10) {
-            let adj = overlap_graph(&m.occurrences);
+            let adj = overlap_graph(&m.occurrences, &mut Budget::unlimited().start())
+                .expect("an unlimited meter never rejects");
             let mis = maximal_independent_set(&m.occurrences);
             for (i, &a) in mis.iter().enumerate() {
                 for &b in &mis[i + 1..] {

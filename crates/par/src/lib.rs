@@ -316,7 +316,7 @@ impl WatchdogOptions {
 pub struct JobCtx {
     /// Cooperative cancellation flag: raised by the watchdog on deadline
     /// overrun or sweep interrupt. Fan it into every
-    /// `StageBudget::with_cancel` the job creates.
+    /// `Budget::with_cancel` the job creates.
     pub cancel: Arc<AtomicBool>,
     timed_out: Arc<AtomicBool>,
 }

@@ -2,7 +2,7 @@
 //! `apex submit` CLI, the CI smoke test, and the soak tests.
 
 use crate::proto::{self, Fields};
-use apex_fault::{ApexError, Stage};
+use apex_fault::{fnv1a, ApexError, Stage};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -112,16 +112,6 @@ pub fn backoff_with_jitter(hint_ms: u64, seed: u64, attempt: u32) -> Duration {
     Duration::from_millis(hint_ms.saturating_add(jitter))
 }
 
-/// FNV-1a over the submission identity, the jitter seed.
-fn submission_seed(tenant: &str, graph: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in tenant.as_bytes().iter().chain(b"\x00").chain(graph.as_bytes()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Submits a graph and polls until it concludes (honoring `overloaded`
 /// backpressure by sleeping the server's `retry_after_ms` hint plus
 /// deterministic seeded jitter, for at most
@@ -152,8 +142,8 @@ pub fn submit_and_wait(
     let submit_line = proto::encode(&fields);
 
     // admission, retrying through backpressure with capped attempts and
-    // deterministic seeded-jitter backoff
-    let seed = submission_seed(tenant, graph);
+    // deterministic jitter seeded by the submission identity
+    let seed = fnv1a(&[tenant, graph]);
     let mut attempt = 0u32;
     let job = loop {
         if started.elapsed() > overall {
@@ -223,7 +213,7 @@ mod tests {
     fn backoff_is_deterministic_and_bounded() {
         for attempt in 0..MAX_ADMISSION_ATTEMPTS {
             for hint in [0u64, 1, 123, 500, 10_000] {
-                let seed = submission_seed("tenant-a", "gaussian");
+                let seed = fnv1a(&["tenant-a", "gaussian"]);
                 let a = backoff_with_jitter(hint, seed, attempt);
                 let b = backoff_with_jitter(hint, seed, attempt);
                 assert_eq!(a, b, "same inputs must give the same backoff");
@@ -241,8 +231,8 @@ mod tests {
         // not a hard guarantee, but the whole point of seeding by identity:
         // across several attempts, two distinct submissions must not share
         // the entire backoff schedule
-        let s1 = submission_seed("tenant-a", "gaussian");
-        let s2 = submission_seed("tenant-b", "harris");
+        let s1 = fnv1a(&["tenant-a", "gaussian"]);
+        let s2 = fnv1a(&["tenant-b", "harris"]);
         assert_ne!(s1, s2);
         let all_equal = (0..6).all(|k| {
             backoff_with_jitter(500, s1, k) == backoff_with_jitter(500, s2, k)
@@ -254,7 +244,7 @@ mod tests {
     fn zero_hint_backoff_is_zero() {
         // a zero hint means "retry immediately"; jitter must not invent a
         // wait the server never asked for
-        let seed = submission_seed("t", "g");
+        let seed = fnv1a(&["t", "g"]);
         assert_eq!(backoff_with_jitter(0, seed, 0), Duration::ZERO);
     }
 }

@@ -14,7 +14,7 @@
 //!   limit submissions are shed with a structured `overloaded` response
 //!   carrying a `retry_after_ms` hint (never unbounded queueing);
 //! * **per-request deadlines** — plumbed into the existing
-//!   [`apex_fault::StageBudget`] cooperative cancellation;
+//!   [`apex_fault::Budget`] cooperative cancellation;
 //! * **multi-tenant caching** — each tenant's variant builds are cached
 //!   in a private namespace of the content-addressed store
 //!   ([`apex_core::VariantCache::namespaced`]), with a shared LRU byte

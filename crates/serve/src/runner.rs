@@ -6,7 +6,7 @@
 //! CLI and the smoke tests pay for real DSE.
 
 use apex_core::JobReport;
-use apex_fault::{ApexError, Provenance, Stage, StageBudget};
+use apex_fault::{ApexError, Budget, Meter, Provenance, Stage};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,10 +45,11 @@ pub struct DseRunner;
 
 impl JobRunner for DseRunner {
     fn run(&self, spec: &JobSpec) -> Result<JobReport, ApexError> {
-        // the job-level meter: consulted between pipeline phases so a
-        // drain or deadline stops the job at the next phase boundary
-        // even if an inner stage lacks its own budget
-        let budget = StageBudget::unlimited()
+        // the job budget: its meter is consulted between pipeline phases
+        // so a drain or deadline stops the job at the next phase boundary
+        // even if an inner stage lacks its own budget, and mining runs
+        // under the same budget so cancellation lands mid-mine too
+        let budget = Budget::from_env()
             .with_deadline(spec.deadline)
             .with_cancel(Arc::clone(&spec.cancel));
         let mut meter = budget.start();
@@ -75,12 +76,8 @@ impl JobRunner for DseRunner {
         }
 
         let tech = apex_tech::TechModel::default();
-        // mining gets the same deadline/cancel pair as its own budget so
-        // cancellation lands mid-mine, not only at phase boundaries
         let miner = apex_mining::MinerConfig {
-            budget: StageBudget::unlimited()
-                .with_deadline(spec.deadline)
-                .with_cancel(Arc::clone(&spec.cancel)),
+            budget,
             ..apex_mining::MinerConfig::default()
         };
         let tenant = spec.tenant.clone();
@@ -136,7 +133,7 @@ impl JobRunner for DseRunner {
 /// server journals a [`Provenance::TimedOut`] conclusion (re-running
 /// would time out again) but leaves a [`Provenance::Cancelled`] job
 /// pending for resume.
-fn interrupted_report(meter: &apex_fault::BudgetMeter) -> JobReport {
+fn interrupted_report(meter: &Meter) -> JobReport {
     let provenance = match meter.provenance() {
         Provenance::Completed => Provenance::Cancelled,
         p => p,

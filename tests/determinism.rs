@@ -28,13 +28,13 @@ use std::sync::{Arc, OnceLock};
 /// before anything can initialize it (the shared cache reads the
 /// environment once, lazily). Every test in this binary calls this first,
 /// so no test leaks entries into the developer's real cache.
-fn isolate_cache_dir() {
+fn isolate_cache_dir() -> &'static std::path::Path {
     static DIR: OnceLock<std::path::PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("apex-determinism-{}", std::process::id()));
         std::env::set_var("APEX_CACHE_DIR", &dir);
         dir
-    });
+    })
 }
 
 fn nine_apps() -> Vec<Application> {
@@ -161,6 +161,47 @@ fn warm_cache_reproduces_the_exact_variant() {
     // ... and byte-identical everything (spec, sources, synthesis report,
     // degradations) under the canonical encoding
     assert_eq!(encode_variant(&cold), encode_variant(&warm));
+}
+
+/// A job's deadline bounds how long its build may run, not what a
+/// completed build produces, so it must not split the tenant cache: a
+/// resubmission with a new deadline is served from the first job's
+/// entries and stores nothing new.
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn resubmission_with_a_new_deadline_hits_the_tenant_cache() {
+    use apex::serve::{DseRunner, JobRunner, JobSpec};
+    use std::time::Duration;
+
+    let tenant = "deadline-key-test";
+    let tenant_dir = isolate_cache_dir().join("tenants").join(tenant);
+    let entries = || std::fs::read_dir(&tenant_dir).map_or(0, |d| d.count());
+    let apps = analyzed_apps();
+    let app = apps
+        .iter()
+        .find(|a| a.info.name == "mobilenet")
+        .expect("mobilenet is an analyzed app");
+    let job = |deadline_secs| JobSpec {
+        tenant: tenant.to_owned(),
+        graph: apex::ir::to_text(&app.graph),
+        deadline: Duration::from_secs(deadline_secs),
+        cancel: Arc::new(AtomicBool::new(false)),
+    };
+
+    let first = DseRunner.run(&job(600)).expect("first job runs");
+    let stored = entries();
+    assert!(stored > 0, "the first job stores its variants");
+    let cache = VariantCache::shared();
+    let hits_before = cache.hits();
+    let second = DseRunner.run(&job(900)).expect("second job runs");
+    assert!(
+        cache.hits() > hits_before,
+        "the resubmission must read the tenant cache ({hits_before} hits before, {} after)",
+        cache.hits()
+    );
+    assert_eq!(entries(), stored, "a new deadline must not store new entries");
+    assert_eq!(first.payload, second.payload);
+    assert_eq!(second.provenance, Provenance::Completed);
 }
 
 /// Kill-and-resume determinism of the checkpoint journal over real sweep

@@ -33,7 +33,8 @@
 //! time; the runner disarms everything and resets the interrupt flag
 //! between schedules.
 
-use crate::{json_escape, Schedule};
+use crate::Schedule;
+use apex_fault::record;
 use apex_fault::ApexError;
 use std::path::PathBuf;
 
@@ -69,29 +70,6 @@ pub struct ScheduleReport {
     pub violations: Vec<String>,
 }
 
-impl ScheduleReport {
-    /// One JSONL line for this schedule.
-    pub fn to_json(&self) -> String {
-        let body = self.schedule.to_json();
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .collect();
-        let status = if self.violations.is_empty() {
-            "ok"
-        } else {
-            "violation"
-        };
-        // splice status/violations into the schedule object
-        let trimmed = body.trim_end_matches('}');
-        format!(
-            "{trimmed},\"status\":\"{status}\",\"violations\":[{}]}}",
-            violations.join(",")
-        )
-    }
-}
-
 /// The whole campaign's outcome.
 #[derive(Debug)]
 pub struct CampaignReport {
@@ -116,17 +94,28 @@ impl CampaignReport {
     }
 
     /// The report as JSONL: a campaign header line, then one line per
-    /// schedule.
+    /// schedule — its [`Schedule::fields`] plus `status` and the
+    /// `violations` joined by newlines.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"campaign\":\"apex-chaos\",\"seed\":{},\"schedules\":{},\
-             \"violations\":{}}}\n",
-            self.seed,
-            self.runs.len(),
-            self.total_violations()
-        );
+        let mut out = record::encode(&record::fields(&[
+            ("campaign", "apex-chaos"),
+            ("seed", &self.seed.to_string()),
+            ("schedules", &self.runs.len().to_string()),
+            ("violations", &self.total_violations().to_string()),
+        ]));
+        out.push('\n');
         for run in &self.runs {
-            out.push_str(&run.to_json());
+            let status = if run.violations.is_empty() {
+                "ok"
+            } else {
+                "violation"
+            };
+            let mut f = run.schedule.fields();
+            f.extend(record::fields(&[
+                ("status", status),
+                ("violations", &run.violations.join("\n")),
+            ]));
+            out.push_str(&record::encode(&f));
             out.push('\n');
         }
         out
@@ -596,9 +585,8 @@ mod inject {
         addr: &str,
         handle: std::thread::JoinHandle<RunSummary>,
     ) -> Result<RunSummary, String> {
-        let mut fields = proto::Fields::new();
-        fields.insert("op".to_owned(), "drain".to_owned());
-        let _ = client::request(addr, &proto::encode(&fields), Duration::from_secs(2));
+        let drain = proto::encode(&proto::fields(&[("op", "drain")]));
+        let _ = client::request(addr, &drain, Duration::from_secs(2));
         interrupt::trigger();
         let joined = handle.join().map_err(|p| panic_text(p.as_ref()));
         interrupt::reset();

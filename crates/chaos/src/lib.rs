@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use apex_fault::record::{self, Fields};
 use apex_fault::FAILPOINT_CATALOG;
 
 mod campaign;
@@ -192,47 +193,29 @@ pub fn enumerate_schedules(count: usize, seed: u64) -> Vec<Schedule> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// tiny JSON helpers (report emission; mirrors the serve wire codec)
-// ---------------------------------------------------------------------------
-
-/// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Schedule {
-    /// The schedule as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    /// The faults in the `APEX_FAILPOINTS` syntax: `site@N,site@N`.
+    pub fn faults_spec(&self) -> String {
         let faults: Vec<String> = self
             .faults
             .iter()
-            .map(|f| format!("{{\"site\":\"{}\",\"nth\":{}}}", json_escape(&f.site), f.nth))
+            .map(|f| format!("{}@{}", f.site, f.nth))
             .collect();
-        let budget = self
-            .mem_budget
-            .map_or("null".to_owned(), |b| b.to_string());
-        format!(
-            "{{\"schedule\":{},\"mode\":\"{}\",\"faults\":[{}],\"mem_budget\":{}}}",
-            self.id,
-            self.mode.name(),
-            faults.join(","),
-            budget
-        )
+        faults.join(",")
+    }
+
+    /// The schedule as flat [`record`] fields (`mem_budget` only when
+    /// set): one `apex chaos --list` line once encoded.
+    pub fn fields(&self) -> Fields {
+        let mut f = record::fields(&[
+            ("schedule", &self.id.to_string()),
+            ("mode", self.mode.name()),
+            ("faults", &self.faults_spec()),
+        ]);
+        if let Some(bytes) = self.mem_budget {
+            f.insert("mem_budget".to_owned(), bytes.to_string());
+        }
+        f
     }
 }
 
@@ -303,25 +286,33 @@ mod tests {
     }
 
     #[test]
-    fn schedule_json_is_stable() {
-        let s = Schedule {
-            id: 3,
-            faults: vec![PlannedFault {
-                site: "mine::start".to_owned(),
-                nth: 2,
-            }],
-            mode: Mode::InProcess,
-            mem_budget: Some(2048),
-        };
-        assert_eq!(
-            s.to_json(),
-            "{\"schedule\":3,\"mode\":\"in_process\",\
-             \"faults\":[{\"site\":\"mine::start\",\"nth\":2}],\"mem_budget\":2048}"
-        );
-    }
-
-    #[test]
-    fn json_escape_handles_control_and_quote_bytes() {
-        assert_eq!(json_escape("a\"b\\c\nd\x01"), "a\\\"b\\\\c\\nd\\u0001");
+    fn list_and_report_lines_decode_and_faults_parse_back() {
+        let runs = enumerate_schedules(30, 7)
+            .into_iter()
+            .map(|schedule| ScheduleReport {
+                violations: vec!["panic: \"boom\"\tat\\x \u{1}".to_owned(); schedule.id % 3],
+                schedule,
+            })
+            .collect();
+        let report = CampaignReport { seed: 7, runs };
+        let jsonl = report.to_jsonl();
+        let mut lines = jsonl.lines().map(|l| record::decode(l).expect("every line decodes"));
+        let header = lines.next().expect("a header line");
+        assert_eq!(header["violations"], report.total_violations().to_string());
+        assert_eq!(jsonl.lines().count(), 1 + report.runs.len());
+        for (mut line, run) in lines.zip(&report.runs) {
+            let parsed: Vec<(&str, u64)> = (line["faults"].split(','))
+                .filter_map(|f| f.split_once('@'))
+                .map(|(site, nth)| (site, nth.parse().unwrap_or(0)))
+                .collect();
+            let faults = &run.schedule.faults;
+            let planned: Vec<_> = faults.iter().map(|f| (f.site.as_str(), f.nth)).collect();
+            assert_eq!(parsed, planned);
+            assert_eq!(line["violations"], run.violations.join("\n"));
+            // the `--list` line is the report line minus the verdict
+            line.retain(|k, _| k != "status" && k != "violations");
+            let plan = record::encode(&run.schedule.fields());
+            assert_eq!(record::decode(&plan), Some(line));
+        }
     }
 }

@@ -20,9 +20,10 @@
 //! (spec + sources + rules + synthesis report + degradations) under
 //! `target/apex-cache/` — overridable with `APEX_CACHE_DIR`, disabled
 //! entirely with `APEX_CACHE=off`. Writes are atomic (temp file + rename)
-//! so concurrent sweeps can share one cache directory. Every entry opens
-//! with a `sum <fnv1a>` checksum line over its payload, verified on read;
-//! an entry that is present but fails the checksum or the decoder is
+//! so concurrent sweeps can share one cache directory. Every entry is
+//! one [`apex_fault::record::seal`]ed line `{v, variant}` whose `sum`
+//! covers the format version and the variant text, verified on read; an
+//! entry that is present but fails the checksum or the decoder is
 //! **quarantined** — renamed to `<key>.corrupt` and counted — rather than
 //! silently deleted, so disk corruption leaves evidence while the sweep
 //! transparently rebuilds the value.
@@ -35,7 +36,8 @@
 use crate::variant::{PeVariant, SubgraphSelection};
 use apex_apps::Application;
 use apex_fault::{
-    fnv1a, parse_byte_size, ApexError, Budget, Degradation, DegradationKind, Provenance, Stage,
+    fnv1a, parse_byte_size, record, ApexError, Budget, Degradation, DegradationKind, Provenance,
+    Stage,
 };
 use apex_ir::{from_text, op_from_token, op_to_token, to_text, Graph, NodeId, OpKind};
 use apex_merge::{DatapathConfig, DpNode, DpSource, MergeOptions, MergedDatapath, NodeConfig};
@@ -49,12 +51,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Bump when the value encoding or anything upstream of variant
+/// Bump when the entry or value encoding or anything upstream of variant
 /// construction changes semantically; old entries then miss instead of
-/// resurrecting stale designs. (v2: entries gained a `sum` checksum line;
-/// the version is hashed into every cache key, so v1 entries are simply
-/// never addressed again rather than misread or falsely quarantined.)
-const FORMAT: &str = "apex-variant v2";
+/// resurrecting stale designs. The version is hashed into every cache
+/// key, so older entries are simply never addressed again rather than
+/// misread or falsely quarantined.
+const FORMAT: &str = "apex-variant v3";
 
 // ---------------------------------------------------------------------------
 // key hashing
@@ -315,10 +317,10 @@ impl VariantCache {
         }
     }
 
-    /// Atomically stores a variant under `key`, prefixed with a checksum
-    /// line over the payload. Best-effort: an unwritable cache directory
-    /// silently degrades to pass-through (the sweep must not fail because
-    /// a cache could not be written).
+    /// Atomically stores a variant under `key` as a sealed entry.
+    /// Best-effort: an unwritable cache directory silently degrades to
+    /// pass-through (the sweep must not fail because a cache could not be
+    /// written).
     pub fn store(&self, key: u64, variant: &PeVariant) {
         let Some(path) = self.entry_path(key) else {
             return;
@@ -572,25 +574,27 @@ fn collect_cache_files(dir: &Path, out: &mut Vec<(bool, std::time::SystemTime, P
 }
 
 // ---------------------------------------------------------------------------
-// entry envelope: checksum line + payload
+// entry envelope: one sealed record
 // ---------------------------------------------------------------------------
 
-/// Wraps the variant encoding in the on-disk entry envelope: a
-/// `sum <fnv1a-hex>` line over the exact payload that follows.
+/// Wraps the variant encoding in the on-disk entry envelope: one
+/// [`record::seal`]ed line `{v, variant}` whose `sum` covers both.
 fn encode_entry(variant: &PeVariant) -> String {
-    let body = encode_variant(variant);
-    format!("sum {:016x}\n{body}", fnv1a(&[&body]))
+    record::seal(record::fields(&[
+        ("v", FORMAT),
+        ("variant", &encode_variant(variant)),
+    ]))
 }
 
-/// Verifies the checksum line and decodes the payload; `None` on any
-/// mismatch or malformation (the caller quarantines the file).
+/// Opens the sealed envelope and decodes the variant; `None` on any
+/// checksum mismatch, version mismatch or malformation (the caller
+/// quarantines the file).
 fn decode_entry(text: &str) -> Option<PeVariant> {
-    let (first, body) = text.split_once('\n')?;
-    let sum = u64::from_str_radix(first.strip_prefix("sum ")?, 16).ok()?;
-    if fnv1a(&[body]) != sum {
-        return None;
+    let fields = record::open(text)?;
+    match (fields.get("v"), fields.get("variant")) {
+        (Some(v), Some(body)) if v == FORMAT && fields.len() == 2 => decode_variant(body),
+        _ => None,
     }
-    decode_variant(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,6 +1114,12 @@ mod tests {
         let flipped = entry.replacen("name ", "nbme ", 1);
         assert!(decode_entry(&flipped).is_none());
         assert!(decode_entry("no checksum line").is_none());
+
+        // an `apex-variant v2` entry (checksum header line, then the body)
+        // is never served, even with a valid checksum
+        let v2_body = good.replacen(FORMAT, "apex-variant v2", 1);
+        let v2_entry = format!("sum {:016x}\n{v2_body}", fnv1a(&[&v2_body]));
+        assert!(decode_entry(&v2_entry).is_none());
 
         // a corrupt on-disk entry is quarantined to <key>.corrupt, counted,
         // and reported as a miss — never silently rebuilt over

@@ -25,7 +25,7 @@
 //! soon as the interrupt flag rises.
 
 use crate::cache::workspace_target_subdir;
-use apex_fault::{fail_point, fnv1a, ApexError, Provenance, Stage};
+use apex_fault::{fail_point, fnv1a, record, ApexError, Provenance, Stage};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,10 +34,10 @@ use std::sync::Arc;
 #[cfg(feature = "fault-injection")]
 use apex_fault::failpoints;
 
-/// Journal format version, embedded in every record and hashed into every
+/// Journal format version, embedded in every record and covered by every
 /// record checksum; bump on any codec change so old journals replay empty
 /// (clean start) instead of being misread.
-pub const JOURNAL_FORMAT: &str = "apex-journal v1";
+pub const JOURNAL_FORMAT: &str = "apex-journal v2";
 
 // ---------------------------------------------------------------------------
 // records
@@ -59,43 +59,6 @@ pub struct JournalRecord {
     pub payload: String,
 }
 
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Strict inverse of [`esc_json`]; `None` on any escape the encoder never
-/// produces (treated as corruption).
-fn unesc_json(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 impl JournalRecord {
     /// Digest of the payload (stored in the record so replay can verify
     /// the payload survived intact independently of the line checksum).
@@ -103,89 +66,40 @@ impl JournalRecord {
         fnv1a(&[&self.payload])
     }
 
-    /// Checksum over every field, written as the record's final `sum`
-    /// field; a torn or bit-flipped line fails this and is dropped.
-    fn checksum(&self) -> u64 {
-        fnv1a(&[
-            JOURNAL_FORMAT,
-            &format!("{:016x}", self.job_key),
-            &self.label,
-            self.provenance.marker(),
-            &self.degradations,
-            &format!("{:016x}", self.digest()),
-            &self.payload,
-        ])
-    }
-
-    /// Encodes the record as one JSONL line (no trailing newline). Fields
-    /// are written in fixed order with the checksum last, so a torn write
-    /// can never produce a line that checks out.
-    pub fn encode(&self) -> String {
-        format!(
-            "{{\"v\":\"{}\",\"job\":\"{:016x}\",\"label\":\"{}\",\"prov\":\"{}\",\"deg\":\"{}\",\"digest\":\"{:016x}\",\"payload\":\"{}\",\"sum\":\"{:016x}\"}}",
-            esc_json(JOURNAL_FORMAT),
-            self.job_key,
-            esc_json(&self.label),
-            self.provenance.marker(),
-            esc_json(&self.degradations),
-            self.digest(),
-            esc_json(&self.payload),
-            self.checksum(),
-        )
+    /// Encodes the record as one sealed JSONL line (no trailing newline):
+    /// the fields `v job label prov deg digest payload` in sorted key
+    /// order plus a `sum` over all of them, so a torn or bit-flipped
+    /// line can never check out.
+    pub fn seal(&self) -> String {
+        record::seal(record::fields(&[
+            ("v", JOURNAL_FORMAT),
+            ("job", &format!("{:016x}", self.job_key)),
+            ("label", &self.label),
+            ("prov", self.provenance.marker()),
+            ("deg", &self.degradations),
+            ("digest", &format!("{:016x}", self.digest())),
+            ("payload", &self.payload),
+        ]))
     }
 
     /// Decodes one journal line; `None` on any malformation, unknown
-    /// format version, checksum mismatch, or payload-digest mismatch.
-    pub fn decode(line: &str) -> Option<JournalRecord> {
-        let mut rest = line.strip_prefix('{')?.strip_suffix('}')?;
-        let mut field = |key: &str, first: bool| -> Option<String> {
-            let prefix = if first {
-                format!("\"{key}\":\"")
-            } else {
-                format!(",\"{key}\":\"")
-            };
-            rest = rest.strip_prefix(prefix.as_str())?;
-            // scan to the closing unescaped quote
-            let bytes = rest.as_bytes();
-            let mut i = 0;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'\\' => i += 2,
-                    b'"' => break,
-                    _ => i += 1,
-                }
-            }
-            if i > bytes.len() {
-                return None; // trailing lone backslash
-            }
-            let raw = rest.get(..i)?;
-            rest = rest.get(i..)?.strip_prefix('"')?;
-            unesc_json(raw)
-        };
-        let version = field("v", true)?;
-        let job = field("job", false)?;
-        let label = field("label", false)?;
-        let prov = field("prov", false)?;
-        let deg = field("deg", false)?;
-        let digest = field("digest", false)?;
-        let payload = field("payload", false)?;
-        let sum = field("sum", false)?;
-        if !rest.is_empty() || version != JOURNAL_FORMAT {
+    /// format version or field, checksum mismatch, or payload-digest
+    /// mismatch.
+    pub fn open(line: &str) -> Option<JournalRecord> {
+        let mut fields = record::open(line)?;
+        let mut take = |key: &str| fields.remove(key);
+        if take("v")? != JOURNAL_FORMAT {
             return None;
         }
         let record = JournalRecord {
-            job_key: u64::from_str_radix(&job, 16).ok()?,
-            label,
-            provenance: Provenance::from_marker(&prov)?,
-            degradations: deg,
-            payload,
+            job_key: u64::from_str_radix(&take("job")?, 16).ok()?,
+            label: take("label")?,
+            provenance: Provenance::from_marker(&take("prov")?)?,
+            degradations: take("deg")?,
+            payload: take("payload")?,
         };
-        if u64::from_str_radix(&sum, 16).ok()? != record.checksum()
-            || u64::from_str_radix(&digest, 16).ok()? != record.digest()
-        {
-            return None;
-        }
-        Some(record)
+        let digest = take("digest")?;
+        (fields.is_empty() && digest == format!("{:016x}", record.digest())).then_some(record)
     }
 }
 
@@ -309,7 +223,7 @@ impl SweepJournal {
             .open(path)
             .map_err(io)?;
         let before = file.metadata().map_err(io)?.len();
-        let mut line = record.encode();
+        let mut line = record.seal();
         line.push('\n');
         let written = apex_fault::iofault::write_all(
             &mut file,
@@ -364,7 +278,7 @@ impl SweepJournal {
             if line.is_empty() {
                 continue;
             }
-            match JournalRecord::decode(line) {
+            match JournalRecord::open(line) {
                 Some(rec) => out.records.push(rec),
                 None if i + 1 == lines.len() && !complete_tail => {
                     out.dropped_torn += 1;
@@ -593,6 +507,14 @@ mod tests {
         std::env::temp_dir().join(format!("apex-journal-{tag}-{}.jsonl", std::process::id()))
     }
 
+    fn clean_report(payload: String) -> Result<JobReport, ApexError> {
+        Ok(JobReport {
+            payload,
+            provenance: Provenance::Completed,
+            degradations: "-".to_owned(),
+        })
+    }
+
     fn rec(key: u64, payload: &str) -> JournalRecord {
         JournalRecord {
             job_key: key,
@@ -606,7 +528,7 @@ mod tests {
     #[test]
     fn record_codec_round_trips() {
         let tricky = rec(42, "line1\nline2\t\"quoted\" back\\slash\r");
-        let decoded = JournalRecord::decode(&tricky.encode()).expect("decodes");
+        let decoded = JournalRecord::open(&tricky.seal()).expect("decodes");
         assert_eq!(decoded, tricky);
         let degraded = JournalRecord {
             provenance: Provenance::TimedOut,
@@ -614,24 +536,35 @@ mod tests {
             ..rec(7, "partial result")
         };
         assert_eq!(
-            JournalRecord::decode(&degraded.encode()).expect("decodes"),
+            JournalRecord::open(&degraded.seal()).expect("decodes"),
             degraded
         );
     }
 
+    /// A record written by the `apex-journal v1` encoder (fixed field
+    /// order, hand-built checksum) for job 9.
+    const V1_LINE: &str = "{\"v\":\"apex-journal v1\",\"job\":\"0000000000000009\",\
+        \"label\":\"job9\",\"prov\":\"ok\",\"deg\":\"-\",\"digest\":\"3450ba45d848808c\",\
+        \"payload\":\"old result\",\"sum\":\"0dcadae66cccc914\"}";
+
     #[test]
-    fn flipped_bytes_fail_the_checksum() {
-        let line = rec(1, "payload").encode();
-        assert!(JournalRecord::decode(&line).is_some());
-        // flip one payload character: digest and checksum both break
-        let bad = line.replacen("payload", "paYload", 1);
-        assert!(JournalRecord::decode(&bad).is_none());
-        // truncate anywhere: never panics, never decodes
-        for cut in 0..line.len() {
-            assert!(JournalRecord::decode(&line[..cut]).is_none(), "cut {cut}");
-        }
-        assert!(JournalRecord::decode("").is_none());
-        assert!(JournalRecord::decode("{}").is_none());
+    fn v1_journal_replays_empty_and_the_job_reruns() {
+        let path = tmp_path("v1");
+        std::fs::write(&path, format!("{V1_LINE}\n")).unwrap();
+        let journal = SweepJournal::at(&path);
+        let replay = journal.replay();
+        assert_eq!((replay.records.len(), replay.dropped_corrupt), (0, 1));
+        let jobs = [SweepJob {
+            key: 9,
+            label: "job9".to_owned(),
+        }];
+        let run = run_checkpointed(&journal, &jobs, true, None, |_| {
+            clean_report("new result".to_owned())
+        })
+        .unwrap();
+        assert_eq!((run.replayed, run.executed), (0, 1), "the v1 job re-runs");
+        assert!(!journal.poisoned.load(Ordering::SeqCst));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -642,7 +575,7 @@ mod tests {
         journal.append(&rec(1, "one")).unwrap();
         journal.append(&rec(2, "two")).unwrap();
         // simulate a crash mid-append: a partial record, no newline
-        let mut tail = rec(3, "three").encode();
+        let mut tail = rec(3, "three").seal();
         tail.truncate(tail.len() / 2);
         std::fs::write(&path, std::fs::read_to_string(&path).unwrap() + &tail).unwrap();
 
@@ -669,7 +602,7 @@ mod tests {
         journal.append(&rec(3, "three")).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replacen("two", "twX", 1)).unwrap();
-        let mut tail = rec(4, "four").encode();
+        let mut tail = rec(4, "four").seal();
         tail.truncate(tail.len() / 2);
         std::fs::write(&path, std::fs::read_to_string(&path).unwrap() + &tail).unwrap();
 
@@ -706,7 +639,7 @@ mod tests {
                 .collect();
             let mut pristine = String::new();
             for r in &originals {
-                pristine.push_str(&r.encode());
+                pristine.push_str(&r.seal());
                 pristine.push('\n');
             }
             let mut bytes = pristine.into_bytes();
@@ -758,13 +691,7 @@ mod tests {
                 label: format!("job{i}"),
             })
             .collect();
-        let make = |i: usize| {
-            Ok(JobReport {
-                payload: format!("result {i}\n"),
-                provenance: Provenance::Completed,
-                degradations: "-".to_owned(),
-            })
-        };
+        let make = |i: usize| clean_report(format!("result {i}\n"));
         let collect = |run: &SweepRun| -> String {
             run.results
                 .iter()
@@ -815,11 +742,7 @@ mod tests {
             label: "job9".to_owned(),
         }];
         let run = run_checkpointed(&journal, &jobs, false, None, |_| {
-            Ok(JobReport {
-                payload: "fresh".to_owned(),
-                provenance: Provenance::Completed,
-                degradations: "-".to_owned(),
-            })
+            clean_report("fresh".to_owned())
         })
         .unwrap();
         assert_eq!(run.executed, 1, "stale record must not satisfy a fresh run");

@@ -26,6 +26,9 @@
 //! * [`fnv1a`] / [`parse_byte_size`] — the workspace's one content hash
 //!   (cache keys, journal checksums, memo keys) and its one `k`/`m`/`g`
 //!   byte-size parser.
+//! * [`record`] — the one flat-record line codec (serve wire, sweep
+//!   journal, variant-cache envelope, chaos report) and its checksum
+//!   framing ([`record::seal`] / [`record::open`]).
 //! * [`iofault`] — an injected-I/O-fault adapter for journal/cache writes
 //!   (ENOSPC, short write, fsync failure), a plain passthrough without the
 //!   `fault-injection` feature.
@@ -37,6 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod interrupt;
+pub mod record;
 
 /// The pipeline stage an error or degradation originated from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -130,16 +130,7 @@ pub fn submit_and_wait(
 ) -> Result<Fields, ApexError> {
     let started = Instant::now();
     let io_timeout = Duration::from_secs(10);
-    let mut fields = proto::Fields::new();
-    fields.insert("op".to_owned(), "submit".to_owned());
-    fields.insert("graph".to_owned(), graph.to_owned());
-    if !tenant.is_empty() {
-        fields.insert("tenant".to_owned(), tenant.to_owned());
-    }
-    if let Some(ms) = deadline_ms {
-        fields.insert("deadline_ms".to_owned(), ms.to_string());
-    }
-    let submit_line = proto::encode(&fields);
+    let submit_line = proto::submit_request(tenant, graph, deadline_ms);
 
     // admission, retrying through backpressure with capped attempts and
     // deterministic jitter seeded by the submission identity
@@ -181,18 +172,8 @@ pub fn submit_and_wait(
     };
 
     // poll to conclusion
-    let status_line = proto::encode(&{
-        let mut f = proto::Fields::new();
-        f.insert("op".to_owned(), "status".to_owned());
-        f.insert("job".to_owned(), job.clone());
-        f
-    });
-    let result_line = proto::encode(&{
-        let mut f = proto::Fields::new();
-        f.insert("op".to_owned(), "result".to_owned());
-        f.insert("job".to_owned(), job.clone());
-        f
-    });
+    let status_line = proto::encode(&proto::fields(&[("op", "status"), ("job", &job)]));
+    let result_line = proto::encode(&proto::fields(&[("op", "result"), ("job", &job)]));
     loop {
         if started.elapsed() > overall {
             return Err(cli_err(format!("timed out waiting for job {job}")));

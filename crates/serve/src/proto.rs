@@ -1,126 +1,21 @@
-//! Wire codec for the `apex serve` protocol: one flat JSON object per
-//! line, every value a string.
+//! The `apex serve` wire protocol: one flat JSON object per line, every
+//! value a string.
 //!
-//! The daemon deliberately speaks the same dialect the sweep journal
-//! writes — flat objects, string values, fixed escaping — so the whole
-//! stack stays std-only and strictly parseable. Anything the encoder
-//! cannot produce (nested objects, numbers, unknown escapes) is rejected
-//! as `bad_request` instead of being guessed at: the peer is untrusted.
+//! The line codec itself is [`apex_fault::record`], shared with the
+//! sweep journal, the variant-cache envelope and the chaos report, and
+//! re-exported here as [`encode`], [`decode`], [`fields`] and
+//! [`Fields`]. Anything that codec cannot produce (nested objects,
+//! numbers, unknown escapes) is rejected as `bad_request` instead of
+//! being guessed at: the peer is untrusted. This module adds the request
+//! parser and the response builders on top.
 //!
 //! See `DESIGN.md` §7 for the full request/response catalogue.
 
-use std::collections::BTreeMap;
+pub use apex_fault::record::{decode, encode, fields, Fields};
 
 /// Hard cap a conforming client must stay under for one request line
 /// (servers may configure a lower bound; DFG text dominates the budget).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Escapes a string for embedding in one wire line (same discipline as
-/// the journal encoder: `\\ \" \n \r \t` only).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Strict inverse of [`esc`]; `None` on any escape the encoder never
-/// produces.
-fn unesc(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// An ordered flat string-to-string map — the only value shape the
-/// protocol has. Field order is preserved on encode via sorted keys, so
-/// responses are byte-stable.
-pub type Fields = BTreeMap<String, String>;
-
-/// Encodes a flat object as one wire line (no trailing newline). Keys
-/// are emitted in sorted order so identical content is identical bytes.
-pub fn encode(fields: &Fields) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&esc(k));
-        out.push_str("\":\"");
-        out.push_str(&esc(v));
-        out.push('"');
-    }
-    out.push('}');
-    out
-}
-
-/// Decodes one wire line into a flat object. `None` on anything that is
-/// not exactly `{"k":"v",...}` with the journal escaping — duplicate
-/// keys, nesting, numbers and trailing bytes all fail.
-pub fn decode(line: &str) -> Option<Fields> {
-    let line = line.trim();
-    let mut rest = line.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Fields::new();
-    if rest.is_empty() {
-        return Some(fields);
-    }
-    let mut first = true;
-    while !rest.is_empty() {
-        if !first {
-            rest = rest.strip_prefix(',')?;
-        }
-        first = false;
-        rest = rest.strip_prefix('"')?;
-        let (key_raw, after_key) = take_quoted(rest)?;
-        rest = after_key.strip_prefix(':')?.strip_prefix('"')?;
-        let (val_raw, after_val) = take_quoted(rest)?;
-        rest = after_val;
-        let key = unesc(key_raw)?;
-        let val = unesc(val_raw)?;
-        if fields.insert(key, val).is_some() {
-            return None; // duplicate key: ambiguous, reject
-        }
-    }
-    Some(fields)
-}
-
-/// Splits `s` at the first unescaped `"`, returning the raw (still
-/// escaped) content and the remainder after the quote.
-fn take_quoted(s: &str) -> Option<(&str, &str)> {
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some((&s[..i], &s[i + 1..])),
-            _ => i += 1,
-        }
-    }
-    None
-}
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,52 +120,41 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     }
 }
 
-/// Builds an `{"ok":<kind>, ...}` response line.
-pub fn ok_response(kind: &str, extra: &[(&str, String)]) -> String {
-    let mut f = Fields::new();
-    f.insert("ok".to_owned(), kind.to_owned());
-    for (k, v) in extra {
-        f.insert((*k).to_owned(), v.clone());
+/// Encodes a `submit` request line (`tenant` omitted when empty,
+/// `deadline_ms` when `None`) — what `apex submit` sends and what the
+/// daemon journals for an admission.
+pub fn submit_request(tenant: &str, graph: &str, deadline_ms: Option<u64>) -> String {
+    let mut f = fields(&[("op", "submit"), ("graph", graph)]);
+    if !tenant.is_empty() {
+        f.insert("tenant".to_owned(), tenant.to_owned());
+    }
+    if let Some(ms) = deadline_ms {
+        f.insert("deadline_ms".to_owned(), ms.to_string());
     }
     encode(&f)
+}
+
+/// Builds an `{"ok":<kind>, ...}` response line.
+pub fn ok_response(kind: &str, extra: &[(&str, String)]) -> String {
+    response("ok", kind, extra)
 }
 
 /// Builds an `{"err":<code>, ...}` response line. Error codes are the
 /// protocol's stable surface: `bad_request`, `overloaded`, `draining`,
 /// `unknown_job`, `not_done`, `line_too_long`, `idle_timeout`.
 pub fn err_response(code: &str, extra: &[(&str, String)]) -> String {
-    let mut f = Fields::new();
-    f.insert("err".to_owned(), code.to_owned());
-    for (k, v) in extra {
-        f.insert((*k).to_owned(), v.clone());
-    }
+    response("err", code, extra)
+}
+
+fn response(verdict: &str, value: &str, extra: &[(&str, String)]) -> String {
+    let mut f = fields(&[(verdict, value)]);
+    f.extend(extra.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
     encode(&f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let mut f = Fields::new();
-        f.insert("op".to_owned(), "submit".to_owned());
-        f.insert("graph".to_owned(), "line1\nline2\t\"x\\y\"".to_owned());
-        let line = encode(&f);
-        assert!(!line.contains('\n'), "wire lines must be single lines");
-        assert_eq!(decode(&line), Some(f));
-    }
-
-    #[test]
-    fn decode_rejects_what_the_encoder_never_writes() {
-        assert!(decode("not json").is_none());
-        assert!(decode("{\"a\":1}").is_none(), "numbers are not in the dialect");
-        assert!(decode("{\"a\":{\"b\":\"c\"}}").is_none(), "no nesting");
-        assert!(decode("{\"a\":\"x\",\"a\":\"y\"}").is_none(), "no duplicate keys");
-        assert!(decode("{\"a\":\"\\q\"}").is_none(), "unknown escape");
-        assert!(decode("{\"a\":\"x\"}trailing").is_none());
-        assert_eq!(decode("{}"), Some(Fields::new()));
-    }
 
     #[test]
     fn parse_request_covers_the_op_catalogue() {

@@ -26,7 +26,7 @@
 use crate::proto::{self, Request};
 use crate::runner::{JobRunner, JobSpec};
 use crate::state::{Admission, JobState, JobTable, PendingJob};
-use apex_core::{SweepJournal, VariantCache};
+use apex_core::{SweepJournal, VariantCache, JOURNAL_FORMAT};
 use apex_fault::{ApexError, Provenance, Stage};
 use apex_par::WorkerPool;
 use std::collections::VecDeque;
@@ -80,10 +80,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// The daemon's default journal (one well-known identity per workspace,
-/// so a restarted `apex serve --resume` finds its predecessor's state).
+/// The daemon's default journal (one well-known identity per workspace
+/// and journal format, so a restarted `apex serve --resume` finds its
+/// predecessor's state and a format bump starts a fresh file).
 pub fn default_journal() -> SweepJournal {
-    SweepJournal::for_sweep(apex_core::fnv1a(&["apex-serve v1"]))
+    SweepJournal::for_sweep(apex_core::fnv1a(&[JOURNAL_FORMAT, "apex-serve v1"]))
 }
 
 /// Counters shared across the daemon's threads, surfaced by `stats`.

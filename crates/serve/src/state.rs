@@ -191,7 +191,7 @@ impl JobTable {
             label: format!("submit {}", if tenant.is_empty() { "-" } else { tenant }),
             provenance: Provenance::Partial,
             degradations: "-".to_owned(),
-            payload: format!("{REC_SUBMIT}{}", encode_submission(tenant, graph, deadline_ms)),
+            payload: format!("{REC_SUBMIT}{}", proto::submit_request(tenant, graph, deadline_ms)),
         })?;
         lock(&self.jobs).insert(
             key,
@@ -321,60 +321,41 @@ impl JobTable {
     }
 }
 
-/// Encodes a submission's fields for the `S` journal payload (the wire
-/// codec doubles as the durable format).
-fn encode_submission(tenant: &str, graph: &str, deadline_ms: Option<u64>) -> String {
-    let mut f = proto::Fields::new();
-    f.insert("tenant".to_owned(), tenant.to_owned());
-    f.insert("graph".to_owned(), graph.to_owned());
-    if let Some(ms) = deadline_ms {
-        f.insert("deadline_ms".to_owned(), ms.to_string());
-    }
-    proto::encode(&f)
-}
-
 /// Rebuilds a job entry from its latest journal record; `None` drops
 /// records this version cannot interpret (forward compatibility: an
 /// unknown prefix must not wedge the restart).
 fn decode_record(rec: &JournalRecord) -> Option<JobEntry> {
     if let Some(body) = rec.payload.strip_prefix(REC_SUBMIT) {
-        let f = proto::decode(body)?;
-        let graph = f.get("graph")?.clone();
-        let tenant = f.get("tenant").cloned().unwrap_or_default();
-        let deadline_ms = match f.get("deadline_ms") {
-            None => None,
-            Some(v) => Some(v.parse::<u64>().ok()?),
+        return match proto::parse_request(body) {
+            Ok(proto::Request::Submit {
+                tenant,
+                graph,
+                deadline_ms,
+            }) => Some(JobEntry {
+                tenant,
+                graph,
+                deadline_ms,
+                state: JobState::Queued,
+            }),
+            _ => None,
         };
-        return Some(JobEntry {
-            tenant,
-            graph,
-            deadline_ms,
-            state: JobState::Queued,
-        });
     }
-    if let Some(body) = rec.payload.strip_prefix(REC_DONE) {
-        return Some(JobEntry {
-            tenant: String::new(),
-            graph: String::new(),
-            deadline_ms: None,
-            state: JobState::Done {
-                payload: body.to_owned(),
-                provenance: rec.provenance,
-                degradations: rec.degradations.clone(),
-            },
-        });
-    }
-    if let Some(body) = rec.payload.strip_prefix(REC_ERROR) {
-        return Some(JobEntry {
-            tenant: String::new(),
-            graph: String::new(),
-            deadline_ms: None,
-            state: JobState::Failed {
-                error: body.to_owned(),
-            },
-        });
-    }
-    None
+    let state = match rec.payload.strip_prefix(REC_DONE) {
+        Some(body) => JobState::Done {
+            payload: body.to_owned(),
+            provenance: rec.provenance,
+            degradations: rec.degradations.clone(),
+        },
+        None => JobState::Failed {
+            error: rec.payload.strip_prefix(REC_ERROR)?.to_owned(),
+        },
+    };
+    Some(JobEntry {
+        tenant: String::new(),
+        graph: String::new(),
+        deadline_ms: None,
+        state,
+    })
 }
 
 #[cfg(test)]

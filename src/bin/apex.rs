@@ -846,7 +846,7 @@ fn chaos(args: &[String]) -> Result<(), ApexError> {
     }
     if list_only {
         for schedule in apex::chaos::enumerate_schedules(schedules, seed) {
-            println!("{}", schedule.to_json());
+            println!("{}", apex::fault::record::encode(&schedule.fields()));
         }
         return Ok(());
     }
@@ -857,18 +857,12 @@ fn chaos(args: &[String]) -> Result<(), ApexError> {
     };
     let campaign = apex::chaos::run_campaign(&config)?;
     for run in &campaign.runs {
-        let faults: Vec<String> = run
-            .schedule
-            .faults
-            .iter()
-            .map(|f| format!("{}@{}", f.site, f.nth))
-            .collect();
         let verdict = if run.violations.is_empty() { "ok" } else { "VIOLATION" };
         println!(
             "schedule {:>3} [{}] {:<55} {}",
             run.schedule.id,
             run.schedule.mode.name(),
-            faults.join(","),
+            run.schedule.faults_spec(),
             verdict
         );
         for v in &run.violations {

@@ -108,13 +108,7 @@ fn req(addr: &str, line: &str) -> proto::Fields {
 }
 
 fn submit_line(tenant: &str, graph: &str) -> String {
-    let mut f = proto::Fields::new();
-    f.insert("op".to_owned(), "submit".to_owned());
-    f.insert("graph".to_owned(), graph.to_owned());
-    if !tenant.is_empty() {
-        f.insert("tenant".to_owned(), tenant.to_owned());
-    }
-    proto::encode(&f)
+    proto::submit_request(tenant, graph, None)
 }
 
 fn drain(addr: &str) {

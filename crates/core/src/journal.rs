@@ -127,6 +127,9 @@ pub struct JournalReplay {
     pub dropped_torn: usize,
     /// Complete lines that failed decoding or their checksum.
     pub dropped_corrupt: usize,
+    /// Byte length of the replayed prefix: where the next append must
+    /// start when anything was dropped (see [`SweepJournal::repair`]).
+    pub valid_len: u64,
 }
 
 impl JournalReplay {
@@ -271,26 +274,43 @@ impl SweepJournal {
         let Ok(bytes) = std::fs::read(path) else {
             return out;
         };
+        // a valid line is valid UTF-8: the prefix's text and byte lengths agree
         let text = String::from_utf8_lossy(&bytes);
-        let complete_tail = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            match JournalRecord::open(line) {
-                Some(rec) => out.records.push(rec),
-                None if i + 1 == lines.len() && !complete_tail => {
-                    out.dropped_torn += 1;
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for (i, raw) in lines.iter().enumerate() {
+            let line = raw.strip_suffix('\n').unwrap_or(raw);
+            if !line.is_empty() {
+                match JournalRecord::open(line) {
+                    Some(rec) => out.records.push(rec),
+                    None if !raw.ends_with('\n') => {
+                        out.dropped_torn += 1;
+                        break;
+                    }
+                    None => {
+                        out.dropped_corrupt += lines[i..].iter().filter(|&&l| l != "\n").count();
+                        break;
+                    }
                 }
-                None => {
-                    out.dropped_corrupt +=
-                        lines[i..].iter().filter(|l| !l.is_empty()).count();
-                    break;
-                }
             }
+            out.valid_len += raw.len() as u64;
         }
         out
+    }
+
+    /// Cuts the file back to `replay`'s valid prefix if it dropped a torn
+    /// or corrupt tail, before a resumed run's first append (which would
+    /// otherwise be glued onto the partial line). Best-effort.
+    pub fn repair(&self, replay: &JournalReplay) {
+        if replay.dropped_torn + replay.dropped_corrupt == 0 {
+            return;
+        }
+        if let Some(path) = &self.path {
+            if let Ok(file) = std::fs::OpenOptions::new().write(true).open(path) {
+                let _ = file
+                    .set_len(replay.valid_len)
+                    .and_then(|()| file.sync_data());
+            }
+        }
     }
 
     /// Removes the journal file (start of a non-resume run, so stale
@@ -408,6 +428,7 @@ pub fn run_checkpointed(
     let mut completed: BTreeMap<u64, JournalRecord> = BTreeMap::new();
     if resume {
         let replay = journal.replay();
+        journal.repair(&replay);
         run.dropped_torn = replay.dropped_torn;
         run.dropped_corrupt = replay.dropped_corrupt;
         if run.dropped_torn + run.dropped_corrupt > 0 {
@@ -586,6 +607,38 @@ mod tests {
         assert_eq!(completed.len(), 2);
         assert_eq!(completed[&1].payload, "one");
         assert_eq!(completed[&2].payload, "two");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resumed_run_repairs_a_torn_tail_before_appending() {
+        let path = tmp_path("repair");
+        let _ = std::fs::remove_file(&path);
+        let journal = SweepJournal::at(&path);
+        journal.append(&rec(1, "one")).unwrap();
+        let mut tail = rec(2, "two").seal();
+        tail.truncate(tail.len() / 2);
+        std::fs::write(&path, std::fs::read_to_string(&path).unwrap() + &tail).unwrap();
+
+        let jobs: Vec<SweepJob> = (1..4)
+            .map(|key| SweepJob {
+                key,
+                label: format!("job{key}"),
+            })
+            .collect();
+        let run = run_checkpointed(&journal, &jobs, true, None, |i| {
+            clean_report(format!("fresh {i}"))
+        })
+        .unwrap();
+        assert_eq!((run.replayed, run.executed, run.dropped_torn), (1, 2, 1));
+        let replay = journal.replay();
+        assert_eq!((replay.dropped_torn, replay.dropped_corrupt), (0, 0));
+        let payloads: Vec<&str> = replay.records.iter().map(|r| r.payload.as_str()).collect();
+        assert_eq!(
+            payloads,
+            ["one", "fresh 1", "fresh 2"],
+            "both appends survive"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

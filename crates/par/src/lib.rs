@@ -471,7 +471,8 @@ where
 /// draining), matching the workspace no-panic policy.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Taken (joined) by the first [`WorkerPool::shutdown`].
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
@@ -493,7 +494,7 @@ struct PoolShared {
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers())
             .field("queued", &self.queued())
             .field("active", &self.active())
             .finish()
@@ -522,22 +523,24 @@ impl WorkerPool {
                     .unwrap_or_else(|_| std::thread::spawn(|| {}))
             })
             .collect();
-        WorkerPool { shared, workers }
+        WorkerPool {
+            shared,
+            workers: Mutex::new(workers),
+        }
     }
 
     /// Enqueues one job. Returns `false` (dropping the job) once shutdown
     /// has begun — the admission layer should have stopped submitting by
     /// then, but a racing submit must not resurrect a draining pool.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        if let Ok(mut q) = self.shared.queue.lock() {
-            q.push_back(Box::new(job));
-            self.shared.wake.notify_one();
-            true
-        } else {
-            false
+        // the flag is read under the lock `stop` raises it under
+        match self.shared.queue.lock() {
+            Ok(mut q) if !self.shared.shutdown.load(Ordering::SeqCst) => {
+                q.push_back(Box::new(job));
+                self.shared.wake.notify_one();
+                true
+            }
+            _ => false,
         }
     }
 
@@ -557,9 +560,9 @@ impl WorkerPool {
         self.queued() + self.active()
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0 once shut down).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.lock().map_or(0, |w| w.len())
     }
 
     /// Jobs that panicked (caught; the worker survived).
@@ -575,18 +578,41 @@ impl WorkerPool {
     /// journaled elsewhere and re-runs on resume). Either way, running
     /// jobs are never aborted — interrupt them cooperatively (e.g. via
     /// their `JobCtx`/budget cancel flags) before calling this if a
-    /// bounded shutdown time matters.
-    pub fn shutdown(self, drain_queue: bool) {
-        self.shared
-            .abandon_queue
-            .store(!drain_queue, Ordering::SeqCst);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        for w in self.workers {
+    /// bounded shutdown time matters. Abandoned jobs are dropped before
+    /// this returns, releasing whatever their closures hold.
+    pub fn shutdown(&self, drain_queue: bool) {
+        self.stop(!drain_queue);
+        let workers = self.workers.lock().map(|mut w| std::mem::take(&mut *w));
+        for w in workers.unwrap_or_default() {
             // worker bodies catch job panics; join failure is impossible,
             // and the no-panic policy forbids expect() regardless
             let _ = w.join();
         }
+        // taken out first so the jobs are dropped outside the lock
+        let abandoned = self
+            .shared
+            .queue
+            .lock()
+            .map(|mut q| std::mem::take(&mut *q));
+        drop(abandoned);
+    }
+
+    /// Raises the shutdown flags under the queue lock, so no submit lands
+    /// after them and no worker misses the wake-up.
+    fn stop(&self, abandon_queue: bool) {
+        let _queue = self.shared.queue.lock();
+        self.shared
+            .abandon_queue
+            .store(abandon_queue, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake.notify_all();
+    }
+}
+
+impl Drop for WorkerPool {
+    /// An unshut pool stops its workers (unjoined) instead of leaking them.
+    fn drop(&mut self) {
+        self.stop(true);
     }
 }
 

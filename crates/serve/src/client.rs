@@ -3,7 +3,7 @@
 
 use crate::proto::{self, Fields};
 use apex_fault::{fnv1a, ApexError, Stage};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -45,36 +45,30 @@ fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), ApexError> {
         stream.write_all(b"\n").map_err(io)?;
         return stream.flush().map_err(io);
     }
-    stream.write_all(line.as_bytes()).map_err(io)?;
-    stream.write_all(b"\n").map_err(io)?;
-    stream.flush().map_err(io)
+    // one write, as the server answers (see its `write_line`)
+    stream.write_all(format!("{line}\n").as_bytes()).map_err(io)
 }
 
 /// Reads one newline-terminated response line (bounded by the protocol
 /// line cap — the server is trusted more than a client, but not
-/// infinitely).
+/// infinitely) through one buffer instead of a `read` per byte. This
+/// client sends one request per connection, so bytes the buffer holds
+/// past the newline belong to no response and are safely dropped.
 fn read_line(stream: &mut TcpStream) -> Result<String, ApexError> {
+    let limit = proto::MAX_LINE_BYTES as u64 + 1;
     let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(cli_err(
-                    "server closed the connection (idle timeout or drain?)",
-                ))
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(String::from_utf8_lossy(&buf).into_owned());
-                }
-                buf.push(byte[0]);
-                if buf.len() > proto::MAX_LINE_BYTES {
-                    return Err(cli_err("oversized response line"));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(cli_err(format!("read failed: {e}"))),
-        }
+    BufReader::new(stream)
+        .take(limit)
+        .read_until(b'\n', &mut buf)
+        .map_err(|e| cli_err(format!("read failed: {e}")))?;
+    if let Some(line) = buf.strip_suffix(b"\n") {
+        Ok(String::from_utf8_lossy(line).into_owned())
+    } else if buf.len() as u64 == limit {
+        Err(cli_err("oversized response line"))
+    } else {
+        Err(cli_err(
+            "server closed the connection (idle timeout or drain?)",
+        ))
     }
 }
 
@@ -189,6 +183,55 @@ pub fn submit_and_wait(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serves one connection with `chunks`, pausing between them, and
+    /// returns what the client's `read_line` made of it.
+    fn read_from(chunks: Vec<Vec<u8>>) -> Result<String, ApexError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            for chunk in chunks {
+                // the client may hang up early on an oversized line
+                if conn.write_all(&chunk).and_then(|()| conn.flush()).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(30));
+            }
+        });
+        let mut stream = connect(&addr, Duration::from_secs(5))?;
+        let line = read_line(&mut stream);
+        drop(stream);
+        server.join().expect("server thread");
+        line
+    }
+
+    #[test]
+    fn a_response_written_in_pauses_decodes() {
+        let parts = ["{\"ok\":\"po", "ng\",\"queued\":", "\"0\"}\n"];
+        let line = read_from(parts.iter().map(|p| p.as_bytes().to_vec()).collect());
+        assert_eq!(line.expect("line"), "{\"ok\":\"pong\",\"queued\":\"0\"}");
+    }
+
+    #[test]
+    fn an_oversized_response_is_refused() {
+        let big = vec![b'x'; proto::MAX_LINE_BYTES + 1];
+        let err = read_from(vec![big, b"\n".to_vec()]).expect_err("over the cap");
+        assert!(err.to_string().contains("oversized response line"), "{err}");
+        // exactly at the cap is still a line
+        let at_cap = vec![b'x'; proto::MAX_LINE_BYTES];
+        let line = read_from(vec![at_cap, b"\n".to_vec()]).expect("at the cap");
+        assert_eq!(line.len(), proto::MAX_LINE_BYTES);
+    }
+
+    #[test]
+    fn eof_before_the_newline_is_a_closed_connection() {
+        let err = read_from(vec![b"{\"ok\":".to_vec()]).expect_err("no newline");
+        assert!(
+            err.to_string().contains("server closed the connection"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {

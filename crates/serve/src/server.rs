@@ -1,18 +1,21 @@
-//! The daemon: accept loop, connection handling, admission control,
+//! The daemon: acceptor, connection handling, admission control,
 //! backpressure, and graceful drain.
 //!
-//! Threading model (three tiers, deliberately separated so no tier can
-//! starve another):
+//! Threading model (no thread polls on a request's path):
 //!
-//! * the **accept loop** (caller's thread) polls the listener
-//!   non-blockingly, feeds admitted jobs to the pool, and watches the
-//!   interrupt flag;
+//! * the **acceptor** (`apex-accept`) blocks in `accept()` and hands
+//!   each connection to its own thread;
 //! * **connection threads** (one per client, capped) do all socket I/O
 //!   under read/write timeouts and a bounded line length — a slow or
 //!   malicious client burns its own thread for at most the idle timeout,
-//!   never a pool worker;
-//! * **pool workers** ([`apex_par::WorkerPool`]) run the DSE jobs and
-//!   never touch a socket.
+//!   never a pool worker. An admission is journaled, then submitted
+//!   straight to the pool;
+//! * **pool workers** ([`apex_par::WorkerPool`]) wake on the pool's
+//!   condvar, run the DSE jobs, and never touch a socket;
+//! * the **supervisor** (the caller of [`Server::run`]) notices drain or
+//!   a signal within 20 ms (a signal handler cannot notify a condvar),
+//!   then wakes the acceptor with one loopback connection, joins it and
+//!   shuts the pool down.
 //!
 //! Backpressure: admission is bounded by `queue_limit` over the job
 //! table's queued count. Past the limit the daemon sheds with a
@@ -29,12 +32,14 @@ use crate::state::{Admission, JobState, JobTable, PendingJob};
 use apex_core::{SweepJournal, VariantCache, JOURNAL_FORMAT};
 use apex_fault::{ApexError, Provenance, Stage};
 use apex_par::WorkerPool;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The supervisor's drain/signal check period and the accept back-off.
+const TICK: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for one daemon instance. `Default` is sized for tests
 /// and small deployments; the CLI exposes the ones operators need.
@@ -94,17 +99,16 @@ struct Counters {
     shed: AtomicU64,
     timeouts: AtomicU64,
     bad_lines: AtomicU64,
-    refused_conns: AtomicU64,
 }
 
-/// State shared by the accept loop, connection threads, and job
-/// closures.
+/// State shared by the acceptor, connection threads, and job closures.
 struct Shared {
     table: JobTable,
-    /// Keys admitted by connection threads, waiting for the accept loop
-    /// to hand them to the pool (connection threads never own the pool).
-    inbox: Mutex<VecDeque<PendingJob>>,
-    /// Set on drain: admissions are refused, running jobs see cancel.
+    /// Admissions go straight here from connection threads.
+    pool: WorkerPool,
+    runner: Box<dyn JobRunner>,
+    /// Set on drain: admissions are refused, running jobs see cancel,
+    /// the acceptor exits at its next wake-up.
     stop: Arc<AtomicBool>,
     /// Set by the `drain` op (the signal path sets the interrupt flag).
     drain_requested: AtomicBool,
@@ -127,32 +131,37 @@ pub struct RunSummary {
     pub timeouts: u64,
 }
 
-/// One `apex serve` instance, generic over the job runner so tests can
-/// inject fast fakes.
-pub struct Server<R: JobRunner> {
+/// One `apex serve` instance.
+pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    runner: Arc<R>,
     pending: Vec<PendingJob>,
 }
 
-impl<R: JobRunner> Server<R> {
-    /// Binds the listener and replays the journal (under
-    /// `config.resume`). No connection is accepted until [`Server::run`].
+impl Server {
+    /// Binds the listener, starts the pool, and replays the journal
+    /// (under `config.resume`). No connection is accepted and no job
+    /// runs until [`Server::run`]. The runner is generic so tests can
+    /// inject fast fakes.
     ///
     /// # Errors
     /// Address bind failures.
-    pub fn bind(config: ServeConfig, journal: SweepJournal, runner: R) -> Result<Self, ApexError> {
+    pub fn bind(
+        config: ServeConfig,
+        journal: SweepJournal,
+        runner: impl JobRunner,
+    ) -> Result<Self, ApexError> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| {
             ApexError::with_source(Stage::Cli, e)
         })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ApexError::with_source(Stage::Cli, e))?;
         let (table, pending) = JobTable::new(journal, config.resume);
         let shared = Arc::new(Shared {
             table,
-            inbox: Mutex::new(VecDeque::new()),
+            pool: WorkerPool::new(match config.workers {
+                0 => apex_par::default_jobs(),
+                n => n,
+            }),
+            runner: Box::new(runner),
             stop: Arc::new(AtomicBool::new(false)),
             drain_requested: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
@@ -162,7 +171,6 @@ impl<R: JobRunner> Server<R> {
         Ok(Server {
             listener,
             shared,
-            runner: Arc::new(runner),
             pending,
         })
     }
@@ -171,7 +179,7 @@ impl<R: JobRunner> Server<R> {
     ///
     /// # Errors
     /// The OS refusing to report the local address.
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, ApexError> {
+    pub fn local_addr(&self) -> Result<SocketAddr, ApexError> {
         self.listener
             .local_addr()
             .map_err(|e| ApexError::with_source(Stage::Cli, e))
@@ -181,158 +189,171 @@ impl<R: JobRunner> Server<R> {
     /// `apex_fault::interrupt`, or a client `drain` op), then shuts the
     /// pool down and reports. Blocks the calling thread.
     pub fn run(self) -> RunSummary {
-        let workers = if self.shared.config.workers == 0 {
-            apex_par::default_jobs()
-        } else {
-            self.shared.config.workers
-        };
-        let pool = WorkerPool::new(workers);
+        let shared = &self.shared;
+        // never fails for a bound socket; if it did, the port-0 wake-up
+        // dial would fail and drain would detach the acceptor
+        let local = self
+            .local_addr()
+            .unwrap_or_else(|_| ([127, 0, 0, 1], 0).into());
         log_line(
             "INFO",
             &format!(
-                "listening on {} ({} workers, queue limit {})",
-                self.local_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| self.shared.config.addr.clone()),
-                workers,
-                self.shared.config.queue_limit
+                "listening on {local} ({} workers, queue limit {})",
+                shared.pool.workers(),
+                shared.config.queue_limit
             ),
         );
-        // resumed jobs go through the same inbox as fresh admissions
-        if !self.pending.is_empty() {
+        let n = self.pending.len();
+        if n > 0 {
             log_line(
                 "INFO",
-                &format!("resuming {} unfinished job(s) from the journal", self.pending.len()),
+                &format!("resuming {n} unfinished job(s) from the journal"),
             );
-            let mut inbox = lock_inbox(&self.shared.inbox);
-            inbox.extend(self.pending.iter().cloned());
         }
-        loop {
-            if apex_fault::interrupt::interrupted()
-                || self.shared.drain_requested.load(Ordering::Relaxed)
-            {
-                break;
-            }
-            self.dispatch_inbox(&pool);
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    #[cfg(feature = "fault-injection")]
-                    if apex_fault::failpoints::should_fire("serve::accept_error") {
-                        // injected transient accept failure: the daemon
-                        // must drop the connection and keep serving
-                        log_line("WARN", &format!("accept error (injected), dropped {peer}"));
-                        drop(stream);
-                        continue;
-                    }
-                    self.spawn_conn(stream, peer);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    // transient accept errors (EMFILE, aborted handshake)
-                    // must not kill the daemon
-                    log_line("WARN", &format!("accept error: {e}"));
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
+        for job in self.pending {
+            submit_job(shared, job);
         }
-        self.drain(pool)
-    }
-
-    /// Hands admitted jobs to the pool (only the accept loop touches the
-    /// pool, so drain can consume it).
-    fn dispatch_inbox(&self, pool: &WorkerPool) {
-        loop {
-            let job = {
-                let mut inbox = lock_inbox(&self.shared.inbox);
-                inbox.pop_front()
-            };
-            let Some(job) = job else { return };
-            let shared = Arc::clone(&self.shared);
-            let runner = Arc::clone(&self.runner);
-            let submitted = pool.submit(move || run_job(&shared, runner.as_ref(), &job));
-            if !submitted {
-                // pool already shut down; the admission is journaled and
-                // will re-run on resume
-                return;
-            }
+        let (listener, owner) = (self.listener, Arc::clone(shared));
+        let acceptor = std::thread::Builder::new()
+            .name("apex-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &owner));
+        if let Err(e) = &acceptor {
+            // the daemon cannot serve without an acceptor: drain at once
+            log_line("ERROR", &format!("cannot spawn the accept thread: {e}"));
+            shared.drain_requested.store(true, Ordering::SeqCst);
         }
-    }
-
-    /// Spawns one connection thread (or turns the client away when the
-    /// connection cap is reached).
-    fn spawn_conn(&self, mut stream: TcpStream, peer: std::net::SocketAddr) {
-        let shared = Arc::clone(&self.shared);
-        if shared.conns.load(Ordering::Relaxed) >= shared.config.max_conns {
-            shared.counters.refused_conns.fetch_add(1, Ordering::Relaxed);
-            let line = proto::err_response(
-                "overloaded",
-                &[(
-                    "retry_after_ms",
-                    shared.config.retry_after.as_millis().to_string(),
-                )],
-            );
-            let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.write_all(b"\n");
-            return;
+        while !apex_fault::interrupt::interrupted()
+            && !shared.drain_requested.load(Ordering::Relaxed)
+        {
+            std::thread::sleep(TICK);
         }
-        shared.conns.fetch_add(1, Ordering::Relaxed);
-        let builder = std::thread::Builder::new().name(format!("apex-conn-{peer}"));
-        let spawned = builder.spawn(move || {
-            handle_conn(&shared, stream);
-            shared.conns.fetch_sub(1, Ordering::Relaxed);
-        });
-        if spawned.is_err() {
-            // thread spawn failure: release the slot and move on
-            self.shared.conns.fetch_sub(1, Ordering::Relaxed);
-            log_line("WARN", &format!("cannot spawn connection thread for {peer}"));
-        }
-    }
-
-    /// Graceful drain: refuse admissions, abandon queued pool jobs
-    /// (journaled — resume re-runs them), cancel running jobs
-    /// cooperatively, then account what is left.
-    fn drain(self, pool: WorkerPool) -> RunSummary {
         log_line("INFO", "draining: admissions closed");
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // queued-but-undispatched inbox jobs stay Queued in the table
-        pool.shutdown(false);
-        // running jobs have now either concluded or reported Cancelled
-        let (_, _, done, failed, cancelled) = self.shared.table.counts();
-        let unfinished = self.shared.table.unfinished();
-        let summary = RunSummary {
-            concluded: (done + failed) as u64,
-            unfinished,
-            shed: self.shared.counters.shed.load(Ordering::Relaxed),
-            timeouts: self.shared.counters.timeouts.load(Ordering::Relaxed),
-        };
-        log_line(
-            "INFO",
-            &format!(
-                "drained: {} concluded, {} unfinished ({} cancelled mid-flight), {} shed",
-                summary.concluded, summary.unfinished, cancelled, summary.shed
-            ),
-        );
-        if unfinished > 0 {
-            log_line("INFO", "restart with --resume to finish the remaining jobs");
+        shared.stop.store(true, Ordering::SeqCst);
+        if let Ok(acceptor) = acceptor {
+            stop_acceptor(acceptor, local);
         }
-        summary
+        drain(shared)
     }
 }
 
-/// Recovers a poisoned inbox lock (pushes/pops are single operations;
-/// the queue is always consistent).
-fn lock_inbox(m: &Mutex<VecDeque<PendingJob>>) -> std::sync::MutexGuard<'_, VecDeque<PendingJob>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
+/// The acceptor: blocks in `accept()` until drain sets `stop` and wakes
+/// it with a loopback connection. Returning drops the listener.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        // before the failpoint, so an armed `serve::accept_error` cannot
+        // swallow the drain's wake-up connection
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, peer)) => {
+                #[cfg(feature = "fault-injection")]
+                if apex_fault::failpoints::should_fire("serve::accept_error") {
+                    // injected transient accept failure: the daemon
+                    // must drop the connection and keep serving
+                    log_line("WARN", &format!("accept error (injected), dropped {peer}"));
+                    drop(stream);
+                    continue;
+                }
+                spawn_conn(shared, stream, peer);
+            }
+            Err(e) => {
+                // transient accept errors (EMFILE, aborted handshake)
+                // must not kill the daemon
+                log_line("WARN", &format!("accept error: {e}"));
+                std::thread::sleep(TICK);
+            }
+        }
     }
+}
+
+/// Hands one admitted job to the pool. If drain raced the admission the
+/// pool refuses it, and the job stays `Queued` and journaled for resume.
+fn submit_job(shared: &Arc<Shared>, job: PendingJob) {
+    let owner = Arc::clone(shared);
+    shared.pool.submit(move || run_job(&owner, job));
+}
+
+/// Spawns one connection thread (or turns the client away when the
+/// connection cap is reached).
+fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) {
+    if shared.conns.load(Ordering::Relaxed) >= shared.config.max_conns {
+        let line = proto::err_response(
+            "overloaded",
+            &[(
+                "retry_after_ms",
+                shared.config.retry_after.as_millis().to_string(),
+            )],
+        );
+        let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
+        let _ = write_line(&stream, &line);
+        return;
+    }
+    shared.conns.fetch_add(1, Ordering::Relaxed);
+    let owner = Arc::clone(shared);
+    let builder = std::thread::Builder::new().name(format!("apex-conn-{peer}"));
+    let spawned = builder.spawn(move || {
+        handle_conn(&owner, stream);
+        owner.conns.fetch_sub(1, Ordering::Relaxed);
+    });
+    if spawned.is_err() {
+        // thread spawn failure: release the slot and move on
+        shared.conns.fetch_sub(1, Ordering::Relaxed);
+        log_line("WARN", &format!("cannot spawn connection thread for {peer}"));
+    }
+}
+
+/// Wakes the acceptor out of `accept()` with one loopback connection
+/// (it sees `stop` and returns, dropping the listener) and joins it. If
+/// the connection fails the acceptor is detached rather than hang drain.
+fn stop_acceptor(acceptor: std::thread::JoinHandle<()>, mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+        // the acceptor body cannot panic
+        Ok(_) => drop(acceptor.join()),
+        Err(e) => log_line(
+            "WARN",
+            &format!("cannot wake the acceptor ({e}); detaching it"),
+        ),
+    }
+}
+
+/// Graceful drain, once admissions are closed and the acceptor stopped:
+/// abandon queued pool jobs (journaled — resume re-runs them), wait for
+/// running jobs to see the cancel flag, then account what is left.
+fn drain(shared: &Shared) -> RunSummary {
+    // queued-but-unstarted jobs stay Queued in the table
+    shared.pool.shutdown(false);
+    // running jobs have now either concluded or reported Cancelled
+    let (_, _, done, failed, cancelled) = shared.table.counts();
+    let unfinished = shared.table.unfinished();
+    let summary = RunSummary {
+        concluded: (done + failed) as u64,
+        unfinished,
+        shed: shared.counters.shed.load(Ordering::Relaxed),
+        timeouts: shared.counters.timeouts.load(Ordering::Relaxed),
+    };
+    log_line(
+        "INFO",
+        &format!(
+            "drained: {} concluded, {} unfinished ({} cancelled mid-flight), {} shed",
+            summary.concluded, summary.unfinished, cancelled, summary.shed
+        ),
+    );
+    if unfinished > 0 {
+        log_line("INFO", "restart with --resume to finish the remaining jobs");
+    }
+    summary
 }
 
 /// Runs one job on a pool worker.
-fn run_job<R: JobRunner>(shared: &Shared, runner: &R, job: &PendingJob) {
+fn run_job(shared: &Shared, job: PendingJob) {
     if shared.stop.load(Ordering::Relaxed) {
         // drain raced the dispatch: leave the job Queued for resume
         return;
@@ -351,12 +372,12 @@ fn run_job<R: JobRunner>(shared: &Shared, runner: &R, job: &PendingJob) {
         .map(Duration::from_millis)
         .unwrap_or(shared.config.default_deadline);
     let spec = JobSpec {
-        tenant: job.tenant.clone(),
-        graph: job.graph.clone(),
+        tenant: job.tenant,
+        graph: job.graph,
         deadline,
         cancel: Arc::clone(&shared.stop),
     };
-    match runner.run(&spec) {
+    match shared.runner.run(&spec) {
         Ok(report) if report.provenance == Provenance::Cancelled => {
             // interrupted by drain: not journaled, resume re-runs it
             shared.table.cancel(job.key);
@@ -422,16 +443,12 @@ impl LineReader {
 }
 
 /// Serves one connection until EOF, timeout, oversized line, or drain.
-fn handle_conn(shared: &Shared, stream: TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let idle = shared.config.idle_timeout;
     if stream.set_read_timeout(Some(idle)).is_err() || stream.set_write_timeout(Some(idle)).is_err()
     {
         return;
     }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = LineReader {
         stream,
         buf: Vec::new(),
@@ -445,7 +462,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                     continue;
                 }
                 let response = handle_request(shared, &line);
-                if write_line(&mut writer, &response).is_err() {
+                if write_line(&reader.stream, &response).is_err() {
                     return;
                 }
             }
@@ -453,7 +470,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
             ReadOutcome::TooLong => {
                 shared.counters.bad_lines.fetch_add(1, Ordering::Relaxed);
                 let _ = write_line(
-                    &mut writer,
+                    &reader.stream,
                     &proto::err_response(
                         "line_too_long",
                         &[("limit", shared.config.line_limit.to_string())],
@@ -464,21 +481,21 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
             ReadOutcome::IdleTimeout => {
                 shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 log_line("WARN", "idle connection disconnected");
-                let _ = write_line(&mut writer, &proto::err_response("idle_timeout", &[]));
+                let _ = write_line(&reader.stream, &proto::err_response("idle_timeout", &[]));
                 return;
             }
         }
     }
 }
 
-fn write_line(w: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+/// One `write` per line: a lone trailing `\n` would be a second segment
+/// that Nagle's algorithm holds until the first is acknowledged.
+fn write_line(mut w: &TcpStream, line: &str) -> std::io::Result<()> {
+    w.write_all(format!("{line}\n").as_bytes())
 }
 
 /// Dispatches one parsed request to a response line.
-fn handle_request(shared: &Shared, line: &str) -> String {
+fn handle_request(shared: &Arc<Shared>, line: &str) -> String {
     let request = match proto::parse_request(line) {
         Ok(r) => r,
         Err(e) => {
@@ -502,7 +519,7 @@ fn handle_request(shared: &Shared, line: &str) -> String {
             tenant,
             graph,
             deadline_ms,
-        } => handle_submit(shared, &tenant, &graph, deadline_ms),
+        } => handle_submit(shared, tenant, graph, deadline_ms),
         Request::Status { job } => match shared.table.state(job) {
             None => proto::err_response("unknown_job", &[("job", format!("{job:016x}"))]),
             Some(state) => {
@@ -588,8 +605,13 @@ fn draining(shared: &Shared) -> bool {
 }
 
 /// Admission control: drain and backpressure checks, then write-ahead
-/// journal + table insert + inbox push.
-fn handle_submit(shared: &Shared, tenant: &str, graph: &str, deadline_ms: Option<u64>) -> String {
+/// journal + table insert + pool submit.
+fn handle_submit(
+    shared: &Arc<Shared>,
+    tenant: String,
+    graph: String,
+    deadline_ms: Option<u64>,
+) -> String {
     if draining(shared) {
         return proto::err_response("draining", &[]);
     }
@@ -607,7 +629,7 @@ fn handle_submit(shared: &Shared, tenant: &str, graph: &str, deadline_ms: Option
             ],
         );
     }
-    match shared.table.admit(tenant, graph, deadline_ms) {
+    match shared.table.admit(&tenant, &graph, deadline_ms) {
         Err(e) => {
             // the admission journal is the durability guarantee; refusing
             // is safer than accepting work a crash would silently drop
@@ -615,21 +637,23 @@ fn handle_submit(shared: &Shared, tenant: &str, graph: &str, deadline_ms: Option
             proto::err_response("journal_error", &[("detail", e.message().to_owned())])
         }
         Ok((key, admission)) => {
-            if admission == Admission::New {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let mut inbox = lock_inbox(&shared.inbox);
-                inbox.push_back(PendingJob {
-                    key,
-                    tenant: tenant.to_owned(),
-                    graph: graph.to_owned(),
-                    deadline_ms,
-                });
-            }
+            // read before the submit, so a fresh admission reports
+            // `queued` even when a worker picks it up at once
             let state = shared
                 .table
                 .state(key)
                 .map(|s| s.name().to_owned())
                 .unwrap_or_else(|| "queued".to_owned());
+            if admission == Admission::New {
+                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                let job = PendingJob {
+                    key,
+                    tenant,
+                    graph,
+                    deadline_ms,
+                };
+                submit_job(shared, job);
+            }
             proto::ok_response(
                 "accepted",
                 &[("job", format!("{key:016x}")), ("state", state)],

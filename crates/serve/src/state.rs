@@ -78,12 +78,11 @@ impl JobState {
     }
 }
 
-/// One admitted job.
+/// One admitted job. The DFG text is not kept: it rides on the
+/// [`PendingJob`] to the worker and is dropped with it.
 #[derive(Debug, Clone)]
 struct JobEntry {
     tenant: String,
-    graph: String,
-    deadline_ms: Option<u64>,
     state: JobState,
 }
 
@@ -111,8 +110,7 @@ pub enum Admission {
     Concluded,
 }
 
-/// Thread-safe job table shared by the accept loop, connection threads,
-/// and pool workers.
+/// Thread-safe job table shared by connection threads and pool workers.
 #[derive(Debug)]
 pub struct JobTable {
     jobs: Mutex<BTreeMap<u64, JobEntry>>,
@@ -140,17 +138,30 @@ impl JobTable {
         let mut jobs = BTreeMap::new();
         if resume {
             let replay = journal.replay();
+            journal.repair(&replay);
             for (key, rec) in replay.completed() {
-                if let Some(entry) = decode_record(rec) {
-                    if let JobState::Queued = entry.state {
+                if let Some(body) = rec.payload.strip_prefix(REC_SUBMIT) {
+                    if let Ok(proto::Request::Submit {
+                        tenant,
+                        graph,
+                        deadline_ms,
+                    }) = proto::parse_request(body)
+                    {
+                        let entry = JobEntry {
+                            tenant: tenant.clone(),
+                            state: JobState::Queued,
+                        };
+                        jobs.insert(key, entry);
                         pending.push(PendingJob {
                             key,
-                            tenant: entry.tenant.clone(),
-                            graph: entry.graph.clone(),
-                            deadline_ms: entry.deadline_ms,
+                            tenant,
+                            graph,
+                            deadline_ms,
                         });
                     }
-                    jobs.insert(key, entry);
+                } else if let Some(state) = concluded_state(rec) {
+                    let tenant = String::new();
+                    jobs.insert(key, JobEntry { tenant, state });
                 }
             }
         } else {
@@ -197,8 +208,6 @@ impl JobTable {
             key,
             JobEntry {
                 tenant: tenant.to_owned(),
-                graph: graph.to_owned(),
-                deadline_ms,
                 state: JobState::Queued,
             },
         );
@@ -321,26 +330,11 @@ impl JobTable {
     }
 }
 
-/// Rebuilds a job entry from its latest journal record; `None` drops
+/// The state a conclusion record (`D`/`E`) replays to; `None` drops
 /// records this version cannot interpret (forward compatibility: an
 /// unknown prefix must not wedge the restart).
-fn decode_record(rec: &JournalRecord) -> Option<JobEntry> {
-    if let Some(body) = rec.payload.strip_prefix(REC_SUBMIT) {
-        return match proto::parse_request(body) {
-            Ok(proto::Request::Submit {
-                tenant,
-                graph,
-                deadline_ms,
-            }) => Some(JobEntry {
-                tenant,
-                graph,
-                deadline_ms,
-                state: JobState::Queued,
-            }),
-            _ => None,
-        };
-    }
-    let state = match rec.payload.strip_prefix(REC_DONE) {
+fn concluded_state(rec: &JournalRecord) -> Option<JobState> {
+    Some(match rec.payload.strip_prefix(REC_DONE) {
         Some(body) => JobState::Done {
             payload: body.to_owned(),
             provenance: rec.provenance,
@@ -349,12 +343,6 @@ fn decode_record(rec: &JournalRecord) -> Option<JobEntry> {
         None => JobState::Failed {
             error: rec.payload.strip_prefix(REC_ERROR)?.to_owned(),
         },
-    };
-    Some(JobEntry {
-        tenant: String::new(),
-        graph: String::new(),
-        deadline_ms: None,
-        state,
     })
 }
 
@@ -431,6 +419,29 @@ mod tests {
             .expect("pending job restored");
         assert_eq!(restored.graph, "g pending\n");
         assert_eq!(restored.deadline_ms, Some(1000));
+    }
+
+    #[test]
+    fn resume_repairs_a_torn_tail_before_the_next_admission() {
+        let journal = scratch_journal("repair");
+        let path = journal
+            .path()
+            .map(std::path::Path::to_path_buf)
+            .expect("path");
+        let (table, _) = JobTable::new(journal, false);
+        let (first, _) = table.admit("t", "g first\n", None).expect("admit");
+        let mut torn = std::fs::read_to_string(&path).expect("journal");
+        torn.push_str("{\"v\":\"apex-journal v2\",\"job\":\"00");
+        std::fs::write(&path, torn).expect("tear the tail");
+
+        let (table2, pending) = JobTable::new(SweepJournal::at(&path), true);
+        assert_eq!(pending.len(), 1);
+        let (second, _) = table2.admit("t", "g second\n", None).expect("admit");
+        let (third, _) = table2.admit("t", "g third\n", None).expect("admit");
+        let replay = SweepJournal::at(&path).replay();
+        assert_eq!((replay.dropped_torn, replay.dropped_corrupt), (0, 0));
+        let keys: Vec<u64> = replay.records.iter().map(|r| r.job_key).collect();
+        assert_eq!(keys, [first, second, third]);
     }
 
     #[test]

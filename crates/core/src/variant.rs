@@ -12,11 +12,11 @@ use apex_apps::Application;
 use apex_fault::{ApexError, Degradation, DegradationKind, Provenance, Stage};
 use apex_ir::{Graph, Op, OpKind};
 use apex_merge::{merge_graph, MergeOptions};
-use apex_mining::{mine, MineError, MinedSubgraph, MinerConfig};
-use apex_par::JobPanic;
+use apex_mining::{mine, MineError, MinedSubgraph, MinerConfig, Pattern};
 use apex_pe::{baseline_pe, baseline_pe_with_ops, PeSpec};
 use apex_rewrite::{try_standard_ruleset, RuleSet, SynthesisReport};
 use apex_tech::TechModel;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// A PE design point: specification, the subgraphs merged into it, and the
@@ -209,12 +209,18 @@ impl Default for SubgraphSelection {
     }
 }
 
-/// Mines an application and returns its interesting subgraphs ranked by
-/// *PE savings potential*: the number of non-overlapping, fully
-/// utilizable occurrences times the operations each one fuses beyond the
-/// first. Plain MIS order (the paper's first-cut ranking) over-weights
-/// tiny pairs and subgraphs whose intermediates the application still
-/// needs elsewhere.
+/// Mines an application and returns its top `selection.per_app`
+/// subgraphs: [`mine`] followed by the ranking every variant build uses.
+///
+/// The ranking keeps subgraphs that fuse enough operations, need few
+/// enough routed inputs and have a large enough utilizable MIS, and
+/// orders them by *PE savings potential*: the number of non-overlapping,
+/// fully utilizable occurrences times the operations each one fuses
+/// beyond the first. Plain MIS order (the paper's first-cut ranking)
+/// over-weights tiny pairs and subgraphs whose intermediates the
+/// application still needs elsewhere. Ties break on the pattern's
+/// canonical code, so the order is total and `per_app = k` is always a
+/// prefix of `per_app = k + 1`.
 ///
 /// The returned [`Provenance`] says whether the mining search completed
 /// or was cut short by the miner's [`apex_fault::Budget`].
@@ -227,9 +233,25 @@ pub fn select_subgraphs(
     selection: &SubgraphSelection,
 ) -> Result<(Vec<MinedSubgraph>, Provenance), MineError> {
     let mined = mine(&app.graph, miner)?;
-    let provenance = mined.provenance;
-    let mut scored: Vec<(usize, MinedSubgraph)> = mined
-        .subgraphs
+    let ranked = rank_subgraphs(app, mined.subgraphs, selection);
+    Ok((
+        ranked
+            .into_iter()
+            .take(selection.per_app)
+            .map(|(m, _)| m)
+            .collect(),
+        mined.provenance,
+    ))
+}
+
+/// The ranking of [`select_subgraphs`], untruncated: every kept subgraph
+/// with its materialized datapath, best first.
+fn rank_subgraphs(
+    app: &Application,
+    subgraphs: Vec<MinedSubgraph>,
+    selection: &SubgraphSelection,
+) -> Vec<(MinedSubgraph, Graph)> {
+    let mut scored: Vec<(usize, MinedSubgraph, Graph)> = subgraphs
         .into_iter()
         .filter_map(|m| {
             let fused = m
@@ -257,21 +279,110 @@ pub fn select_subgraphs(
                 SelectionRank::SavingsPotential => umis * (fused - 1),
                 SelectionRank::MisSize => m.mis_size,
             };
-            Some((score, m))
+            Some((score, m, materialized))
         })
         .collect();
     scored.sort_by(|a, b| {
-        b.0.cmp(&a.0)
-            .then_with(|| a.1.pattern.canonical_code().cmp(&b.1.pattern.canonical_code()))
+        b.0.cmp(&a.0).then_with(|| {
+            a.1.pattern
+                .canonical_code_ref()
+                .cmp(b.1.pattern.canonical_code_ref())
+        })
     });
-    Ok((
-        scored
+    scored.into_iter().map(|(_, m, g)| (m, g)).collect()
+}
+
+/// A ranked subgraph reduced to what a variant build merges; the mined
+/// occurrence lists are dropped once ranking is done.
+struct Candidate {
+    /// The materialized datapath (named `sg`; each build renames its copy).
+    graph: Graph,
+    /// Canonical code of `graph`, the build's dedup key: two apps can mine
+    /// the same op pattern yet fold different constants or share inputs
+    /// differently, and those are different PE rules.
+    code: String,
+    /// MIS size of the mined subgraph, the merge order.
+    mis_size: usize,
+}
+
+/// One analysis application's mining pass, ranked: how mining ended and
+/// the best candidates in rank order, or, when mining failed or panicked,
+/// the degradation every build records (the app then contributes no
+/// subgraphs).
+type RankedApp = Result<(Provenance, Vec<Candidate>), Degradation>;
+
+/// Mines and ranks every analysis application once, keeping the first
+/// `keep` candidates of each: the longest prefix any build from this pass
+/// takes. Mining is independent per application, so it fans out over
+/// the bounded pool.
+fn rank_apps(
+    apps: &[&Application],
+    miner: &MinerConfig,
+    selection: &SubgraphSelection,
+    keep: usize,
+) -> Vec<RankedApp> {
+    let per_app = apex_par::par_map(apex_par::default_jobs(), apps, |_, app| {
+        #[cfg(feature = "fault-injection")]
+        {
+            if apex_fault::failpoints::should_fire("core::mine_panic") {
+                panic!("injected panic at core::mine_panic");
+            }
+        }
+        let mined = mine(&app.graph, miner)?;
+        // checked in the pool but asserted outside it: an invariant
+        // violation must abort, not degrade into a caught worker panic
+        let violations = if cfg!(debug_assertions) {
+            apex_verify::verify_mined(&app.graph, &mined.subgraphs)
+        } else {
+            Vec::new()
+        };
+        let candidates: Vec<Candidate> = rank_subgraphs(app, mined.subgraphs, selection)
             .into_iter()
-            .take(selection.per_app)
-            .map(|(_, m)| m)
-            .collect(),
-        provenance,
-    ))
+            .take(keep)
+            .map(|(m, graph)| {
+                let (pattern, _) = Pattern::from_occurrence(&graph, &graph.compute_nodes());
+                Candidate {
+                    code: pattern.canonical_code(),
+                    graph,
+                    mis_size: m.mis_size,
+                }
+            })
+            .collect();
+        Ok::<_, MineError>((mined.provenance, candidates, violations))
+    });
+    apps.iter()
+        .zip(per_app)
+        .map(|(app, mined)| match mined {
+            Ok(Ok((provenance, candidates, _violations))) => {
+                #[cfg(debug_assertions)]
+                crate::dse::debug_verify("mine", &_violations);
+                Ok((provenance, candidates))
+            }
+            Ok(Err(e)) => Err(Degradation::new(
+                Stage::Mine,
+                DegradationKind::Skipped,
+                format!(
+                    "mining {} failed ({e}); no subgraphs from this app",
+                    app.info.name
+                ),
+            )),
+            Err(p) => {
+                // a panicking miner is funneled into the error hierarchy
+                // (payload on the cause chain) and degrades like any other
+                // per-app mining failure: no subgraphs from this app
+                let err = p.into_apex(Stage::Mine);
+                Err(Degradation::new(
+                    Stage::Mine,
+                    DegradationKind::Skipped,
+                    format!(
+                        "mining {} panicked ({}); no subgraphs from this app",
+                        app.info.name,
+                        err.render_chain()
+                    ),
+                ))
+            }
+        })
+        .collect()
 }
 
 /// Builds a specialized variant: PE 1 for the analysis applications, plus
@@ -300,6 +411,38 @@ pub fn specialized_variant(
     tech: &TechModel,
     extra_kinds: &BTreeSet<OpKind>,
 ) -> Result<PeVariant, ApexError> {
+    specialized_step(
+        name,
+        analysis_apps,
+        eval_apps,
+        miner,
+        selection,
+        merge_opts,
+        tech,
+        extra_kinds,
+        &OnceCell::new(),
+        selection.per_app,
+    )
+}
+
+/// The one build path of a specialized variant. Looks the request up in
+/// the variant cache; on a miss, merges the first `selection.per_app`
+/// candidates of each app from `ranking`, which is filled by
+/// [`rank_apps`] (keeping `keep` per app) on the first miss that needs it
+/// and reused by every later call given the same cell.
+#[allow(clippy::too_many_arguments)]
+fn specialized_step(
+    name: &str,
+    analysis_apps: &[&Application],
+    eval_apps: &[&Application],
+    miner: &MinerConfig,
+    selection: &SubgraphSelection,
+    merge_opts: &MergeOptions,
+    tech: &TechModel,
+    extra_kinds: &BTreeSet<OpKind>,
+    ranking: &OnceCell<Vec<RankedApp>>,
+    keep: usize,
+) -> Result<PeVariant, ApexError> {
     let key = crate::cache::variant_cache_key(
         "specialized",
         name,
@@ -312,134 +455,112 @@ pub fn specialized_variant(
         extra_kinds,
     );
     cached(key, || {
-        build_specialized_variant(
-            name,
-            analysis_apps,
-            eval_apps,
+        let ranked = ranking.get_or_init(|| rank_apps(analysis_apps, miner, selection, keep));
+        let mut kinds = required_op_kinds(analysis_apps);
+        kinds.extend(extra_kinds.iter().copied());
+        let base = baseline_pe_with_ops(name, &kinds);
+        let mut dp = base.datapath;
+        let mut degradations: Vec<Degradation> = Vec::new();
+
+        // the first `per_app` candidates of every app, deduplicated by the
+        // canonical code of the materialized datapath, in MIS order
+        let mut chosen: Vec<(Graph, usize)> = Vec::new();
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        for (app, ranked) in analysis_apps.iter().zip(ranked) {
+            let candidates = match ranked {
+                Ok((provenance, candidates)) => {
+                    if let Some(d) = Degradation::from_provenance(Stage::Mine, *provenance) {
+                        degradations.push(d);
+                    }
+                    candidates.as_slice()
+                }
+                Err(d) => {
+                    degradations.push(d.clone());
+                    &[]
+                }
+            };
+            for (k, c) in candidates.iter().take(selection.per_app).enumerate() {
+                if !seen.insert(&c.code) {
+                    continue;
+                }
+                let mut g = c.graph.clone();
+                g.set_name(format!("{}_sg{k}", app.info.name));
+                chosen.push((g, c.mis_size));
+            }
+        }
+        chosen.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.name().cmp(b.0.name())));
+
+        let mut sources = Vec::new();
+        for (g, _) in chosen {
+            match merge_graph(&dp, &g, tech, merge_opts) {
+                Ok((next, report)) => {
+                    if let Some(d) = Degradation::from_provenance(Stage::Merge, report.provenance) {
+                        degradations.push(d);
+                    }
+                    dp = next;
+                    sources.push(g);
+                }
+                Err(e) => {
+                    // greedy-incumbent/baseline fallback: keep the datapath
+                    // as merged so far (with no merges it is exactly PE 1)
+                    degradations.push(Degradation::new(
+                        Stage::Merge,
+                        DegradationKind::Fallback,
+                        format!(
+                            "merging {} failed ({e}); keeping previous datapath",
+                            g.name()
+                        ),
+                    ));
+                }
+            }
+        }
+        dp.name = name.to_owned();
+        let spec = PeSpec::new(name, dp, false);
+        finish(spec, sources, eval_apps, degradations)
+    })
+}
+
+/// Steps `0..=max_steps` of one application's specialization, built
+/// lazily in order: step `k` merges the top `k` ranked subgraphs. The app
+/// is mined and ranked once, on the first step that misses the variant
+/// cache, and every later step builds from a prefix of that one ranked
+/// list; a fully warm sequence never mines.
+fn specialization_steps<'a>(
+    app: &'a Application,
+    name: impl Fn(usize) -> String + 'a,
+    max_steps: usize,
+    miner: &'a MinerConfig,
+    merge_opts: &'a MergeOptions,
+    tech: &'a TechModel,
+) -> impl Iterator<Item = Result<PeVariant, ApexError>> + 'a {
+    let ranking = OnceCell::new();
+    (0..=max_steps).map(move |k| {
+        specialized_step(
+            &name(k),
+            &[app],
+            &[app],
             miner,
-            selection,
+            &SubgraphSelection {
+                per_app: k,
+                ..SubgraphSelection::default()
+            },
             merge_opts,
             tech,
-            extra_kinds,
+            &BTreeSet::new(),
+            &ranking,
+            max_steps,
         )
     })
 }
 
-/// The uncached body of [`specialized_variant`].
-#[allow(clippy::too_many_arguments)]
-fn build_specialized_variant(
-    name: &str,
-    analysis_apps: &[&Application],
-    eval_apps: &[&Application],
-    miner: &MinerConfig,
-    selection: &SubgraphSelection,
-    merge_opts: &MergeOptions,
-    tech: &TechModel,
-    extra_kinds: &BTreeSet<OpKind>,
-) -> Result<PeVariant, ApexError> {
-    let mut kinds = required_op_kinds(analysis_apps);
-    kinds.extend(extra_kinds.iter().copied());
-    let base = baseline_pe_with_ops(name, &kinds);
-    let mut dp = base.datapath;
-    let mut degradations: Vec<Degradation> = Vec::new();
-
-    // collect candidate subgraphs across all analysis apps, dedup by the
-    // canonical code of the *materialized* datapath (two apps can mine the
-    // same op pattern yet fold different constants or share inputs
-    // differently — those are different PE rules), order by MIS size
-    // mining is independent per application: fan out over the bounded pool
-    let per_app: Vec<Result<Result<(Vec<MinedSubgraph>, Provenance), MineError>, JobPanic>> =
-        apex_par::par_map(apex_par::default_jobs(), analysis_apps, |_, app| {
-            #[cfg(feature = "fault-injection")]
-            {
-                if apex_fault::failpoints::should_fire("core::mine_panic") {
-                    panic!("injected panic at core::mine_panic");
-                }
-            }
-            select_subgraphs(app, miner, selection)
-        });
-    let mut chosen: Vec<(String, Graph, usize)> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for (app, mined) in analysis_apps.iter().zip(per_app) {
-        let mined = match mined {
-            Ok(Ok((subgraphs, provenance))) => {
-                if let Some(d) = Degradation::from_provenance(Stage::Mine, provenance) {
-                    degradations.push(d);
-                }
-                #[cfg(debug_assertions)]
-                crate::dse::debug_verify(
-                    "mine",
-                    &apex_verify::verify_mined(&app.graph, &subgraphs),
-                );
-                subgraphs
-            }
-            Ok(Err(e)) => {
-                degradations.push(Degradation::new(
-                    Stage::Mine,
-                    DegradationKind::Skipped,
-                    format!("mining {} failed ({e}); no subgraphs from this app", app.info.name),
-                ));
-                Vec::new()
-            }
-            Err(p) => {
-                // a panicking miner is funneled into the error hierarchy
-                // (payload on the cause chain) and degrades like any other
-                // per-app mining failure: no subgraphs from this app
-                let err = p.into_apex(Stage::Mine);
-                degradations.push(Degradation::new(
-                    Stage::Mine,
-                    DegradationKind::Skipped,
-                    format!(
-                        "mining {} panicked ({}); no subgraphs from this app",
-                        app.info.name,
-                        err.render_chain()
-                    ),
-                ));
-                Vec::new()
-            }
-        };
-        for (k, m) in mined.into_iter().enumerate() {
-            let mut g = materialize_with_consts(&app.graph, &m);
-            let (mat_pattern, _) =
-                apex_mining::Pattern::from_occurrence(&g, &g.compute_nodes());
-            if !seen.insert(mat_pattern.canonical_code()) {
-                continue;
-            }
-            g.set_name(format!("{}_{}{}", app.info.name, "sg", k));
-            chosen.push((app.info.name.clone(), g, m.mis_size));
-        }
-    }
-    chosen.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.1.name().cmp(b.1.name())));
-
-    let mut sources = Vec::new();
-    for (_, g, _) in chosen {
-        match merge_graph(&dp, &g, tech, merge_opts) {
-            Ok((next, report)) => {
-                if let Some(d) = Degradation::from_provenance(Stage::Merge, report.provenance) {
-                    degradations.push(d);
-                }
-                dp = next;
-                sources.push(g);
-            }
-            Err(e) => {
-                // greedy-incumbent/baseline fallback: keep the datapath as
-                // merged so far (with no merges at all it is exactly PE 1)
-                degradations.push(Degradation::new(
-                    Stage::Merge,
-                    DegradationKind::Fallback,
-                    format!("merging {} failed ({e}); keeping previous datapath", g.name()),
-                ));
-            }
-        }
-    }
-    dp.name = name.to_owned();
-    let spec = PeSpec::new(name, dp, false);
-    finish(spec, sources, eval_apps, degradations)
-}
-
 /// Builds the ladder of increasingly specialized variants for one
 /// application (the paper's PE 1, PE 2, …, Fig. 11): variant `k` merges
-/// the top `k` subgraphs.
+/// the top `k` subgraphs. The application is mined and ranked once for
+/// the whole ladder (not at all when every step is a variant-cache hit),
+/// and each variant takes a prefix of that ranking.
+///
+/// # Errors
+/// Propagates the first variant's construction failure.
 pub fn specialization_ladder(
     app: &Application,
     steps: usize,
@@ -447,26 +568,15 @@ pub fn specialization_ladder(
     merge_opts: &MergeOptions,
     tech: &TechModel,
 ) -> Result<Vec<PeVariant>, ApexError> {
-    let mut out = Vec::new();
-    for k in 0..=steps {
-        let selection = SubgraphSelection {
-            per_app: k,
-            ..SubgraphSelection::default()
-        };
-        let name = format!("pe{}_{}", k + 1, app.info.name);
-        let v = specialized_variant(
-            &name,
-            &[app],
-            &[app],
-            miner,
-            &selection,
-            merge_opts,
-            tech,
-            &BTreeSet::new(),
-        )?;
-        out.push(v);
-    }
-    Ok(out)
+    specialization_steps(
+        app,
+        |k| format!("pe{}_{}", k + 1, app.info.name),
+        steps,
+        miner,
+        merge_opts,
+        tech,
+    )
+    .collect()
 }
 
 /// Materializes a mined subgraph as a datapath from its representative
@@ -494,6 +604,14 @@ pub(crate) fn materialize_with_consts(graph: &Graph, m: &MinedSubgraph) -> Graph
 /// increasing the area or energy of the application running on the CGRA"
 /// (Section 5). CGRA-level matters: deeper merging grows each PE but
 /// frees tiles, switch boxes, and connection boxes.
+///
+/// The application is mined and ranked once per search, on the first
+/// step that misses the variant cache; step `k` merges the first `k`
+/// candidates of that ranking, so a fully warm search never mines.
+///
+/// # Errors
+/// Propagates variant-construction failures, and an evaluation failure
+/// of the first step (later ones end the search instead).
 pub fn most_specialized_variant(
     app: &Application,
     miner: &MinerConfig,
@@ -504,20 +622,9 @@ pub fn most_specialized_variant(
     let mut options = crate::evaluate::EvalOptions::default();
     options.place.moves = 4_000;
     let mut best: Option<(PeVariant, f64, f64)> = None;
-    for k in 0..=max_steps {
-        let v = specialized_variant(
-            &format!("pe_spec_{}", app.info.name),
-            &[app],
-            &[app],
-            miner,
-            &SubgraphSelection {
-                per_app: k,
-                ..SubgraphSelection::default()
-            },
-            merge_opts,
-            tech,
-            &BTreeSet::new(),
-        )?;
+    let name = format!("pe_spec_{}", app.info.name);
+    for v in specialization_steps(app, |_| name.clone(), max_steps, miner, merge_opts, tech) {
+        let v = v?;
         let eval = match crate::evaluate::evaluate_app(&v, app, tech, &options) {
             Ok(eval) => eval,
             // deeper variants may stop evaluating (e.g. over-merged PEs no
@@ -692,6 +799,40 @@ mod tests {
             spec_eval.energy_per_cycle.total() <= pe1_eval.energy_per_cycle.total() * 1.01
         );
         assert!(variant_is_complete(&spec));
+    }
+
+    #[test]
+    fn each_selection_is_a_prefix_of_the_next() {
+        let miner = MinerConfig::default();
+        let suite = apex_apps::analyzed_apps()
+            .into_iter()
+            .chain(apex_apps::unseen_apps());
+        for app in suite {
+            let select = |per_app| {
+                let selection = SubgraphSelection {
+                    per_app,
+                    ..SubgraphSelection::default()
+                };
+                let (subgraphs, _) = select_subgraphs(&app, &miner, &selection).unwrap();
+                subgraphs
+                    .iter()
+                    .map(|m| (m.pattern.canonical_code(), m.representative.clone()))
+                    .collect::<Vec<_>>()
+            };
+            let mut shorter = select(0);
+            assert!(shorter.is_empty());
+            for k in 0..4 {
+                let longer = select(k + 1);
+                assert!(longer.len() <= k + 1);
+                assert!(
+                    longer.starts_with(&shorter),
+                    "{}: top {k} is not a prefix of top {}",
+                    app.info.name,
+                    k + 1
+                );
+                shorter = longer;
+            }
+        }
     }
 
     #[test]

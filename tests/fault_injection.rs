@@ -10,8 +10,8 @@
 
 use apex::apps::{gaussian, harris, unsharp, Application};
 use apex::core::{
-    dse_evaluate_app, dse_evaluate_suite, specialized_variant, DseOptions, PeVariant,
-    SubgraphSelection,
+    dse_evaluate_app, dse_evaluate_suite, most_specialized_variant, specialized_variant,
+    DseOptions, PeVariant, SubgraphSelection,
 };
 use apex::fault::{failpoints, ApexError, Stage};
 use apex::merge::MergeOptions;
@@ -28,13 +28,18 @@ struct Armed {
 
 impl Armed {
     fn new(site: &str) -> Self {
+        Self::after(site, 1)
+    }
+
+    /// Arms `site` to fire from its `nth` hit on.
+    fn after(site: &str, nth: u64) -> Self {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         let guard = LOCK
             .get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         failpoints::disarm_all();
-        failpoints::arm(site);
+        failpoints::arm_after(site, nth);
         Armed { _guard: guard }
     }
 }
@@ -232,6 +237,58 @@ fn injected_mine_panic_degrades_not_aborts() {
         assert!(o.is_degraded());
         assert!(o.result.is_ok(), "degenerate variant must still evaluate");
     }
+}
+
+fn search_gaussian() -> PeVariant {
+    most_specialized_variant(
+        &gaussian(),
+        &MinerConfig::default(),
+        &MergeOptions::default(),
+        &TechModel::default(),
+        4,
+    )
+    .expect("the search runs")
+}
+
+#[test]
+fn specialization_search_mines_each_app_once() {
+    // `core::mine_panic` is hit once per mining pass: armed from the
+    // second hit, it never fires during a search over one app
+    let _armed = Armed::after("core::mine_panic", 2);
+    let v = search_gaussian();
+    assert_eq!(failpoints::hits("core::mine_panic"), 1, "one mining pass");
+    assert!(
+        v.degradations.iter().all(|d| d.stage != Stage::Mine),
+        "no mining degradation: [{}]",
+        v.degradations
+            .iter()
+            .map(|d| d.detail.as_str())
+            .collect::<Vec<_>>()
+            .join("; ")
+    );
+    assert!(!v.sources.is_empty(), "the search merged subgraphs");
+}
+
+#[test]
+fn specialization_search_degrades_when_its_one_mining_pass_panics() {
+    // armed from the first hit, the shared pass panics and every step
+    // carries that mining degradation, as a per-step pass would
+    let _armed = Armed::new("core::mine_panic");
+    let v = search_gaussian();
+    assert_eq!(failpoints::hits("core::mine_panic"), 1, "one mining pass");
+    assert!(
+        v.sources.is_empty(),
+        "a panicked pass contributes no subgraphs"
+    );
+    let mine: Vec<_> = v
+        .degradations
+        .iter()
+        .filter(|d| d.stage == Stage::Mine)
+        .collect();
+    assert_eq!(mine.len(), 1, "one skipped mining pass");
+    assert!(mine[0]
+        .detail
+        .contains("injected panic at core::mine_panic"));
 }
 
 /// The no-hang guarantee: a job hung at `sweep::job_timeout` (it spins

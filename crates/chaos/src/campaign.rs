@@ -293,7 +293,7 @@ mod inject {
                 cache.evict_to_cap(total / 2);
             }
         }
-        // a watchdog deadline so the injected hang (`sweep::job_timeout`)
+        // a job deadline so the injected hang (`sweep::job_timeout`)
         // is cancelled instead of wedging the campaign
         let opts = DseOptions {
             jobs: 2,

@@ -21,11 +21,10 @@ use crate::variant::PeVariant;
 use apex_apps::Application;
 use apex_cgra::{
     achieved_period, cgra_area, cgra_energy_per_cycle, gather_stats, place_cached, route,
-    verify_routed, Fabric, OutputTiming,
+    verify_routed, Fabric, OutputTiming, RouteOptions,
 };
-use apex_fault::{ApexError, Degradation, DegradationKind, DseOutcome, Stage};
+use apex_fault::{ApexError, Budget, Degradation, DegradationKind, DseOutcome, Meter, Stage};
 use apex_map::map_application;
-use apex_par::{JobCtx, WatchdogOptions};
 use apex_pipeline::{auto_pipeline, pipeline_application, AppPipelineReport};
 use apex_tech::TechModel;
 use std::time::Duration;
@@ -46,10 +45,11 @@ pub struct DseOptions {
     /// across any job count — the serial and parallel paths are the same
     /// code in `apex-par`.
     pub jobs: usize,
-    /// Per-job wall-clock deadline for the watchdog supervising
-    /// [`dse_evaluate_suite`] / [`dse_evaluate_grid`]: a job exceeding it
-    /// is cancelled cooperatively (through its stage budgets), recorded
-    /// with a [`Stage::Sweep`] timeout degradation, and the sweep
+    /// Per-job wall-clock deadline for [`dse_evaluate_suite`] /
+    /// [`dse_evaluate_grid`], metered by each job's own `Budget` from the
+    /// job's start. Every route attempt's budget ends no later than it,
+    /// so an overrun stops the job cooperatively; the job is recorded
+    /// with a [`Stage::Sweep`] timeout degradation and the sweep
     /// continues. `None` disables the per-job deadline.
     pub job_deadline: Option<Duration>,
 }
@@ -63,17 +63,6 @@ impl Default for DseOptions {
             jobs: 0,
             job_deadline: None,
         }
-    }
-}
-
-/// Watchdog policy for a supervised sweep: the per-job deadline from
-/// `options`, plus the process-wide interrupt flag so Ctrl-C drains the
-/// pool instead of abandoning it.
-fn watchdog_options(options: &DseOptions) -> WatchdogOptions {
-    WatchdogOptions {
-        job_deadline: options.job_deadline,
-        interrupt: Some(apex_fault::interrupt::flag()),
-        poll: Duration::ZERO, // DEFAULT_TIME_SLICE
     }
 }
 
@@ -113,6 +102,18 @@ pub fn dse_evaluate_app(
     app: &Application,
     tech: &TechModel,
     options: &DseOptions,
+) -> AppDseOutcome {
+    resilient_flow(variant, app, tech, options, None)
+}
+
+/// The body of [`dse_evaluate_app`]; a sweep job passes its `job` meter so
+/// every route attempt is bounded by the job's budget.
+fn resilient_flow(
+    variant: &PeVariant,
+    app: &Application,
+    tech: &TechModel,
+    options: &DseOptions,
+    job: Option<&Meter>,
 ) -> AppDseOutcome {
     // concessions made while building the variant carry over to each app
     let mut degradations: Vec<Degradation> = variant.degradations.clone();
@@ -220,8 +221,11 @@ pub fn dse_evaluate_app(
     );
 
     // routing, once more with relaxed negotiation on congestion
-    let routing = match route(&netlist, &variant.rules, &fabric, &placement, &options.eval.route)
-    {
+    let route_with = |opts: &RouteOptions| {
+        let opts = job.map_or_else(|| opts.clone(), |job| within_job(opts, job));
+        route(&netlist, &variant.rules, &fabric, &placement, &opts)
+    };
+    let routing = match route_with(&options.eval.route) {
         Ok(r) => r,
         Err(first) if options.route_relax_retry => {
             degradations.push(Degradation::new(
@@ -229,8 +233,7 @@ pub fn dse_evaluate_app(
                 DegradationKind::Retried,
                 format!("routing failed ({first}); retrying with relaxed options"),
             ));
-            let relaxed = options.eval.route.relaxed();
-            match route(&netlist, &variant.rules, &fabric, &placement, &relaxed) {
+            match route_with(&options.eval.route.relaxed()) {
                 Ok(r) => r,
                 Err(e) => {
                     degradations.push(Degradation::new(
@@ -303,32 +306,51 @@ pub fn dse_evaluate_app(
     }
 }
 
-/// [`dse_evaluate_app`] under watchdog supervision: the job's cancel flag
-/// is fanned into the stage budgets (routing — the flow's open-ended
-/// search) so a deadline overrun or sweep interrupt stops the evaluation
-/// cooperatively, and a watchdog timeout is recorded as a
-/// [`Stage::Sweep`] degradation on the outcome.
+/// One route attempt's options inside a sweep job: the job's interrupt
+/// flag as the cancel flag, and a deadline ending no later than the job's.
+fn within_job(opts: &RouteOptions, job: &Meter) -> RouteOptions {
+    let mut opts = opts.clone();
+    opts.budget.cancel = Some(apex_fault::interrupt::flag());
+    if let Some(left) = job.remaining() {
+        opts.budget.deadline = Some(opts.budget.deadline.map_or(left, |d| d.min(left)));
+    }
+    opts
+}
+
+/// One sweep job: [`dse_evaluate_app`] under the job's own budget, which
+/// meters `options.job_deadline` from the job's start and carries the
+/// process-wide interrupt flag as its cancel flag. Every route attempt —
+/// the flow's open-ended search — inherits both (see [`within_job`]), so
+/// a deadline or a Ctrl-C stops the job cooperatively. A job still running
+/// at its deadline is recorded with a [`Stage::Sweep`] timeout
+/// degradation.
 ///
-/// With a detached [`JobCtx`] (no watchdog firing) this runs exactly the
-/// same code as [`dse_evaluate_app`], so supervision never perturbs a
-/// healthy sweep's results.
-pub fn dse_evaluate_app_supervised(
+/// With no deadline and no interrupt this runs exactly
+/// [`dse_evaluate_app`]: a cancel flag that never rises changes nothing.
+fn sweep_job(
     variant: &PeVariant,
     app: &Application,
     tech: &TechModel,
     options: &DseOptions,
-    ctx: &JobCtx,
 ) -> AppDseOutcome {
+    let job = Budget {
+        deadline: options.job_deadline,
+        cancel: Some(apex_fault::interrupt::flag()),
+        ..Budget::default()
+    }
+    .start();
+
     #[cfg(feature = "fault-injection")]
     if apex_fault::failpoints::should_fire("sweep::job_timeout") {
-        // simulated hung job: an un-budgeted infinite loop that only the
-        // watchdog's cancel flag (or a sweep interrupt) can stop — this is
-        // the no-hang guarantee's worst case
-        while !ctx.cancelled() {
+        // simulated hung job: an un-budgeted loop that only the job's own
+        // deadline or a sweep interrupt can stop — this is the no-hang
+        // guarantee's worst case
+        let mut hung = job;
+        while hung.check_slow() {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let cause = if ctx.timed_out() {
-            "watchdog deadline"
+        let cause = if hung.provenance() == apex_fault::Provenance::TimedOut {
+            "job deadline"
         } else {
             "sweep interrupt"
         };
@@ -345,14 +367,12 @@ pub fn dse_evaluate_app_supervised(
         );
     }
 
-    let mut options = options.clone();
-    options.eval.route.budget.cancel = Some(std::sync::Arc::clone(&ctx.cancel));
-    let mut outcome = dse_evaluate_app(variant, app, tech, &options);
-    if ctx.timed_out() {
+    let mut outcome = resilient_flow(variant, app, tech, options, Some(&job));
+    if job.remaining() == Some(Duration::ZERO) {
         outcome.degradations.push(Degradation::new(
             Stage::Sweep,
             DegradationKind::TimedOut,
-            "job exceeded its watchdog deadline; result is the cancelled incumbent",
+            "job exceeded its deadline; result is the cancelled incumbent",
         ));
     }
     outcome
@@ -401,17 +421,13 @@ pub fn dse_evaluate_suite(
     options: &DseOptions,
 ) -> Vec<AppDseOutcome> {
     match variant {
-        Ok(v) => {
-            let jobs = effective_jobs(options.jobs);
-            let watch = watchdog_options(options);
-            apex_par::par_map_supervised(jobs, apps, &watch, |_, a, ctx| {
-                dse_evaluate_app_supervised(v, a, tech, options, ctx)
-            })
-            .into_iter()
-            .zip(apps)
-            .map(|(r, app)| r.unwrap_or_else(|p| panicked_outcome(p, app)))
-            .collect()
-        }
+        Ok(v) => apex_par::par_map(effective_jobs(options.jobs), apps, |_, a| {
+            sweep_job(v, a, tech, options)
+        })
+        .into_iter()
+        .zip(apps)
+        .map(|(r, app)| r.unwrap_or_else(|p| panicked_outcome(p, app)))
+        .collect(),
         Err(e) => apps.iter().map(|_| failed_variant_outcome(e)).collect(),
     }
 }
@@ -430,11 +446,9 @@ pub fn dse_evaluate_grid(
     let pairs: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..apps.len()).map(move |a| (v, a)))
         .collect();
-    let jobs = effective_jobs(options.jobs);
-    let watch = watchdog_options(options);
-    let mut flat = apex_par::par_map_supervised(jobs, &pairs, &watch, |_, &(v, a), ctx| {
+    let mut flat = apex_par::par_map(effective_jobs(options.jobs), &pairs, |_, &(v, a)| {
         match &variants[v] {
-            Ok(variant) => dse_evaluate_app_supervised(variant, apps[a], tech, options, ctx),
+            Ok(variant) => sweep_job(variant, apps[a], tech, options),
             Err(e) => failed_variant_outcome(e),
         }
     })
@@ -465,8 +479,7 @@ pub fn dse_evaluate_grid(
 mod tests {
     use super::*;
     use crate::variant::baseline_variant;
-    use apex_apps::gaussian;
-    use std::time::Duration;
+    use apex_apps::{gaussian, harris};
 
     #[test]
     fn clean_flow_reports_no_degradations() {
@@ -478,6 +491,8 @@ mod tests {
         assert!(outcome.result.is_ok());
     }
 
+    /// Idle supervision is invisible: a sweep job with no deadline (and
+    /// no interrupt) reports exactly what [`dse_evaluate_app`] does.
     #[test]
     fn supervised_with_idle_watchdog_matches_unsupervised() {
         let app = gaussian();
@@ -485,25 +500,42 @@ mod tests {
         let v = baseline_variant(&[&app]).unwrap();
         let options = DseOptions::default();
         let plain = dse_evaluate_app(&v, &app, &tech, &options);
-        let ctx = apex_par::JobCtx::detached();
-        let supervised = dse_evaluate_app_supervised(&v, &app, &tech, &options, &ctx);
-        assert_eq!(format!("{plain:?}"), format!("{supervised:?}"));
+        let job = sweep_job(&v, &app, &tech, &options);
+        assert_eq!(format!("{plain:?}"), format!("{job:?}"));
     }
 
     #[test]
-    fn pre_cancelled_job_drains_with_sweep_degradation() {
-        // a job dispatched after Ctrl-C starts pre-cancelled; its routing
-        // budget sees the flag and the outcome reports the cancellation
-        let app = gaussian();
+    fn expired_job_deadline_degrades_every_suite_outcome() {
+        let apps = [gaussian(), harris()];
+        let refs: Vec<&Application> = apps.iter().collect();
         let tech = TechModel::default();
-        let v = baseline_variant(&[&app]).unwrap();
-        let mut options = DseOptions::default();
-        options.route_relax_retry = false;
-        let ctx = apex_par::JobCtx::detached();
-        ctx.cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-        let outcome = dse_evaluate_app_supervised(&v, &app, &tech, &options, &ctx);
-        assert!(outcome.is_degraded());
-        assert!(outcome.result.is_err());
+        let v = baseline_variant(&refs);
+        let options = DseOptions {
+            jobs: 2,
+            job_deadline: Some(Duration::ZERO),
+            ..DseOptions::default()
+        };
+        let outcomes = dse_evaluate_suite(&v, &refs, &tech, &options);
+        assert_eq!(outcomes.len(), apps.len());
+        for (app, o) in apps.iter().zip(&outcomes) {
+            // the route budget inherits the job's expired deadline
+            match &o.result {
+                Err(e) => assert!(
+                    e.stage() == Stage::Route && e.message().contains("timeout"),
+                    "{}: {e}",
+                    app.info.name
+                ),
+                Ok(_) => panic!("{}: routed past an expired job deadline", app.info.name),
+            }
+            assert!(
+                o.degradations
+                    .iter()
+                    .any(|d| d.stage == Stage::Sweep && d.kind == DegradationKind::TimedOut),
+                "{}: expected a sweep timeout, got [{}]",
+                app.info.name,
+                o.degradation_summary()
+            );
+        }
     }
 
     #[test]

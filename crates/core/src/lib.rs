@@ -47,7 +47,7 @@ pub use cache::{
     with_thread_tenant, VariantCache,
 };
 pub use dse::{
-    dse_evaluate_app, dse_evaluate_app_supervised, dse_evaluate_grid, dse_evaluate_suite,
+    dse_evaluate_app, dse_evaluate_grid, dse_evaluate_suite,
     AppDseOutcome, DseOptions,
 };
 pub use journal::{

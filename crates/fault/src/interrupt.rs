@@ -2,11 +2,12 @@
 //!
 //! [`install`] registers SIGINT/SIGTERM handlers (std-only — the raw
 //! `signal(2)` symbol is declared directly, no libc crate) that set a
-//! process-wide [`AtomicBool`]. The sweep runtime fans that flag into
-//! every [`crate::Meter`] and into the per-job watchdog, so the
-//! first Ctrl-C stops dispatching new jobs and lets in-flight jobs drain
-//! cooperatively; a **second** Ctrl-C hard-exits immediately (the only
-//! async-signal-safe escape when a drain is itself wedged).
+//! process-wide [`AtomicBool`]. Each sweep job puts that flag into its
+//! job and route [`crate::Budget`]s as their cancel flag, so every
+//! [`crate::Meter`] they start observes it: the first Ctrl-C stops
+//! dispatching new jobs and lets in-flight jobs drain cooperatively; a
+//! **second** Ctrl-C hard-exits immediately (the only async-signal-safe
+//! escape when a drain is itself wedged).
 //!
 //! Everything here is also usable without signals: tests and the
 //! deterministic interrupt hooks call [`trigger`] to simulate a Ctrl-C.
@@ -30,8 +31,8 @@ fn cell() -> &'static Arc<AtomicBool> {
     FLAG.get_or_init(|| Arc::new(AtomicBool::new(false)))
 }
 
-/// The process-wide interrupt flag, cloneable into stage budgets and
-/// watchdog options. Reads `true` once an interrupt was requested.
+/// The process-wide interrupt flag, cloneable into stage budgets as their
+/// cancel flag. Reads `true` once an interrupt was requested.
 pub fn flag() -> Arc<AtomicBool> {
     Arc::clone(cell())
 }

@@ -296,7 +296,7 @@ const CLOCK_CHECK_MASK: u64 = 0xFF;
 /// step budget, the deadline or the cancellation flag trips, and latches.
 /// The clock is only consulted every 256 ticks so metering stays out of
 /// the hot path; the cancellation flag is a single relaxed atomic load
-/// and is consulted on **every** tick, so a watchdog or Ctrl-C is
+/// and is consulted on **every** tick, so a Ctrl-C or a daemon drain is
 /// observed within one unit of work rather than up to 255 (possibly slow)
 /// steps later.
 ///
@@ -334,9 +334,9 @@ impl Meter {
                 return false;
             }
         }
-        // cancellation must propagate within one watchdog time-slice even
-        // when individual steps are slow, so the flag (one relaxed load)
-        // is checked every tick; only the clock read stays masked
+        // cancellation must propagate within one unit of work even when
+        // individual steps are slow, so the flag (one relaxed load) is
+        // checked every tick; only the clock read stays masked
         if let Some(flag) = &self.cancel {
             if flag.load(Ordering::Relaxed) {
                 self.stopped = Some(Provenance::Cancelled);
@@ -399,6 +399,13 @@ impl Meter {
     /// Units of work accounted so far.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Wall-clock time left before the deadline: `None` without one,
+    /// zero once it has passed.
+    pub fn remaining(&self) -> Option<Duration> {
+        self.deadline
+            .map(|d| d.saturating_sub(self.started.elapsed()))
     }
 
     /// The search outcome as seen by this meter: the worse of the
@@ -811,7 +818,7 @@ pub const FAILPOINT_CATALOG: &[FailpointInfo] = &[
     FailpointInfo {
         name: "sweep::job_timeout",
         stage: Stage::Sweep,
-        description: "a sweep job hangs until its watchdog cancels it",
+        description: "a sweep job hangs until its job budget's deadline or interrupt stops it",
     },
     FailpointInfo {
         name: "serve::slow_client",
@@ -992,6 +999,16 @@ mod tests {
             assert!(n <= 256, "deadline never observed");
         }
         assert_eq!(m.provenance(), Provenance::TimedOut);
+    }
+
+    #[test]
+    fn remaining_counts_down_to_zero() {
+        assert_eq!(Budget::unlimited().start().remaining(), None);
+        let hour = Duration::from_secs(3600);
+        let left = Budget::unlimited().with_deadline(hour).start().remaining();
+        assert!(left.is_some_and(|t| t > Duration::ZERO && t <= hour));
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO).start();
+        assert_eq!(expired.remaining(), Some(Duration::ZERO));
     }
 
     #[test]

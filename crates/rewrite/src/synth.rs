@@ -440,9 +440,8 @@ pub fn standard_ruleset(
     // template synthesis (search + verification) is independent per
     // template: fan out across the pool, keeping deterministic order
     let templates: Vec<(Op, Vec<u8>)> = needed_templates(apps).into_iter().collect();
-    let synthesized = apex_par::par_map_stage(
+    let synthesized = apex_par::par_map(
         apex_par::default_jobs(),
-        Stage::Rewrite,
         &templates,
         |_, (op, const_ports)| {
             #[cfg(feature = "fault-injection")]
@@ -464,7 +463,7 @@ pub fn standard_ruleset(
         },
     );
     for ((op, const_ports), rule) in templates.iter().zip(synthesized) {
-        match rule? {
+        match rule.map_err(|p| p.into_apex(Stage::Rewrite))? {
             Some(r) => rules.push(r),
             None if const_ports.is_empty() => {
                 missing.push(rule_name(*op, const_ports));

@@ -2,7 +2,7 @@
 //!
 //! `apex serve` turns the batch APEX pipeline into a long-running
 //! service: clients submit DFG-text sweep jobs over a newline-JSON TCP
-//! protocol, the daemon runs them as supervised jobs on the
+//! protocol, the daemon runs them under their own budgets on the
 //! [`apex_par::WorkerPool`], and clients poll status and fetch results.
 //! Everything is `std`-only, matching the workspace's offline
 //! constraint.

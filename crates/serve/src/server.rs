@@ -31,8 +31,9 @@ use crate::runner::{JobRunner, JobSpec};
 use crate::state::{Admission, JobState, JobTable, PendingJob};
 use apex_core::{SweepJournal, VariantCache, JOURNAL_FORMAT};
 use apex_fault::{ApexError, Provenance, Stage};
-use apex_par::WorkerPool;
+use apex_par::{JobPanic, WorkerPool};
 use std::io::{ErrorKind, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -329,7 +330,7 @@ fn stop_acceptor(acceptor: std::thread::JoinHandle<()>, mut addr: SocketAddr) {
 /// running jobs to see the cancel flag, then account what is left.
 fn drain(shared: &Shared) -> RunSummary {
     // queued-but-unstarted jobs stay Queued in the table
-    shared.pool.shutdown(false);
+    shared.pool.shutdown();
     // running jobs have now either concluded or reported Cancelled
     let (_, _, done, failed, cancelled) = shared.table.counts();
     let unfinished = shared.table.unfinished();
@@ -377,7 +378,14 @@ fn run_job(shared: &Shared, job: PendingJob) {
         deadline,
         cancel: Arc::clone(&shared.stop),
     };
-    match shared.runner.run(&spec) {
+    // a panicking runner concludes its job as failed, like any
+    // deterministic error: left Running it would never finish, block its
+    // resubmission and re-run on every resume
+    let ran = catch_unwind(AssertUnwindSafe(|| shared.runner.run(&spec))).unwrap_or_else(|p| {
+        let payload = JobPanic::caught(0, p).payload;
+        Err(ApexError::new(Stage::Sweep, format!("job runner panicked: {payload}")))
+    });
+    match ran {
         Ok(report) if report.provenance == Provenance::Cancelled => {
             // interrupted by drain: not journaled, resume re-runs it
             shared.table.cancel(job.key);

@@ -77,6 +77,21 @@ impl JobRunner for StuckRunner {
     }
 }
 
+/// A runner that panics on any graph naming `poison` and otherwise
+/// completes at once (for the unwind guard around a job).
+struct PanickingRunner;
+
+impl JobRunner for PanickingRunner {
+    fn run(&self, spec: &JobSpec) -> Result<JobReport, apex::fault::ApexError> {
+        assert!(!spec.graph.contains("poison"), "runner exploded on {}", spec.graph.trim());
+        Ok(JobReport {
+            payload: format!("graph={}", spec.graph.trim()),
+            provenance: Provenance::Completed,
+            degradations: "-".to_owned(),
+        })
+    }
+}
+
 fn scratch_journal(tag: &str) -> (SweepJournal, std::path::PathBuf) {
     let p = std::env::temp_dir().join(format!(
         "apex-serve-test-{tag}-{}.jsonl",
@@ -502,4 +517,36 @@ fn draining_daemon_refuses_new_admissions() {
     lines.read_line(&mut line2).expect("response");
     assert!(line2.contains("\"err\":\"draining\""), "got: {line2}");
     handle.join().expect("server thread");
+}
+
+#[test]
+fn panicking_runner_fails_its_job_instead_of_stranding_it() {
+    let (journal, _path) = scratch_journal("panic");
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start(config, journal, PanickingRunner);
+
+    let failed = client::submit_and_wait(&addr, "t", "g poison\n", None, Duration::from_secs(10))
+        .expect("a panicking job still concludes");
+    assert_eq!(failed.get("err").map(String::as_str), Some("job_failed"));
+    let detail = failed.get("detail").cloned().unwrap_or_default();
+    assert!(detail.contains("runner exploded on g poison"), "detail: {detail}");
+    let job = failed.get("job").cloned().expect("job id");
+    let status = req(&addr, &format!("{{\"job\":\"{job}\",\"op\":\"status\"}}"));
+    assert_eq!(status.get("state").map(String::as_str), Some("failed"));
+    // a resubmission is a concluded hit, not in flight forever
+    let again = req(&addr, &submit_line("t", "g poison\n"));
+    assert_eq!(again.get("state").map(String::as_str), Some("failed"));
+
+    // the worker survived: the next job on the same daemon completes
+    let ok = client::submit_and_wait(&addr, "t", "g healthy\n", None, Duration::from_secs(10))
+        .expect("submit");
+    assert_eq!(ok.get("payload").map(String::as_str), Some("graph=g healthy"));
+
+    drain(&addr);
+    let summary = handle.join().expect("server thread");
+    assert_eq!(summary.unfinished, 0, "the failed job is concluded, not pending");
+    assert_eq!(summary.concluded, 2);
 }

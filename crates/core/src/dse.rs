@@ -1,12 +1,13 @@
 //! Resilient per-application DSE driver — the fault-tolerant layer the
 //! unattended sweep runs on.
 //!
-//! [`crate::evaluate_app`] is the strict flow: any stage failure aborts
-//! the (variant, application) pair. A multi-app design-space exploration
-//! cannot afford that — one exhausted search budget or one unroutable
-//! placement must not take the whole sweep down. [`dse_evaluate_app`]
-//! therefore wraps every backend stage with the degradation policy from
-//! the paper's unattended-operation requirement (§3):
+//! [`crate::evaluate_app`] is the same flow with no concessions: any stage
+//! failure or degradation aborts the (variant, application) pair. A
+//! multi-app design-space exploration cannot afford that — one exhausted
+//! search budget or one unroutable placement must not take the whole
+//! sweep down. [`dse_evaluate_app`] therefore wraps every backend stage
+//! with the degradation policy from the paper's unattended-operation
+//! requirement (§3):
 //!
 //! * **pipelining** failure falls back to the unpipelined design,
 //! * **placement** failure retries with perturbed RNG seeds (bounded),
@@ -106,9 +107,10 @@ pub fn dse_evaluate_app(
     resilient_flow(variant, app, tech, options, None)
 }
 
-/// The body of [`dse_evaluate_app`]; a sweep job passes its `job` meter so
-/// every route attempt is bounded by the job's budget.
-fn resilient_flow(
+/// The one backend flow, behind [`dse_evaluate_app`] and
+/// [`crate::evaluate_app`]; a sweep job passes its `job` meter so every
+/// route attempt is bounded by the job's budget.
+pub(crate) fn resilient_flow(
     variant: &PeVariant,
     app: &Application,
     tech: &TechModel,
@@ -176,9 +178,8 @@ fn resilient_flow(
 
     // placement with bounded perturbed-seed retries
     let fabric = Fabric::new(options.eval.fabric.clone());
-    let mut placement = None;
-    let mut place_err = None;
-    for attempt in 0..=options.place_retries {
+    let mut attempt = 0;
+    let placement = loop {
         let mut popts = options.eval.place.clone();
         popts.seed = popts
             .seed
@@ -192,26 +193,18 @@ fn resilient_flow(
                         format!("placement succeeded on retry {attempt} with a perturbed seed"),
                     ));
                 }
-                placement = Some(p);
-                break;
+                break p;
             }
-            Err(e) => place_err = Some(e),
-        }
-    }
-    let placement = match placement {
-        Some(p) => p,
-        None => {
-            let attempts = options.place_retries + 1;
-            degradations.push(Degradation::new(
-                Stage::Place,
-                DegradationKind::Skipped,
-                format!("placement failed after {attempts} seed(s); application skipped"),
-            ));
-            let e = match place_err {
-                Some(e) => e.into(),
-                None => ApexError::new(Stage::Place, "no placement attempt ran"),
-            };
-            return DseOutcome::degraded(Err(e), degradations);
+            Err(_) if attempt < options.place_retries => attempt += 1,
+            Err(e) => {
+                let attempts = options.place_retries + 1;
+                degradations.push(Degradation::new(
+                    Stage::Place,
+                    DegradationKind::Skipped,
+                    format!("placement failed after {attempts} seed(s); application skipped"),
+                ));
+                return DseOutcome::degraded(Err(e.into()), degradations);
+            }
         }
     };
     #[cfg(debug_assertions)]

@@ -2,19 +2,15 @@
 //! (optionally) pipeline → place → route → report, producing the numbers
 //! behind every table and figure of the paper's Section 5.
 
+use crate::dse::{resilient_flow, DseOptions};
 use crate::variant::PeVariant;
 use apex_apps::Application;
 use apex_cgra::{
-    achieved_period, cgra_area, cgra_energy_per_cycle, gather_stats, place_cached, route,
-    verify_routed, AreaBreakdown, EnergyBreakdown, Fabric, FabricConfig, OutputTiming,
-    PlaceError, PlaceOptions, PnrStats, RouteError, RouteOptions,
+    AreaBreakdown, EnergyBreakdown, FabricConfig, PlaceOptions, PnrStats, RouteOptions,
 };
-use apex_fault::{ApexError, Stage};
-use apex_map::{map_application, MapError, MapStats};
-use apex_pipeline::{
-    auto_pipeline, pipeline_application, AppPipelineOptions, AppPipelineReport,
-    PePipelineOptions, PipelineError,
-};
+use apex_fault::ApexError;
+use apex_map::{map_application, MapStats};
+use apex_pipeline::{AppPipelineOptions, AppPipelineReport, PePipelineOptions};
 use apex_tech::TechModel;
 
 /// Evaluation options for the whole backend flow.
@@ -33,47 +29,6 @@ pub struct EvalOptions {
     /// Apply automated PE + application pipelining (Fig. 16's
     /// "post-pipelining").
     pub pipelined: bool,
-}
-
-/// Backend failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalError {
-    /// Instruction selection failed.
-    Map(MapError),
-    /// PE or application pipelining failed.
-    Pipeline(PipelineError),
-    /// Placement failed.
-    Place(PlaceError),
-    /// Routing failed.
-    Route(RouteError),
-    /// Post-route verification failed (a flow bug).
-    Verify(String),
-}
-
-impl std::fmt::Display for EvalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvalError::Map(e) => write!(f, "mapping: {e}"),
-            EvalError::Pipeline(e) => write!(f, "pipelining: {e}"),
-            EvalError::Place(e) => write!(f, "placement: {e}"),
-            EvalError::Route(e) => write!(f, "routing: {e}"),
-            EvalError::Verify(e) => write!(f, "verification: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for EvalError {}
-
-impl From<EvalError> for ApexError {
-    fn from(e: EvalError) -> Self {
-        match e {
-            EvalError::Map(e) => e.into(),
-            EvalError::Pipeline(e) => e.into(),
-            EvalError::Place(e) => e.into(),
-            EvalError::Route(e) => e.into(),
-            EvalError::Verify(msg) => ApexError::new(Stage::Verify, msg),
-        }
-    }
 }
 
 /// Complete evaluation of one (variant, application) pair.
@@ -142,9 +97,8 @@ pub fn post_mapping_estimate(
     variant: &PeVariant,
     app: &Application,
     tech: &TechModel,
-) -> Result<(usize, f64, f64), EvalError> {
-    let design =
-        map_application(&app.graph, &variant.spec.datapath, &variant.rules).map_err(EvalError::Map)?;
+) -> Result<(usize, f64, f64), ApexError> {
+    let design = map_application(&app.graph, &variant.spec.datapath, &variant.rules)?;
     let pe_area = variant.spec.area(tech).total();
     let mut energy = 0.0;
     for node in &design.netlist.nodes {
@@ -160,78 +114,34 @@ pub fn post_mapping_estimate(
     ))
 }
 
-/// Runs the full backend for one variant and application.
+/// Runs the full backend for one variant and application with no
+/// concessions: the one flow behind [`crate::dse_evaluate_app`], with no
+/// placement retry and no relaxed routing retry, failing wherever that
+/// flow would degrade instead (a pipelining fallback, a budget-cut
+/// routing). Concessions made while building the variant are not this
+/// evaluation's and do not fail it.
 ///
 /// # Errors
-/// Propagates mapping, placement, routing, or verification failures.
+/// The stage failure that stopped the flow, or else the first concession
+/// it recorded, under that concession's stage.
 pub fn evaluate_app(
     variant: &PeVariant,
     app: &Application,
     tech: &TechModel,
     options: &EvalOptions,
-) -> Result<AppEvaluation, EvalError> {
-    let design =
-        map_application(&app.graph, &variant.spec.datapath, &variant.rules).map_err(EvalError::Map)?;
-
-    // PE pipelining (paper Section 4.2)
-    let mut spec = variant.spec.clone();
-    let mut pipelining = AppPipelineReport {
-        regs_inserted: 0,
-        fifos_inserted: 0,
-        latency: 0,
+) -> Result<AppEvaluation, ApexError> {
+    let strict = DseOptions {
+        eval: options.clone(),
+        place_retries: 0,
+        route_relax_retry: false,
+        ..DseOptions::default()
     };
-    let mut netlist = design.netlist.clone();
-    if options.pipelined {
-        auto_pipeline(&mut spec, tech, &options.pe_pipeline).map_err(EvalError::Pipeline)?;
-        // post-pipelining designs also register every PE output, so PEs
-        // present at least one cycle of latency to the interconnect
-        let lat = spec.latency() + 1;
-        let (pipelined_netlist, report) = pipeline_application(
-            &design.netlist,
-            &variant.rules,
-            lat,
-            &options.app_pipeline,
-        )
-        .map_err(EvalError::Pipeline)?;
-        netlist = pipelined_netlist;
-        pipelining = report;
+    let outcome = resilient_flow(variant, app, tech, &strict, None);
+    let eval = outcome.result?;
+    match outcome.degradations.into_iter().nth(variant.degradations.len()) {
+        Some(d) => Err(ApexError::new(d.stage, d.detail)),
+        None => Ok(eval),
     }
-
-    let fabric = Fabric::new(options.fabric.clone());
-    let placement = place_cached(&netlist, &fabric, &options.place).map_err(EvalError::Place)?;
-    let routing =
-        route(&netlist, &variant.rules, &fabric, &placement, &options.route).map_err(EvalError::Route)?;
-    verify_routed(&netlist, &variant.rules, &fabric, &placement, &routing)
-        .map_err(EvalError::Verify)?;
-
-    let pnr = gather_stats(&netlist, &fabric, &placement, &routing);
-    let area = cgra_area(&netlist, &pnr, &spec, tech);
-    let energy = cgra_energy_per_cycle(&netlist, &variant.rules, &pnr, &spec, tech);
-    let timing = if options.pipelined {
-        OutputTiming::Registered
-    } else {
-        OutputTiming::Combinational
-    };
-    let period = achieved_period(&routing, &spec, tech, timing).max(tech.clock_period_ns);
-    let runtime_cycles = app.steady_state_cycles() + u64::from(pipelining.latency);
-
-    let pe_core_area = pnr.pe_tiles as f64 * spec.area(tech).total();
-    let pe_core_energy_nj = energy.pe * runtime_cycles as f64 * 1e-3;
-
-    Ok(AppEvaluation {
-        app: app.info.name.clone(),
-        variant: variant.spec.name.clone(),
-        mapping: design.stats,
-        pipelining,
-        pe_stages: spec.pipeline.as_ref().map_or(1, |p| p.stages),
-        pnr,
-        area,
-        energy_per_cycle: energy,
-        period_ns: period,
-        runtime_cycles,
-        pe_core_area,
-        pe_core_energy_nj,
-    })
 }
 
 #[cfg(test)]
@@ -239,6 +149,8 @@ mod tests {
     use super::*;
     use crate::variant::{baseline_variant, pe1_variant};
     use apex_apps::gaussian;
+    use apex_fault::Stage;
+    use std::time::Duration;
 
     #[test]
     fn gaussian_evaluates_on_baseline_end_to_end() {
@@ -293,5 +205,16 @@ mod tests {
         .unwrap();
         assert!(piped.period_ns <= flat.period_ns);
         assert!(piped.runtime_cycles >= flat.runtime_cycles, "fill latency");
+    }
+
+    #[test]
+    fn expired_route_deadline_fails_the_strict_flow_at_route() {
+        let app = gaussian();
+        let tech = TechModel::default();
+        let v = baseline_variant(&[&app]).unwrap();
+        let mut options = EvalOptions::default();
+        options.route.budget = apex_fault::Budget::unlimited().with_deadline(Duration::ZERO);
+        let err = evaluate_app(&v, &app, &tech, &options).unwrap_err();
+        assert_eq!(err.stage(), Stage::Route, "{err}");
     }
 }

@@ -15,7 +15,9 @@
 //! [`PeVariant`] captures one PE design point; [`specialization_ladder`]
 //! reproduces the paper's PE 1 → PE 4 sweep, [`specialized_variant`] the
 //! domain PEs (PE IP, PE ML), and [`evaluate_app`] runs the full backend
-//! to produce the numbers behind Section 5's tables and figures.
+//! — the one flow [`dse_evaluate_app`] runs under the degradation policy,
+//! with no concession allowed — to produce the numbers behind Section 5's
+//! tables and figures.
 //!
 //! # Examples
 //!
@@ -54,7 +56,7 @@ pub use journal::{
     run_checkpointed, JobReport, JournalRecord, JournalReplay, SweepJob, SweepJobResult,
     SweepJournal, SweepRun, JOURNAL_FORMAT,
 };
-pub use evaluate::{evaluate_app, post_mapping_estimate, AppEvaluation, EvalError, EvalOptions};
+pub use evaluate::{evaluate_app, post_mapping_estimate, AppEvaluation, EvalOptions};
 pub use variant::{
     baseline_variant, most_specialized_variant, ops_used, pe1_variant, required_op_kinds,
     select_subgraphs,

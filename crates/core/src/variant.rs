@@ -630,7 +630,7 @@ pub fn most_specialized_variant(
             // deeper variants may stop evaluating (e.g. over-merged PEs no
             // longer fit the fabric) — keep the best evaluated one, but a
             // failure on the very first step has nothing to fall back to
-            Err(e) if best.is_none() => return Err(e.into()),
+            Err(e) if best.is_none() => return Err(e),
             Err(_) => break,
         };
         let (area, energy) = (eval.area.total(), eval.energy_per_cycle.total());

@@ -151,8 +151,6 @@ fn bind_inputs(p: &PreppedRule<'_>, emb: &[NodeId], app: &Graph) -> Option<BTree
         let edges = p.mining.in_edges(i);
         let mut used = vec![false; app_inputs.len()];
         if !assign_edges(edges, 0, app_inputs, emb, &mut used) {
-            #[cfg(feature = "dbg")]
-            eprintln!("bind: assign_edges failed node {pc} an {an} edges {edges:?}");
             return None;
         }
         // leftover app ports pair with the pattern node's input-fed ports
@@ -167,8 +165,6 @@ fn bind_inputs(p: &PreppedRule<'_>, emb: &[NodeId], app: &Graph) -> Option<BTree
             .map(|(q, _)| q)
             .collect();
         if leftover_app.len() != input_fed.len() {
-            #[cfg(feature = "dbg")]
-            eprintln!("bind: leftover {leftover_app:?} != input_fed {input_fed:?} node {pc}");
             return None;
         }
         leftover_app.sort_unstable();
@@ -178,8 +174,6 @@ fn bind_inputs(p: &PreppedRule<'_>, emb: &[NodeId], app: &Graph) -> Option<BTree
             let app_src = app_inputs[aq];
             // type check
             if app.op(app_src).output_type() != p.rule.pattern.op(pattern_input).output_type() {
-                #[cfg(feature = "dbg")]
-                eprintln!("bind: type mismatch");
                 return None;
             }
             match bindings.get(&pattern_input) {
@@ -188,8 +182,6 @@ fn bind_inputs(p: &PreppedRule<'_>, emb: &[NodeId], app: &Graph) -> Option<BTree
                 }
                 Some(&prev) if prev == app_src => {}
                 Some(_) => {
-                    #[cfg(feature = "dbg")]
-                    eprintln!("bind: shared input conflict");
                     return None;
                 }
             }
@@ -287,8 +279,6 @@ pub fn map_application(
                 }
                 let app_consumers = app_fanouts[an.index()].len();
                 if app_consumers != p.out_edges[i] {
-                    #[cfg(feature = "dbg")]
-                    eprintln!("reject vis {} node {an}", p.rule.name);
                     continue 'emb;
                 }
             }
@@ -299,8 +289,6 @@ pub fn map_application(
                 continue 'emb;
             }
             let Some(input_bindings) = bind_inputs(p, &e, app) else {
-                #[cfg(feature = "dbg")]
-                eprintln!("reject bind {} {:?}", p.rule.name, e);
                 continue 'emb;
             };
             for &an in &e {
@@ -504,12 +492,13 @@ pub fn map_application(
     }
 
     // debug-time check: every instance configuration is valid on the PE
-    #[cfg(debug_assertions)]
-    for node in &netlist.nodes {
-        if let NetKind::Pe(inst) = &node.kind {
-            let rule = &rules.rules[inst.rule as usize];
-            let check = dp.validate_config(&rule.instantiate(&inst.payloads));
-            debug_assert!(check.is_ok(), "invalid instance configuration: {check:?}");
+    if cfg!(debug_assertions) {
+        for node in &netlist.nodes {
+            if let NetKind::Pe(inst) = &node.kind {
+                let rule = &rules.rules[inst.rule as usize];
+                let check = dp.validate_config(&rule.instantiate(&inst.payloads));
+                debug_assert!(check.is_ok(), "invalid instance configuration: {check:?}");
+            }
         }
     }
 

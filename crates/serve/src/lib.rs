@@ -45,6 +45,6 @@ pub mod runner;
 pub mod server;
 pub mod state;
 
-pub use runner::{DseRunner, JobRunner, JobSpec};
+pub use runner::{dse_payload, parse_application, DseRunner, JobRunner, JobSpec};
 pub use server::{default_journal, RunSummary, ServeConfig, Server};
 pub use state::{job_key, Admission, JobState, JobTable, PendingJob};

@@ -5,8 +5,10 @@
 //! drain, timeouts, resume) is testable with fast fake runners; only the
 //! CLI and the smoke tests pay for real DSE.
 
-use apex_core::JobReport;
+use apex_apps::Application;
+use apex_core::{JobReport, PeVariant};
 use apex_fault::{ApexError, Budget, Meter, Provenance, Stage};
+use apex_tech::TechModel;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,8 +40,9 @@ pub trait JobRunner: Send + Sync + 'static {
 }
 
 /// The production runner: parse → specialize (cached per tenant) →
-/// post-mapping estimates, the same flow as `apex dse-file`, with the
-/// deadline and the drain flag plumbed into every budgeted stage.
+/// post-mapping estimates, the same flow as `apex dse-file` (both call
+/// [`parse_application`] and [`dse_payload`]), with the deadline and the
+/// drain flag plumbed into every budgeted stage.
 #[derive(Debug, Default)]
 pub struct DseRunner;
 
@@ -54,28 +57,12 @@ impl JobRunner for DseRunner {
             .with_cancel(Arc::clone(&spec.cancel));
         let mut meter = budget.start();
 
-        let graph = apex_ir::from_text(&spec.graph)
-            .map_err(|e| ApexError::new(Stage::Parse, format!("submitted graph: {e}")))?;
-        graph
-            .try_validate()
-            .map_err(|e| ApexError::new(Stage::Parse, format!("submitted graph: {e}")))?;
-        let app = apex_apps::Application::new(
-            apex_apps::AppInfo {
-                name: graph.name().to_owned(),
-                domain: apex_apps::Domain::ImageProcessing,
-                description: "submitted over the wire".to_owned(),
-                mem_tiles: 8,
-                io_tiles: 4,
-                unroll: 1,
-                output_pixels: 1 << 20,
-            },
-            graph,
-        );
+        let app = parse_application(&spec.graph, "submitted graph")?;
         if !meter.check_slow() {
             return Ok(interrupted_report(&meter));
         }
 
-        let tech = apex_tech::TechModel::default();
+        let tech = TechModel::default();
         let miner = apex_mining::MinerConfig {
             budget,
             ..apex_mining::MinerConfig::default()
@@ -113,20 +100,59 @@ impl JobRunner for DseRunner {
             return Ok(interrupted_report(&meter));
         }
 
-        let (bn, ba, be) = apex_core::post_mapping_estimate(&base, &app, &tech)?;
-        let (sn, sa, se) = apex_core::post_mapping_estimate(&spec_variant, &app, &tech)?;
-        let payload = format!(
-            "custom app '{}': {} compute ops\nbaseline   : {bn} PEs, {ba:.0} um2, {be:.1} pJ/cycle\nspecialized: {sn} PEs, {sa:.0} um2, {se:.1} pJ/cycle ({} subgraphs merged)\n",
-            app.info.name,
-            app.graph.compute_op_count(),
-            spec_variant.sources.len(),
-        );
+        let payload = dse_payload(&app, &spec_variant, &base, &tech)?;
         Ok(JobReport {
             payload,
             provenance: Provenance::Completed,
             degradations: "-".to_owned(),
         })
     }
+}
+
+/// Parses DFG text (the `apex save` format) into the application a
+/// custom-graph job runs on; `label` (`apex dse-file` passes the file
+/// path) prefixes the message of the [`Stage::Parse`] error it may return.
+///
+/// # Errors
+/// Malformed text or a graph that fails validation.
+pub fn parse_application(text: &str, label: &str) -> Result<Application, ApexError> {
+    let parse_error =
+        |e: &dyn std::fmt::Display| ApexError::new(Stage::Parse, format!("{label}: {e}"));
+    let graph = apex_ir::from_text(text).map_err(|e| parse_error(&e))?;
+    graph.try_validate().map_err(|e| parse_error(&e))?;
+    Ok(Application::new(
+        apex_apps::AppInfo {
+            name: graph.name().to_owned(),
+            domain: apex_apps::Domain::ImageProcessing,
+            description: format!("custom graph from {label}"),
+            mem_tiles: 8,
+            io_tiles: 4,
+            unroll: 1,
+            output_pixels: 1 << 20,
+        },
+        graph,
+    ))
+}
+
+/// A custom-graph job's three-line result: the application's size, then
+/// the post-mapping estimate of the baseline and of the specialized PE.
+///
+/// # Errors
+/// A variant that cannot map the application.
+pub fn dse_payload(
+    app: &Application,
+    spec: &PeVariant,
+    base: &PeVariant,
+    tech: &TechModel,
+) -> Result<String, ApexError> {
+    let (bn, ba, be) = apex_core::post_mapping_estimate(base, app, tech)?;
+    let (sn, sa, se) = apex_core::post_mapping_estimate(spec, app, tech)?;
+    Ok(format!(
+        "custom app '{}': {} compute ops\nbaseline   : {bn} PEs, {ba:.0} um2, {be:.1} pJ/cycle\nspecialized: {sn} PEs, {sa:.0} um2, {se:.1} pJ/cycle ({} subgraphs merged)\n",
+        app.info.name,
+        app.graph.compute_op_count(),
+        spec.sources.len(),
+    ))
 }
 
 /// The report for a job stopped by the drain flag or its deadline: the

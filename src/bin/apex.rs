@@ -516,24 +516,7 @@ fn dse_file(args: &[String]) -> Result<(), ApexError> {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let graph = apex::ir::from_text(&text).map_err(|e| {
-        ApexError::new(apex::fault::Stage::Parse, format!("{path}: {e}"))
-    })?;
-    graph.try_validate().map_err(|e| {
-        ApexError::new(apex::fault::Stage::Parse, format!("{path}: {e}"))
-    })?;
-    let app = apex::apps::Application::new(
-        apex::apps::AppInfo {
-            name: graph.name().to_owned(),
-            domain: apex::apps::Domain::ImageProcessing,
-            description: format!("custom graph from {path}"),
-            mem_tiles: 8,
-            io_tiles: 4,
-            unroll: 1,
-            output_pixels: 1 << 20,
-        },
-        graph,
-    );
+    let app = apex::serve::parse_application(&text, path)?;
     let tech = apex::tech::TechModel::default();
     let spec = apex::core::most_specialized_variant(
         &app,
@@ -543,11 +526,7 @@ fn dse_file(args: &[String]) -> Result<(), ApexError> {
         4,
     )?;
     let base = apex::core::baseline_variant(&[&app])?;
-    let (bn, ba, be) = apex::core::post_mapping_estimate(&base, &app, &tech)?;
-    let (sn, sa, se) = apex::core::post_mapping_estimate(&spec, &app, &tech)?;
-    println!("custom app '{}': {} compute ops", app.info.name, app.graph.compute_op_count());
-    println!("baseline   : {bn} PEs, {ba:.0} um2, {be:.1} pJ/cycle");
-    println!("specialized: {sn} PEs, {sa:.0} um2, {se:.1} pJ/cycle ({} subgraphs merged)", spec.sources.len());
+    print!("{}", apex::serve::dse_payload(&app, &spec, &base, &tech)?);
     Ok(())
 }
 

@@ -32,8 +32,7 @@
 //! let app = apex::apps::gaussian();
 //! let tech = TechModel::default();
 //! let variant = baseline_variant(&[&app])?;
-//! let result = evaluate_app(&variant, &app, &tech, &EvalOptions::default())
-//!     .map_err(apex::fault::ApexError::from)?;
+//! let result = evaluate_app(&variant, &app, &tech, &EvalOptions::default())?;
 //! println!("{} PEs, {:.2} mm², {:.1} pJ/cycle",
 //!     result.pnr.pe_tiles,
 //!     result.area.total() * 1e-6,

@@ -3,7 +3,8 @@
 //! unknown-application handling, and the crash-safe-sweep contract
 //! (interrupted sweeps exit 3 and `--resume` reproduces the full run
 //! byte-for-byte) — all must exit with the documented code, never panic,
-//! never silently ignore the request.
+//! never silently ignore the request. `apex dse-file` must print exactly
+//! the daemon's payload for the same graph.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -168,4 +169,38 @@ fn unknown_application_exits_nonzero() {
         stderr.contains("unknown application 'no-such-app'"),
         "diagnostic names the app: {stderr}"
     );
+}
+
+/// `apex dse-file` and `apex serve` run one custom-graph job: for the same
+/// graph text the CLI prints byte for byte what the daemon's runner returns.
+#[test]
+fn dse_file_prints_the_daemon_payload() {
+    use apex::serve::{DseRunner, JobRunner, JobSpec};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let dir = scratch("dse-file-payload");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("mobilenet.g");
+    let graph_s = graph.to_string_lossy().into_owned();
+    let cache_s = dir.join("cache").to_string_lossy().into_owned();
+    let (code, stderr) = apex(&["save", "mobilenet", &graph_s]);
+    assert_eq!(code, 0, "save succeeds\nstderr: {stderr}");
+    let (code, stdout, stderr) =
+        apex_env(&["dse-file", &graph_s], &[("APEX_CACHE_DIR", &cache_s)]);
+    assert_eq!(code, 0, "dse-file succeeds\nstderr: {stderr}");
+
+    let report = DseRunner
+        .run(&JobSpec {
+            tenant: String::new(),
+            graph: std::fs::read_to_string(&graph).expect("saved graph"),
+            deadline: Duration::from_secs(600),
+            cancel: Arc::new(AtomicBool::new(false)),
+        })
+        .expect("the daemon's runner succeeds");
+    assert_eq!(report.provenance, apex::fault::Provenance::Completed);
+    assert_eq!(stdout, report.payload);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

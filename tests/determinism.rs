@@ -12,10 +12,13 @@
 
 use apex::apps::{analyzed_apps, unseen_apps, Application};
 use apex::core::{
-    baseline_variant, datapath_hash, dse_evaluate_app, dse_evaluate_grid, dse_evaluate_suite,
-    encode_variant, fnv1a, run_checkpointed, specialized_variant, DseOptions, JobReport, PeVariant,
-    SubgraphSelection, SweepJob, SweepJobResult, SweepJournal, VariantCache, JOURNAL_FORMAT,
+    baseline_variant, dse_evaluate_app, dse_evaluate_grid, dse_evaluate_suite, fnv1a,
+    run_checkpointed, specialized_variant, DseOptions, JobReport, SubgraphSelection, SweepJob,
+    SweepJobResult, SweepJournal, JOURNAL_FORMAT,
 };
+// the warm-cache tests are default-configuration only (see below)
+#[cfg(not(feature = "fault-injection"))]
+use apex::core::{datapath_hash, encode_variant, PeVariant, VariantCache};
 use apex::fault::Provenance;
 use apex::merge::MergeOptions;
 use apex::mining::MinerConfig;

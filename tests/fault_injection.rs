@@ -4,14 +4,16 @@
 //! mine→merge→rewrite→map→pipeline→place→route flow on three real
 //! applications, and require a *reported* outcome: a [`DseOutcome`] whose
 //! degradation record names the injected stage — and never a panic or a
-//! process abort. Run with `cargo test --features fault-injection`.
+//! process abort. The strict [`evaluate_app`] runs the same flow with no
+//! concession allowed, so a fault the sweep absorbs fails it at the
+//! injected stage. Run with `cargo test --features fault-injection`.
 
 #![cfg(feature = "fault-injection")]
 
 use apex::apps::{analyzed_apps, gaussian, harris, unseen_apps, unsharp, Application};
 use apex::core::{
-    dse_evaluate_app, dse_evaluate_suite, most_specialized_variant, specialized_variant,
-    DseOptions, PeVariant, SubgraphSelection,
+    dse_evaluate_app, dse_evaluate_suite, evaluate_app, most_specialized_variant,
+    specialized_variant, DseOptions, EvalOptions, PeVariant, SubgraphSelection,
 };
 use apex::fault::{failpoints, ApexError, Stage};
 use apex::merge::MergeOptions;
@@ -171,6 +173,41 @@ fn injected_place_fault_is_reported_per_app() {
         assert!(o.result.is_err(), "an unplaceable app is skipped");
         assert!(o.degradations.iter().any(|d| d.stage == Stage::Place));
     }
+}
+
+#[test]
+fn strict_evaluation_fails_where_the_sweep_falls_back_from_pipelining() {
+    let _armed = Armed::new("pipeline::start");
+    let apps = apps();
+    let tech = TechModel::default();
+    let variant = build_variant(&apps).expect("variant builds before evaluation");
+    let options = EvalOptions {
+        pipelined: true,
+        ..EvalOptions::default()
+    };
+    let err = evaluate_app(&variant, &apps[0], &tech, &options)
+        .expect_err("the strict flow allows no pipelining fallback");
+    assert_eq!(err.stage(), Stage::Pipeline, "{err}");
+    let swept = DseOptions {
+        eval: options,
+        ..DseOptions::default()
+    };
+    let o = dse_evaluate_app(&variant, &apps[0], &tech, &swept);
+    assert!(o.result.is_ok(), "the sweep still falls back to unpipelined");
+}
+
+#[test]
+fn strict_evaluation_fails_placement_without_retrying() {
+    let _armed = Armed::new("place::start");
+    let apps = apps();
+    let tech = TechModel::default();
+    let variant = build_variant(&apps).expect("variant builds before evaluation");
+    // re-arming resets the hit count: count only the evaluation's attempts
+    failpoints::arm("place::start");
+    let err = evaluate_app(&variant, &apps[0], &tech, &EvalOptions::default())
+        .expect_err("an unplaceable app fails the strict flow");
+    assert_eq!(err.stage(), Stage::Place, "{err}");
+    assert_eq!(failpoints::hits("place::start"), 1, "strict placement is never retried");
 }
 
 #[test]

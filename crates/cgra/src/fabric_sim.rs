@@ -7,6 +7,11 @@
 //! cycle-accurate fabric simulation from the decoded state. Agreement
 //! with the golden model therefore checks the whole chain:
 //! rule instantiation → bit packing → decoding → execution.
+//!
+//! There is one simulation engine: decoded configurations run on the
+//! netlist's table-compiled simulator ([`Netlist::simulate_with`]), whose
+//! test-only spec lives in `apex-map`. The property suite requires the
+//! decoded run to equal a run on the rule templates themselves.
 
 use crate::bitstream::{unpack_config, Bitstream, TileConfig};
 use crate::place::Placement;
@@ -90,7 +95,9 @@ pub fn decode_pe_configs(
     Ok(out)
 }
 
-/// Cycle-accurate fabric simulation driven by the decoded bitstream.
+/// Cycle-accurate fabric simulation driven by the decoded bitstream: the
+/// decoded configurations override every PE's rule template in
+/// [`Netlist::simulate_with`].
 ///
 /// # Errors
 /// Propagates decoding and simulation failures.
@@ -107,35 +114,6 @@ pub fn simulate_from_bitstream(
 ) -> Result<apex_map::SimStreams, FabricSimError> {
     let decoded = decode_pe_configs(netlist, rules, dp, placement, bitstream)?;
     Ok(netlist.simulate_with(dp, rules, word_streams, bit_streams, pe_latency, &decoded)?)
-}
-
-/// [`simulate_from_bitstream`] on the retained decode-per-access
-/// interpreter ([`Netlist::simulate_with_reference`]) instead of the
-/// table-compiled engine — the executable specification the property
-/// suite replays randomized bitstream simulations against.
-///
-/// # Errors
-/// Propagates decoding and simulation failures.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_from_bitstream_reference(
-    netlist: &Netlist,
-    rules: &RuleSet,
-    dp: &MergedDatapath,
-    placement: &Placement,
-    bitstream: &Bitstream,
-    word_streams: &[Vec<u16>],
-    bit_streams: &[Vec<bool>],
-    pe_latency: u32,
-) -> Result<apex_map::SimStreams, FabricSimError> {
-    let decoded = decode_pe_configs(netlist, rules, dp, placement, bitstream)?;
-    Ok(netlist.simulate_with_reference(
-        dp,
-        rules,
-        word_streams,
-        bit_streams,
-        pe_latency,
-        &decoded,
-    )?)
 }
 
 #[cfg(test)]

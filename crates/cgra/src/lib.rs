@@ -25,16 +25,13 @@ mod verilog;
 
 pub use bitstream::{generate_bitstream, pack_config, unpack_config, Bitstream, TileConfig};
 pub use fabric::{Fabric, FabricConfig, TileId, TileKind};
-pub use fabric_sim::{
-    decode_pe_configs, simulate_from_bitstream, simulate_from_bitstream_reference, FabricSimError,
-};
+pub use fabric_sim::{decode_pe_configs, simulate_from_bitstream, FabricSimError};
 pub use place::{
     place, place_cached, place_class, placement_edges, trace_through_regs, PlaceClass,
     PlaceError, PlaceOptions, Placement,
 };
 pub use route::{
-    connections, route, route_reference, verify_routed, RouteError, RouteGraph, RouteOptions,
-    RoutedEdge, Routing,
+    connections, route, verify_routed, RouteError, RouteGraph, RouteOptions, RoutedEdge, Routing,
 };
 pub use verilog::emit_cgra_verilog;
 pub use stats::{

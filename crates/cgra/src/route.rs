@@ -3,15 +3,15 @@
 //! post-route verification that stands in for the paper's Verilog
 //! simulation of the configured fabric.
 //!
-//! Two engines live here. The production engine runs on a [`RouteGraph`]
-//! — a CSR adjacency over the fabric tiles with dense per-edge usage and
-//! history arrays, stamp-array Dijkstra state, and a reusable
-//! lazy-deletion heap — and supports **incremental rip-up**: after the
-//! first negotiation round only the nets crossing over-capacity links are
-//! re-routed. [`route_reference`] retains the original `BTreeMap`-backed
-//! full-reroute implementation as an executable specification; the
-//! property suite replays the CSR engine against it (identical paths,
-//! iterations, and overflow registers when incremental mode is off).
+//! One engine lives here. It runs on a [`RouteGraph`] — a CSR adjacency
+//! over the fabric tiles with dense per-edge usage and history arrays,
+//! stamp-array Dijkstra state, and a reusable lazy-deletion heap — and
+//! rips up **incrementally**: after the first negotiation round only the
+//! nets crossing over-capacity links are re-routed. The original
+//! `BTreeMap`-backed full-reroute router is kept as a test-only
+//! executable specification in the `spec` child module; its property
+//! suite pins the first round and every shortest-path query of this
+//! engine to it.
 
 use crate::fabric::{Fabric, TileId};
 use crate::place::{place_class, trace_through_regs, Placement};
@@ -196,12 +196,6 @@ pub struct RouteOptions {
     pub max_iterations: usize,
     /// History-cost increment per overused link per round.
     pub history_increment: f64,
-    /// After the first negotiation round, re-route only the nets crossing
-    /// over-capacity links instead of every net (classic incremental
-    /// PathFinder). Round one is identical either way, so any routing
-    /// that converges in one round — the common case on the paper's
-    /// fabric — is bit-identical to the full-reroute reference engine.
-    pub incremental: bool,
     /// Wall-clock / step budget for the negotiation loop.
     pub budget: Budget,
 }
@@ -211,7 +205,6 @@ impl Default for RouteOptions {
         RouteOptions {
             max_iterations: 10,
             history_increment: 2.0,
-            incremental: true,
             budget: Budget::unlimited(),
         }
     }
@@ -225,7 +218,6 @@ impl RouteOptions {
         RouteOptions {
             max_iterations: self.max_iterations.saturating_mul(3).max(30),
             history_increment: self.history_increment * 0.5,
-            incremental: self.incremental,
             budget: self.budget.clone(),
         }
     }
@@ -373,9 +365,9 @@ impl RouterState {
     }
 
     /// Dijkstra over the CSR graph with congestion-aware link costs —
-    /// arithmetic-identical to the reference [`shortest_path_reference`]
+    /// arithmetic-identical to the spec's `shortest_path_reference`
     /// (same quantized heap keys, same epsilons, same neighbour order),
-    /// so the two engines produce the same paths bit for bit.
+    /// so the two produce the same paths bit for bit.
     fn shortest(
         &mut self,
         graph: &RouteGraph,
@@ -469,10 +461,10 @@ impl RouterState {
 
 /// Routes a placed netlist on the CSR engine.
 ///
-/// With `options.incremental` the negotiation loop rips up and re-routes
-/// only the nets crossing over-capacity links after round one; otherwise
-/// every round re-routes every net, replaying [`route_reference`]
-/// bit-identically.
+/// Round one routes every net; each later round rips up and re-routes
+/// only the nets crossing over-capacity links (incremental PathFinder).
+/// Round one replays the spec's full-reroute `route_reference` bit for
+/// bit, so a routing that converges in one round is identical to it.
 ///
 /// # Errors
 /// Fails when congestion cannot be resolved or endpoints are unplaced.
@@ -533,7 +525,7 @@ pub fn route(
             });
         }
         let iterations = round + 1;
-        if round == 0 || !options.incremental {
+        if round == 0 {
             // full negotiation round: every net re-routed from scratch
             st.clear_usage();
             routes.clear();
@@ -603,188 +595,6 @@ pub fn route(
     })
 }
 
-/// The original full-reroute PathFinder loop over sparse `BTreeMap`
-/// congestion state — retained verbatim as the executable specification
-/// the property suite replays the CSR engine against.
-///
-/// # Errors
-/// Fails when congestion cannot be resolved or endpoints are unplaced.
-pub fn route_reference(
-    netlist: &Netlist,
-    rules: &RuleSet,
-    fabric: &Fabric,
-    placement: &Placement,
-    options: &RouteOptions,
-) -> Result<Routing, RouteError> {
-    apex_fault::fail_point!("route::start", RouteError::Injected("route::start"));
-    let conns = connections(netlist, rules);
-    // usage and history per (link, word?) — sparse maps keyed by link id
-    let mut history: BTreeMap<(usize, bool), f64> = BTreeMap::new();
-    let mut routes: Vec<RoutedEdge> = Vec::new();
-    let mut meter = options.budget.start();
-
-    for round in 0..options.max_iterations {
-        if !meter.check_slow() {
-            return Err(RouteError::Exhausted {
-                provenance: meter.provenance(),
-            });
-        }
-        let iterations = round + 1;
-        // a link carries one track per *distinct signal*: fanout branches
-        // of the same producer share the wire for free
-        let mut usage: BTreeMap<(usize, bool), std::collections::BTreeSet<u32>> = BTreeMap::new();
-        routes.clear();
-        for &(consumer, slot, producer, regs, word) in &conns {
-            if !meter.tick() {
-                return Err(RouteError::Exhausted {
-                    provenance: meter.provenance(),
-                });
-            }
-            let src = placement.tile_of_node[producer as usize]
-                .ok_or(RouteError::Unplaced { node: producer })?;
-            let dst = placement.tile_of_node[consumer as usize]
-                .ok_or(RouteError::Unplaced { node: consumer })?;
-            let capacity = if word {
-                fabric.config.word_tracks
-            } else {
-                fabric.config.bit_tracks
-            };
-            let path =
-                shortest_path_reference(fabric, src, dst, word, producer, capacity, &usage, &history);
-            for w in path.windows(2) {
-                let l = fabric.link(w[0], w[1]);
-                usage.entry((l, word)).or_default().insert(producer);
-            }
-            routes.push(RoutedEdge {
-                consumer,
-                slot,
-                producer,
-                path,
-                regs,
-                word,
-            });
-        }
-        // congestion check: distinct signals per link vs track count
-        let overused: Vec<(usize, bool)> = usage
-            .iter()
-            .filter(|(&(_, word), signals)| {
-                signals.len()
-                    > if word {
-                        fabric.config.word_tracks
-                    } else {
-                        fabric.config.bit_tracks
-                    }
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        if overused.is_empty() {
-            let overflow_regs = routes
-                .iter()
-                .map(|r| (r.regs as usize).saturating_sub(r.hops()))
-                .sum();
-            return Ok(Routing::new(routes, overflow_regs, iterations, meter.provenance()));
-        }
-        for k in overused {
-            *history.entry(k).or_insert(0.0) += options.history_increment;
-        }
-    }
-    // final count of overused links
-    let mut usage: BTreeMap<(usize, bool), std::collections::BTreeSet<u32>> = BTreeMap::new();
-    for r in &routes {
-        for w in r.path.windows(2) {
-            usage
-                .entry((fabric.link(w[0], w[1]), r.word))
-                .or_default()
-                .insert(r.producer);
-        }
-    }
-    let overused_links = usage
-        .iter()
-        .filter(|(&(_, word), signals)| {
-            signals.len()
-                > if word {
-                    fabric.config.word_tracks
-                } else {
-                    fabric.config.bit_tracks
-                }
-        })
-        .count();
-    Err(RouteError::Congested { overused_links })
-}
-
-/// Dijkstra over tiles with congestion-aware link costs. Links already
-/// carrying this producer's signal are nearly free (wire reuse). The
-/// specification twin of [`RouterState::shortest`].
-#[allow(clippy::too_many_arguments)]
-fn shortest_path_reference(
-    fabric: &Fabric,
-    src: TileId,
-    dst: TileId,
-    word: bool,
-    producer: u32,
-    capacity: usize,
-    usage: &BTreeMap<(usize, bool), std::collections::BTreeSet<u32>>,
-    history: &BTreeMap<(usize, bool), f64>,
-) -> Vec<TileId> {
-    if src == dst {
-        return vec![src];
-    }
-    let n = fabric.len();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<TileId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[src.0 as usize] = 0.0;
-    heap.push(Reverse((0, src.0)));
-    while let Some(Reverse((d_milli, u))) = heap.pop() {
-        let u_t = TileId(u);
-        let d = d_milli as f64 / 1000.0;
-        if d > dist[u as usize] + 1e-9 {
-            continue;
-        }
-        if u_t == dst {
-            break;
-        }
-        for v in fabric.neighbours(u_t) {
-            let l = fabric.link(u_t, v);
-            let signals = usage.get(&(l, word));
-            let carries_me = signals.is_some_and(|s| s.contains(&producer));
-            let used = signals.map_or(0, std::collections::BTreeSet::len);
-            let cost = if carries_me {
-                0.05 // the wire already exists; branch at the switch box
-            } else {
-                let congestion = if used >= capacity {
-                    5.0 * (used - capacity + 1) as f64
-                } else {
-                    0.2 * used as f64 / capacity as f64
-                };
-                let hist = history.get(&(l, word)).copied().unwrap_or(0.0);
-                1.0 + congestion + hist
-            };
-            let nd = d + cost;
-            if nd + 1e-9 < dist[v.0 as usize] {
-                dist[v.0 as usize] = nd;
-                prev[v.0 as usize] = Some(u_t);
-                heap.push(Reverse(((nd * 1000.0) as u64, v.0)));
-            }
-        }
-    }
-    // reconstruct
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        // invariant: the fabric grid is fully connected, so Dijkstra always
-        // reaches dst and every hop has a predecessor; a broken chain
-        // yields a non-contiguous path that `verify_routed` rejects
-        let Some(p) = prev[cur.0 as usize] else {
-            break;
-        };
-        cur = p;
-        path.push(cur);
-    }
-    path.reverse();
-    path
-}
-
 /// Post-route verification — our substitute for simulating the configured
 /// CGRA Verilog with VCS (paper Section 4, step 3c): checks that every
 /// netlist connection has a contiguous route between the placed endpoint
@@ -843,7 +653,11 @@ pub fn verify_routed(
 }
 
 #[cfg(test)]
+mod spec;
+
+#[cfg(test)]
 mod tests {
+    use super::spec::{route_reference, shortest_path_reference};
     use super::*;
     use crate::fabric::FabricConfig;
     use crate::place::{place, PlaceOptions};

@@ -1,16 +1,16 @@
-//! Property tests on the CGRA backend: place-and-route soundness for
-//! randomly generated applications.
+//! Property tests on the CGRA backend: place-and-route soundness and
+//! bitstream-driven simulation for randomly generated applications.
 
 use apex_cgra::{
-    gather_stats, generate_bitstream, place, route, route_reference, simulate_from_bitstream,
-    simulate_from_bitstream_reference, verify_routed, Fabric, FabricConfig, PlaceOptions,
-    RouteOptions, TileKind,
+    gather_stats, generate_bitstream, place, route, simulate_from_bitstream, verify_routed, Fabric,
+    FabricConfig, FabricSimError, PlaceOptions, RouteOptions, TileKind,
 };
 use apex_ir::{Graph, Op};
 use apex_map::map_application;
 use apex_pe::baseline_pe;
 use apex_rewrite::standard_ruleset;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_app() -> impl Strategy<Value = Graph> {
     let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 4..40);
@@ -110,88 +110,12 @@ proptest! {
         }
     }
 
-    /// The CSR engine in full-reroute mode is bit-identical to the
-    /// retained reference router — same routes, iteration counts,
-    /// overflow registers, and errors — across randomized applications,
-    /// placements, and track capacities.
+    /// Simulating from the decoded bitstream agrees exactly with
+    /// simulating the netlist on its rule templates (no overrides) —
+    /// any cycle count, any PE latency — so decoding restores every
+    /// configuration bit that execution reads.
     #[test]
-    fn csr_router_matches_reference(
-        app in arb_app(),
-        seed: u64,
-        wt in 2usize..=5,
-        bt in 2usize..=5,
-    ) {
-        let pe = baseline_pe();
-        let (rules, _) = standard_ruleset(&pe.datapath, &[], &[&app]).unwrap();
-        let design = map_application(&app, &pe.datapath, &rules).unwrap();
-        let fabric = Fabric::new(FabricConfig {
-            word_tracks: wt,
-            bit_tracks: bt,
-            ..FabricConfig::default()
-        });
-        let placement = place(
-            &design.netlist,
-            &fabric,
-            &PlaceOptions { moves: 1_000, seed, ..PlaceOptions::default() },
-        )
-        .unwrap();
-        let full = RouteOptions { incremental: false, ..RouteOptions::default() };
-        let fast = route(&design.netlist, &rules, &fabric, &placement, &full);
-        let reference = route_reference(&design.netlist, &rules, &fabric, &placement, &full);
-        prop_assert_eq!(fast, reference);
-    }
-
-    /// Incremental rip-up never produces an illegal routing, and on
-    /// single-round convergence (round one is shared with the reference
-    /// by construction) it is bit-identical to the reference engine.
-    #[test]
-    fn incremental_routing_is_sound(
-        app in arb_app(),
-        seed: u64,
-        wt in 2usize..=5,
-        bt in 2usize..=5,
-    ) {
-        let pe = baseline_pe();
-        let (rules, _) = standard_ruleset(&pe.datapath, &[], &[&app]).unwrap();
-        let design = map_application(&app, &pe.datapath, &rules).unwrap();
-        let fabric = Fabric::new(FabricConfig {
-            word_tracks: wt,
-            bit_tracks: bt,
-            ..FabricConfig::default()
-        });
-        let placement = place(
-            &design.netlist,
-            &fabric,
-            &PlaceOptions { moves: 1_000, seed, ..PlaceOptions::default() },
-        )
-        .unwrap();
-        let incremental = route(
-            &design.netlist,
-            &rules,
-            &fabric,
-            &placement,
-            &RouteOptions::default(),
-        );
-        if let Ok(r) = &incremental {
-            verify_routed(&design.netlist, &rules, &fabric, &placement, r).unwrap();
-        }
-        let reference = route_reference(
-            &design.netlist,
-            &rules,
-            &fabric,
-            &placement,
-            &RouteOptions::default(),
-        );
-        if matches!(&reference, Ok(r) if r.iterations == 1) {
-            prop_assert_eq!(incremental, reference);
-        }
-    }
-
-    /// The table-compiled fabric simulator agrees exactly with the
-    /// retained decode-per-access interpreter on randomized bitstream
-    /// simulations — any cycle count, any PE latency.
-    #[test]
-    fn compiled_bitstream_sim_matches_reference(
+    fn bitstream_sim_matches_template_sim(
         app in arb_app(),
         seed: u64,
         n_cycles in 0usize..6,
@@ -232,14 +156,15 @@ proptest! {
                     .collect()
             })
             .collect();
-        let compiled = simulate_from_bitstream(
+        let decoded = simulate_from_bitstream(
             &design.netlist, &rules, &pe.datapath, &placement, &bitstream,
             &streams, &[], pe_latency,
         );
-        let reference = simulate_from_bitstream_reference(
-            &design.netlist, &rules, &pe.datapath, &placement, &bitstream,
-            &streams, &[], pe_latency,
-        );
-        prop_assert_eq!(compiled, reference);
+        let templates = design
+            .netlist
+            .simulate_with(&pe.datapath, &rules, &streams, &[], pe_latency, &BTreeMap::new())
+            .map_err(FabricSimError::from);
+        prop_assert!(decoded.is_ok());
+        prop_assert_eq!(decoded, templates);
     }
 }

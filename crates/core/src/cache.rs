@@ -270,16 +270,6 @@ impl VariantCache {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// The configured byte cap, if any.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
-    }
-
-    /// The eviction root (the whole store, across namespaces), if enabled.
-    pub fn root_dir(&self) -> Option<&Path> {
-        self.root.as_deref()
-    }
-
     fn entry_path(&self, key: u64) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{key:016x}.var")))
     }

@@ -10,7 +10,6 @@ use apex_ir::{Op, Value, ValueType};
 use apex_merge::MergedDatapath;
 use apex_rewrite::RuleSet;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Simulation output pair: one word stream per `WordOutput` node and one
 /// bit stream per `BitOutput` node, in netlist node order.
@@ -432,8 +431,8 @@ impl Netlist {
     /// the netlist and every PE configuration are lowered once to a flat
     /// instruction table, then cycles execute without per-cycle decode,
     /// validation, or allocation. Output-stream and error behaviour are
-    /// pinned to [`Netlist::simulate_with_reference`] by the property
-    /// suite.
+    /// pinned, with and without overrides, to the decode-per-access
+    /// interpreter kept as test-only spec code (`netlist/spec.rs`).
     ///
     /// # Errors
     /// Fails on invalid netlists or mismatched stream counts.
@@ -449,165 +448,7 @@ impl Netlist {
         crate::sim::CompiledSim::compile(self, dp, rules, pe_latency, config_overrides)?
             .run(word_streams, bit_streams)
     }
-
-    /// The original decode-per-access interpreter, retained verbatim as
-    /// the executable specification for [`Netlist::simulate_with`]: every
-    /// cycle re-resolves each PE's configuration and re-walks the
-    /// datapath. Slow, obviously correct, and replayed against the
-    /// compiled engine by the property suite.
-    ///
-    /// # Errors
-    /// Fails on invalid netlists or mismatched stream counts.
-    pub fn simulate_with_reference(
-        &self,
-        dp: &MergedDatapath,
-        rules: &RuleSet,
-        word_streams: &[Vec<u16>],
-        bit_streams: &[Vec<bool>],
-        pe_latency: u32,
-        config_overrides: &std::collections::BTreeMap<u32, apex_merge::DatapathConfig>,
-    ) -> Result<SimStreams, NetlistError> {
-        let order = self.topo_order()?;
-        let n_cycles = word_streams
-            .first()
-            .map(Vec::len)
-            .or_else(|| bit_streams.first().map(Vec::len))
-            .unwrap_or(0);
-        let drain: u32 = (0..self.nodes.len() as u32)
-            .map(|i| self.latency(i, pe_latency))
-            .sum();
-        let total = n_cycles + drain as usize;
-
-        let mut queues: Vec<VecDeque<Vec<Value>>> = (0..self.nodes.len() as u32)
-            .map(|i| {
-                let lat = self.latency(i, pe_latency);
-                let zeros: Vec<Value> = self
-                    .output_types(i, rules)
-                    .iter()
-                    .map(|t| Value::zero(*t))
-                    .collect();
-                (0..lat).map(|_| zeros.clone()).collect()
-            })
-            .collect();
-        let mut values: Vec<Vec<Value>> = (0..self.nodes.len() as u32)
-            .map(|i| {
-                self.output_types(i, rules)
-                    .iter()
-                    .map(|t| Value::zero(*t))
-                    .collect()
-            })
-            .collect();
-
-        let n_word_out = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NetKind::WordOutput))
-            .count();
-        let n_bit_out = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NetKind::BitOutput))
-            .count();
-        let mut word_out = vec![Vec::with_capacity(total); n_word_out];
-        let mut bit_out = vec![Vec::with_capacity(total); n_bit_out];
-
-        for cycle in 0..total {
-            let mut wi = 0usize;
-            let mut bi = 0usize;
-            for (i, node) in self.nodes.iter().enumerate() {
-                match node.kind {
-                    NetKind::WordInput => {
-                        let v = if cycle < n_cycles {
-                            let s = word_streams
-                                .get(wi)
-                                .ok_or(NetlistError::InputShortage { node: i as u32 })?;
-                            s.get(cycle).copied().unwrap_or(0)
-                        } else {
-                            0
-                        };
-                        values[i] = vec![Value::Word(v)];
-                        wi += 1;
-                    }
-                    NetKind::BitInput => {
-                        let v = if cycle < n_cycles {
-                            let s = bit_streams
-                                .get(bi)
-                                .ok_or(NetlistError::InputShortage { node: i as u32 })?;
-                            s.get(cycle).copied().unwrap_or(false)
-                        } else {
-                            false
-                        };
-                        values[i] = vec![Value::Bit(v)];
-                        bi += 1;
-                    }
-                    _ => {}
-                }
-            }
-            for &u in &order {
-                let node = &self.nodes[u as usize];
-                let read =
-                    |r: &NetRef, values: &[Vec<Value>]| values[r.node as usize][r.port as usize];
-                let comb: Option<Vec<Value>> = match &node.kind {
-                    NetKind::WordInput | NetKind::BitInput | NetKind::WordOutput
-                    | NetKind::BitOutput => None,
-                    NetKind::Reg | NetKind::BitReg | NetKind::Fifo(_) => {
-                        Some(vec![read(&node.inputs[0], &values)])
-                    }
-                    NetKind::Pe(inst) => {
-                        let rule = &rules.rules[inst.rule as usize];
-                        let cfg = config_overrides
-                            .get(&u)
-                            .cloned()
-                            .unwrap_or_else(|| rule.instantiate(&inst.payloads));
-                        let n_word = rule.config.word_input_map.len();
-                        let words: Vec<u16> = node.inputs[..n_word]
-                            .iter()
-                            .map(|r| read(r, &values).word())
-                            .collect();
-                        let bits: Vec<bool> = node.inputs[n_word..]
-                            .iter()
-                            .map(|r| read(r, &values).bit())
-                            .collect();
-                        let (w, b) = dp
-                            .evaluate_as_source(&cfg, &words, &bits)
-                            .map_err(|e| NetlistError::BadConfig {
-                                node: u,
-                                message: e.to_string(),
-                            })?;
-                        let mut out: Vec<Value> = w.into_iter().map(Value::Word).collect();
-                        out.extend(b.into_iter().map(Value::Bit));
-                        Some(out)
-                    }
-                };
-                if let Some(comb) = comb {
-                    let q = &mut queues[u as usize];
-                    match q.pop_front() {
-                        Some(front) => {
-                            values[u as usize] = front;
-                            q.push_back(comb);
-                        }
-                        None => values[u as usize] = comb,
-                    }
-                }
-            }
-            let mut wo = 0usize;
-            let mut bo = 0usize;
-            for node in &self.nodes {
-                match node.kind {
-                    NetKind::WordOutput => {
-                        let r = &node.inputs[0];
-                        word_out[wo].push(values[r.node as usize][r.port as usize].word());
-                        wo += 1;
-                    }
-                    NetKind::BitOutput => {
-                        let r = &node.inputs[0];
-                        bit_out[bo].push(values[r.node as usize][r.port as usize].bit());
-                        bo += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok((word_out, bit_out))
-    }
 }
+
+#[cfg(test)]
+mod spec;

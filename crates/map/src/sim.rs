@@ -12,11 +12,12 @@
 //! is then a linear sweep: copy delayed values through flat ring buffers,
 //! execute PE op steps against a scratch array, collect outputs.
 //!
-//! The interpretation path is retained verbatim as
-//! [`Netlist::simulate_with_reference`] — the executable specification the
-//! property suite replays this compiler against (identical output
-//! streams, identical errors, over randomized netlists, stream lengths,
-//! and decoded-bitstream overrides).
+//! This is the only simulation engine in release builds. The
+//! interpretation path is kept verbatim as test-only spec code
+//! (`Netlist::simulate_with_reference` in `netlist/spec.rs`, compiled
+//! under `#[cfg(test)]`), and the property suite there replays this
+//! compiler against it (identical output streams, identical errors, over
+//! randomized netlists, stream lengths, and configuration overrides).
 
 use crate::netlist::{NetKind, NetlistError, Netlist};
 use apex_ir::{Op, Value};
@@ -262,7 +263,7 @@ impl CompiledSim {
     }
 
     /// Runs the compiled table cycle-accurately over the input streams —
-    /// the flat-array equivalent of [`Netlist::simulate_with_reference`]:
+    /// the flat-array equivalent of the spec's `simulate_with_reference`:
     /// same stream binding (node-index order, zero-padded past stream
     /// end), same drain length, same output ordering, same errors.
     ///

@@ -14,33 +14,17 @@
 //! embedding never allocates. Candidate pruning and injectivity use
 //! per-label fixed-size bitsets over the graph's dense node-id space, so
 //! the inner backtracking loop is allocation-free — per-depth candidate
-//! buffers are reused across the whole search. The original scalar
-//! matcher is retained verbatim as [`find_embeddings_reference`], the
-//! executable specification the property tests compare against.
+//! buffers are reused across the whole search. This is the only matcher
+//! in release builds: the original scalar matcher is kept verbatim as
+//! test-only spec code (`find_embeddings_reference` in the `spec` child
+//! module, compiled under `#[cfg(test)]`), and the property tests there
+//! require this search to return exactly its embedding sequence.
 
 use crate::bitset::Bitset;
 use crate::pattern::Pattern;
 use apex_fault::{Budget, Meter};
 use apex_ir::{Graph, NodeId, OpKind};
 use std::collections::BTreeMap;
-
-/// One embedding: pattern-node index → graph node.
-///
-/// The search itself stores embeddings column-wise in an
-/// [`EmbeddingList`]; this row type remains for materialized single
-/// embeddings (the reference matcher, representative extraction).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Embedding(pub Vec<NodeId>);
-
-impl Embedding {
-    /// The occurrence's node set (sorted, deduplicated).
-    pub fn node_set(&self) -> Vec<NodeId> {
-        let mut v = self.0.clone();
-        v.sort();
-        v.dedup();
-        v
-    }
-}
 
 /// Struct-of-arrays embedding storage: `col(p)[i]` is the image of
 /// pattern position `p` in embedding `i`.
@@ -225,11 +209,6 @@ impl<'g> GraphIndex<'g> {
     /// miner's extension enumeration must not rebuild it per embedding).
     pub fn fanouts(&self) -> &[Vec<NodeId>] {
         &self.fanouts
-    }
-
-    /// How many distinct compute labels exist.
-    pub fn label_count(&self) -> usize {
-        self.by_label.len()
     }
 
     /// Iterate labels with their node lists.
@@ -520,150 +499,12 @@ fn assign(
     false
 }
 
-// ---------------------------------------------------------------------------
-// Reference matcher
-// ---------------------------------------------------------------------------
-
-/// The original scalar embedding search, retained as the executable
-/// specification of [`find_embeddings`]: per-candidate `Vec` allocation,
-/// linear `used` scans, row-major output. Property tests assert the SoA
-/// search returns exactly the same embedding sequence; it is not used on
-/// any production path.
-pub fn find_embeddings_reference(
-    pattern: &Pattern,
-    index: &GraphIndex<'_>,
-    limit: usize,
-) -> (Vec<Embedding>, bool) {
-    let n = pattern.len();
-    if n == 0 {
-        return (Vec::new(), false);
-    }
-    let order = matching_order(pattern);
-    let mut state = RefSearch {
-        pattern,
-        index,
-        order: &order,
-        assignment: vec![None; n],
-        used: Vec::new(),
-        out: Vec::new(),
-        limit,
-        truncated: false,
-    };
-    state.recurse(0);
-    (state.out, state.truncated)
-}
-
-struct RefSearch<'a, 'g> {
-    pattern: &'a Pattern,
-    index: &'a GraphIndex<'g>,
-    order: &'a [u32],
-    assignment: Vec<Option<NodeId>>,
-    used: Vec<NodeId>,
-    out: Vec<Embedding>,
-    limit: usize,
-    truncated: bool,
-}
-
-impl RefSearch<'_, '_> {
-    fn recurse(&mut self, depth: usize) {
-        if self.truncated {
-            return;
-        }
-        if depth == self.order.len() {
-            let mapping: Option<Vec<NodeId>> = self.assignment.iter().copied().collect();
-            let Some(mapping) = mapping else { return };
-            if ports_feasible(self.pattern, self.index.graph(), &mapping) {
-                self.out.push(Embedding(mapping));
-                if self.out.len() >= self.limit {
-                    self.truncated = true;
-                }
-            }
-            return;
-        }
-        let pnode = self.order[depth] as usize;
-        let label = self.pattern.labels()[pnode];
-        let mut candidates = self.candidates(pnode, label);
-        candidates.sort();
-        candidates.dedup();
-        for cand in candidates {
-            if self.used.contains(&cand) {
-                continue;
-            }
-            if !self.locally_consistent(pnode, cand) {
-                continue;
-            }
-            self.assignment[pnode] = Some(cand);
-            self.used.push(cand);
-            self.recurse(depth + 1);
-            self.used.pop();
-            self.assignment[pnode] = None;
-            if self.truncated {
-                return;
-            }
-        }
-    }
-
-    fn candidates(&self, pnode: usize, label: OpKind) -> Vec<NodeId> {
-        for (s, d, _) in self.pattern.edges() {
-            let (s, d) = (s as usize, d as usize);
-            if d == pnode {
-                if let Some(img) = self.assignment[s] {
-                    return self
-                        .index
-                        .fanout(img)
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            self.index.graph().op(v).is_compute()
-                                && self.index.graph().op(v).kind() == label
-                        })
-                        .collect();
-                }
-            }
-            if s == pnode {
-                if let Some(img) = self.assignment[d] {
-                    return self
-                        .index
-                        .graph()
-                        .node(img)
-                        .inputs()
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            self.index.graph().op(v).is_compute()
-                                && self.index.graph().op(v).kind() == label
-                        })
-                        .collect();
-                }
-            }
-        }
-        self.index.nodes_with_label(label).to_vec()
-    }
-
-    fn locally_consistent(&self, pnode: usize, cand: NodeId) -> bool {
-        let g = self.index.graph();
-        for (s, d, port) in self.pattern.edges() {
-            let (s, d) = (s as usize, d as usize);
-            if d == pnode {
-                if let Some(src_img) = self.assignment[s] {
-                    if !edge_exists(g, src_img, cand, port) {
-                        return false;
-                    }
-                }
-            } else if s == pnode {
-                if let Some(dst_img) = self.assignment[d] {
-                    if !edge_exists(g, cand, dst_img, port) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-}
+#[cfg(test)]
+mod spec;
 
 #[cfg(test)]
 mod tests {
+    use super::spec::find_embeddings_reference;
     use super::*;
     use apex_ir::{Graph, Op};
 

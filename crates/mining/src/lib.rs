@@ -55,8 +55,7 @@ mod mis;
 mod pattern;
 
 pub use isomorphism::{
-    find_embeddings, find_embeddings_metered, find_embeddings_reference, Embedding, EmbeddingList,
-    EmbeddingSet, GraphIndex,
+    find_embeddings, find_embeddings_metered, EmbeddingList, EmbeddingSet, GraphIndex,
 };
 pub use miner::{mine, rank, MineOutcome, MinedSubgraph, MinerConfig};
 pub use mis::{maximal_independent_set, mis_size, overlap_graph};

@@ -4,7 +4,7 @@
 //! (mux) unit, two 16-bit constant registers, and three 1-bit constant
 //! registers. All evaluation in Section 5 compares against this PE.
 
-use crate::spec::PeSpec;
+use crate::pe_spec::PeSpec;
 use apex_ir::{Op, OpKind};
 use apex_merge::{DpNode, DpSource, MergedDatapath};
 use std::collections::BTreeSet;

@@ -31,8 +31,8 @@
 
 mod baseline;
 mod cost;
+mod pe_spec;
 mod report;
-mod spec;
 mod verilog;
 
 pub use baseline::{
@@ -43,5 +43,5 @@ pub use cost::{
     worst_critical_path, PeArea,
 };
 pub use report::{datasheet, emit_testbench};
-pub use spec::{PePipeline, PeSpec};
+pub use pe_spec::{PePipeline, PeSpec};
 pub use verilog::emit_verilog;

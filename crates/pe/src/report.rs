@@ -4,7 +4,7 @@
 //! testbench for the emitted RTL.
 
 use crate::cost::{config_bits, config_critical_path, config_energy};
-use crate::spec::PeSpec;
+use crate::pe_spec::PeSpec;
 use apex_merge::{DatapathConfig, DpSource};
 use apex_tech::TechModel;
 use std::fmt::Write as _;

@@ -6,7 +6,7 @@
 //! op-select case per multi-op functional unit, per-configuration constant
 //! registers, output muxes, and (for pipelined PEs) stage registers.
 
-use crate::spec::PeSpec;
+use crate::pe_spec::PeSpec;
 use apex_merge::{DpSource, MergedDatapath};
 use apex_ir::Op;
 use std::fmt::Write as _;
@@ -354,7 +354,7 @@ mod tests {
     use crate::cost::config_bits;
     use apex_ir::{Graph, Op};
     use apex_merge::MergedDatapath;
-    use crate::spec::{PePipeline, PeSpec};
+    use crate::pe_spec::{PePipeline, PeSpec};
 
     fn mac_spec() -> PeSpec {
         let mut g = Graph::new("mac");

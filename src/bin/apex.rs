@@ -263,10 +263,14 @@ fn dot(args: &[String]) {
 
 fn mine(args: &[String]) -> Result<(), ApexError> {
     let app = app_or_exit(args.first());
-    let min_support = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4usize);
+    let min_support = match args.get(1).map(|s| s.parse::<usize>()) {
+        None => 4,
+        Some(Ok(n)) if n >= 1 => n,
+        Some(_) => {
+            eprintln!("min_support expects a positive integer");
+            std::process::exit(2);
+        }
+    };
     let mined = apex::mining::mine(
         &app.graph,
         &apex::mining::MinerConfig {

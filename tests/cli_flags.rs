@@ -1,10 +1,11 @@
 //! CLI contract tests for the sweep-executor flags and diagnostics:
-//! `--jobs` validation, experiment-id validation in `apex report`,
-//! unknown-application handling, and the crash-safe-sweep contract
-//! (interrupted sweeps exit 3 and `--resume` reproduces the full run
-//! byte-for-byte) — all must exit with the documented code, never panic,
-//! never silently ignore the request. `apex dse-file` must print exactly
-//! the daemon's payload for the same graph.
+//! `--jobs` and `apex mine` support validation, experiment-id
+//! validation in `apex report`, unknown-application handling, and the
+//! crash-safe-sweep contract (interrupted sweeps exit 3 and `--resume`
+//! reproduces the full run byte-for-byte) — all must exit with the
+//! documented code, never panic, never silently ignore the request.
+//! `apex dse-file` must print exactly the daemon's payload for the same
+//! graph.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -69,6 +70,20 @@ fn jobs_flag_rejects_zero_and_garbage() {
     // trailing --jobs with no value
     let (code, stderr) = apex(&["report", "table1", "--jobs"]);
     assert_ne!(code, 0, "dangling --jobs must fail\nstderr: {stderr}");
+}
+
+#[test]
+fn mine_rejects_a_bad_min_support() {
+    // a garbage support used to fall back to 4 silently and exit 0
+    for bad in ["abc", "0", "-2", "2.5"] {
+        let (code, stdout, stderr) = apex_env(&["mine", "gaussian", bad], &[]);
+        assert_eq!(code, 2, "min_support {bad} must be a usage error\nstderr: {stderr}");
+        assert!(
+            stderr.contains("min_support expects a positive integer"),
+            "min_support {bad}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "min_support {bad} mined anyway: {stdout}");
+    }
 }
 
 #[test]

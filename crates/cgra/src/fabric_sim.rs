@@ -9,9 +9,13 @@
 //! rule instantiation → bit packing → decoding → execution.
 //!
 //! There is one simulation engine: decoded configurations run on the
-//! netlist's table-compiled simulator ([`Netlist::simulate_with`]), whose
-//! test-only spec lives in `apex-map`. The property suite requires the
-//! decoded run to equal a run on the rule templates themselves.
+//! netlist's table-compiled lane simulator ([`Netlist::simulate_with`]),
+//! which evaluates each instruction over all cycles at once and stops at
+//! the netlist's settle depth, filling the remaining drain cycles with
+//! the settled values. Its test-only specs (the cycle-major loop and the
+//! decode-per-access interpreter) live in `apex-map`. The property suite
+//! here requires the decoded run to equal a run on the rule templates
+//! themselves.
 
 use crate::bitstream::{unpack_config, Bitstream, TileConfig};
 use crate::place::Placement;

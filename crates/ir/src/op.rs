@@ -477,7 +477,8 @@ impl Op {
         }
     }
 
-    /// Evaluates the operation on input values.
+    /// Evaluates the operation on input values: the typed wrapper of
+    /// [`Op::eval_lane`], which holds the semantics.
     ///
     /// Registers and FIFOs act as wires here; cycle-accurate delay is the
     /// simulator's job.
@@ -496,52 +497,75 @@ impl Op {
         for (i, (v, ty)) in inputs.iter().zip(tys).enumerate() {
             assert_eq!(v.value_type(), *ty, "op {self:?} port {i} type mismatch");
         }
-        let w = |i: usize| inputs[i].word();
-        let b = |i: usize| inputs[i].bit();
-        let sw = |i: usize| inputs[i].word() as i16;
+        let lane = |i: usize| match inputs.get(i) {
+            Some(Value::Word(w)) => *w,
+            Some(Value::Bit(b)) => u16::from(*b),
+            None => 0,
+        };
+        let out = self.eval_lane(lane(0), lane(1), lane(2));
+        match self.output_type() {
+            Word => Value::Word(out),
+            Bit => Value::Bit(out != 0),
+        }
+    }
+
+    /// Evaluates the operation on raw lane values, the single definition
+    /// of every operation's semantics. Ports 0, 1 and 2 arrive as `a`,
+    /// `b` and `s`; ports the operation lacks are ignored. A word is its
+    /// `u16`; a bit is `0` or `1`, and a bit-typed result is always `0`
+    /// or `1`.
+    ///
+    /// Operand types are not checked: callers check them against
+    /// [`Op::input_types`] once, as [`Op::eval`] does on every call.
+    ///
+    /// # Panics
+    /// Panics on [`Op::Input`] and [`Op::BitInput`], which have no
+    /// evaluation.
+    #[inline]
+    pub fn eval_lane(self, a: u16, b: u16, s: u16) -> u16 {
+        let sa = a as i16;
+        let sb = b as i16;
         match self {
             Op::Input | Op::BitInput => {
                 panic!("primary inputs have no evaluation; bind them via the environment")
             }
-            Op::Const(c) => Value::Word(c),
-            Op::BitConst(c) => Value::Bit(c),
-            Op::Output | Op::Reg | Op::Fifo(_) => Value::Word(w(0)),
-            Op::BitOutput | Op::BitReg => Value::Bit(b(0)),
-            Op::Add => Value::Word(w(0).wrapping_add(w(1))),
-            Op::Sub => Value::Word(w(0).wrapping_sub(w(1))),
-            Op::Mul => Value::Word(w(0).wrapping_mul(w(1))),
-            Op::Abs => Value::Word(sw(0).wrapping_abs() as u16),
-            Op::Smin => Value::Word(sw(0).min(sw(1)) as u16),
-            Op::Smax => Value::Word(sw(0).max(sw(1)) as u16),
-            Op::Umin => Value::Word(w(0).min(w(1))),
-            Op::Umax => Value::Word(w(0).max(w(1))),
-            Op::Shl => Value::Word(w(0) << (w(1) & 15)),
-            Op::Lshr => Value::Word(w(0) >> (w(1) & 15)),
-            Op::Ashr => Value::Word((sw(0) >> (w(1) & 15)) as u16),
-            Op::And => Value::Word(w(0) & w(1)),
-            Op::Or => Value::Word(w(0) | w(1)),
-            Op::Xor => Value::Word(w(0) ^ w(1)),
-            Op::Not => Value::Word(!w(0)),
-            Op::Mux => Value::Word(if b(2) { w(1) } else { w(0) }),
-            Op::Eq => Value::Bit(w(0) == w(1)),
-            Op::Neq => Value::Bit(w(0) != w(1)),
-            Op::Slt => Value::Bit(sw(0) < sw(1)),
-            Op::Sle => Value::Bit(sw(0) <= sw(1)),
-            Op::Sgt => Value::Bit(sw(0) > sw(1)),
-            Op::Sge => Value::Bit(sw(0) >= sw(1)),
-            Op::Ult => Value::Bit(w(0) < w(1)),
-            Op::Ule => Value::Bit(w(0) <= w(1)),
-            Op::Ugt => Value::Bit(w(0) > w(1)),
-            Op::Uge => Value::Bit(w(0) >= w(1)),
-            Op::BitAnd => Value::Bit(b(0) & b(1)),
-            Op::BitOr => Value::Bit(b(0) | b(1)),
-            Op::BitXor => Value::Bit(b(0) ^ b(1)),
-            Op::BitNot => Value::Bit(!b(0)),
-            Op::BitMux => Value::Bit(if b(2) { b(1) } else { b(0) }),
-            Op::Lut(table) => {
-                let idx = (b(0) as u8) | ((b(1) as u8) << 1) | ((b(2) as u8) << 2);
-                Value::Bit((table >> idx) & 1 == 1)
+            Op::Const(c) => c,
+            Op::BitConst(c) => u16::from(c),
+            Op::Output | Op::Reg | Op::Fifo(_) | Op::BitOutput | Op::BitReg => a,
+            Op::Add => a.wrapping_add(b),
+            Op::Sub => a.wrapping_sub(b),
+            Op::Mul => a.wrapping_mul(b),
+            Op::Abs => sa.wrapping_abs() as u16,
+            Op::Smin => sa.min(sb) as u16,
+            Op::Smax => sa.max(sb) as u16,
+            Op::Umin => a.min(b),
+            Op::Umax => a.max(b),
+            Op::Shl => a << (b & 15),
+            Op::Lshr => a >> (b & 15),
+            Op::Ashr => (sa >> (b & 15)) as u16,
+            Op::And | Op::BitAnd => a & b,
+            Op::Or | Op::BitOr => a | b,
+            Op::Xor | Op::BitXor => a ^ b,
+            Op::Not => !a,
+            Op::BitNot => a ^ 1,
+            Op::Mux | Op::BitMux => {
+                if s != 0 {
+                    b
+                } else {
+                    a
+                }
             }
+            Op::Eq => u16::from(a == b),
+            Op::Neq => u16::from(a != b),
+            Op::Slt => u16::from(sa < sb),
+            Op::Sle => u16::from(sa <= sb),
+            Op::Sgt => u16::from(sa > sb),
+            Op::Sge => u16::from(sa >= sb),
+            Op::Ult => u16::from(a < b),
+            Op::Ule => u16::from(a <= b),
+            Op::Ugt => u16::from(a > b),
+            Op::Uge => u16::from(a >= b),
+            Op::Lut(table) => (u16::from(table) >> ((a & 1) | (b & 1) << 1 | (s & 1) << 2)) & 1,
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests on the IR: algebraic identities of the operation
 //! semantics, interpreter/simulator agreement, and graph invariants.
 
-use apex_ir::{evaluate, pipeline_latency, simulate, Graph, Op, Value};
+use apex_ir::{
+    evaluate, pipeline_latency, simulate, Graph, Op, OpKind, Value, ValueType, ALL_OP_KINDS,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -75,6 +77,123 @@ proptest! {
             .bit();
         let idx = (b0 as u8) | ((b1 as u8) << 1) | ((b2 as u8) << 2);
         prop_assert_eq!(out, (table >> idx) & 1 == 1);
+    }
+}
+
+// ---- typed evaluation vs raw lanes ------------------------------------------
+
+/// Every variant `Op::eval` can evaluate (primary inputs have none), with
+/// all 256 `Lut` tables.
+fn evaluable_ops() -> Vec<Op> {
+    let mut ops = vec![
+        Op::Output,
+        Op::BitOutput,
+        Op::Const(0),
+        Op::Const(0x8000),
+        Op::BitConst(false),
+        Op::BitConst(true),
+        Op::Reg,
+        Op::BitReg,
+        Op::Fifo(3),
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Abs,
+        Op::Smin,
+        Op::Smax,
+        Op::Umin,
+        Op::Umax,
+        Op::Shl,
+        Op::Lshr,
+        Op::Ashr,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Not,
+        Op::Mux,
+        Op::Eq,
+        Op::Neq,
+        Op::Slt,
+        Op::Sle,
+        Op::Sgt,
+        Op::Sge,
+        Op::Ult,
+        Op::Ule,
+        Op::Ugt,
+        Op::Uge,
+        Op::BitAnd,
+        Op::BitOr,
+        Op::BitXor,
+        Op::BitNot,
+        Op::BitMux,
+    ];
+    ops.extend((0..=255u8).map(Op::Lut));
+    ops
+}
+
+/// `Op::eval` on the typed operands `raw` decodes to (a bit port takes
+/// the low bit) equals `Op::eval_lane` on their lane encoding; ports the
+/// op lacks receive the raw word, which the lane function must ignore.
+fn typed_eval_matches_lanes(op: Op, raw: [u16; 3]) -> Result<(), String> {
+    let tys = op.input_types();
+    let inputs: Vec<Value> = tys
+        .iter()
+        .zip(raw)
+        .map(|(ty, r)| match ty {
+            ValueType::Word => Value::Word(r),
+            ValueType::Bit => Value::Bit(r & 1 == 1),
+        })
+        .collect();
+    let lane = |p: usize| match inputs.get(p) {
+        Some(Value::Word(w)) => *w,
+        Some(Value::Bit(b)) => u16::from(*b),
+        None => raw[p],
+    };
+    let want = match op.eval(&inputs) {
+        Value::Word(w) => w,
+        Value::Bit(b) => u16::from(b),
+    };
+    let got = op.eval_lane(lane(0), lane(1), lane(2));
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!(
+            "{op:?} on {raw:?}: eval gives lane {want}, eval_lane gives {got}"
+        ))
+    }
+}
+
+#[test]
+fn evaluable_ops_cover_every_kind() {
+    let mut kinds: Vec<OpKind> = evaluable_ops().iter().map(|op| op.kind()).collect();
+    kinds.extend([OpKind::Input, OpKind::BitInput]);
+    for kind in ALL_OP_KINDS {
+        assert!(kinds.contains(kind), "{kind} missing from evaluable_ops");
+    }
+}
+
+#[test]
+fn eval_matches_eval_lane_on_edge_operands() {
+    // signed extremes for Abs/Ashr/the signed compares, shift amounts
+    // at and past the 4-bit mask, and both parities for every bit port
+    const EDGES: [u16; 10] = [0, 1, 2, 15, 16, 17, 31, 0x7FFF, 0x8000, 0xFFFF];
+    for op in evaluable_ops() {
+        for a in EDGES {
+            for b in EDGES {
+                for s in EDGES {
+                    typed_eval_matches_lanes(op, [a, b, s]).unwrap();
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn eval_matches_eval_lane(pick: u16, a: u16, b: u16, s: u16) {
+        let ops = evaluable_ops();
+        let op = ops[pick as usize % ops.len()];
+        prop_assert_eq!(typed_eval_matches_lanes(op, [a, b, s]), Ok(()));
     }
 }
 

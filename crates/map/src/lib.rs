@@ -18,4 +18,3 @@ mod sim;
 
 pub use mapper::{map_application, MapError, MapStats, MappedDesign};
 pub use netlist::{NetKind, NetNode, NetRef, Netlist, NetlistError, PeInstance, SimStreams};
-pub use sim::CompiledSim;

@@ -404,10 +404,16 @@ impl Netlist {
     }
 
     /// Cycle-accurate simulation. Each input stream drives one
-    /// `WordInput`/`BitInput` node (in node-index order); PEs delay their
-    /// outputs by `pe_latency` cycles; registers and FIFOs delay by their
-    /// depth. Runs long enough to drain all state and returns the full
-    /// output streams.
+    /// `WordInput`/`BitInput` node (in node-index order), zero-padded past
+    /// its end; PEs delay their outputs by `pe_latency` cycles; registers
+    /// and FIFOs delay by their depth; every delay starts at zero.
+    ///
+    /// With `n` input cycles (the length of the first word stream, else
+    /// of the first bit stream), every output stream is `n + Σlatency`
+    /// cycles long, `Σlatency` being the sum of all node latencies, so
+    /// all state drains. Because the netlist is acyclic, each stream is
+    /// constant from cycle `n + settle` on, where `settle` is the longest
+    /// latency along any path.
     ///
     /// # Errors
     /// Fails on invalid netlists or mismatched stream counts.
@@ -427,12 +433,15 @@ impl Netlist {
     /// simulate from *decoded bitstream* configurations, proving the
     /// configuration encoding faithful.
     ///
-    /// Runs on the table-compiled engine ([`crate::sim::CompiledSim`]):
-    /// the netlist and every PE configuration are lowered once to a flat
-    /// instruction table, then cycles execute without per-cycle decode,
-    /// validation, or allocation. Output-stream and error behaviour are
-    /// pinned, with and without overrides, to the decode-per-access
-    /// interpreter kept as test-only spec code (`netlist/spec.rs`).
+    /// Output streams have the length and settle point stated on
+    /// [`Netlist::simulate`]. Runs on the table-compiled lane engine
+    /// (`sim.rs`): the netlist and every PE configuration are lowered once
+    /// to a flat instruction table, then each instruction evaluates all
+    /// cycles up to the settle point at once, and the streams are filled
+    /// out with their settled values. Output-stream and error behaviour
+    /// are pinned, with and without overrides, to the decode-per-access
+    /// interpreter (`netlist/spec.rs`) and to the cycle-major table loop
+    /// (`sim/spec.rs`), both kept as test-only spec code.
     ///
     /// # Errors
     /// Fails on invalid netlists or mismatched stream counts.

@@ -1,26 +1,28 @@
-//! Table-compiled cycle-accurate simulation.
+//! Table-compiled, time-vectorized fabric simulation.
 //!
-//! [`Netlist::simulate_with`] used to pay the full interpretation cost on
-//! every cycle of every node: a `BTreeMap` override lookup, a
-//! `DatapathConfig` clone (or `Rule::instantiate`), `validate_config`, a
-//! datapath topological sort, and a handful of scatter `Vec`s — per PE,
-//! per cycle. [`CompiledSim`] hoists all of that to a one-time compile:
-//! the netlist is flattened into a dense value array (one slot per node
-//! output port) plus a topologically ordered instruction table, and each
-//! PE's configuration is resolved/validated once and lowered to a list of
-//! datapath-op steps with pre-resolved operand sources. Running a cycle
-//! is then a linear sweep: copy delayed values through flat ring buffers,
-//! execute PE op steps against a scratch array, collect outputs.
+//! [`CompiledSim::compile`] lowers a netlist and its PE configurations
+//! once: the netlist is flattened into value slots (one per node output
+//! port) and a topologically ordered instruction table, and each PE's
+//! configuration is resolved, validated and type-checked once and lowered
+//! to datapath-op steps with pre-resolved operand sources.
 //!
-//! This is the only simulation engine in release builds. The
-//! interpretation path is kept verbatim as test-only spec code
-//! (`Netlist::simulate_with_reference` in `netlist/spec.rs`, compiled
-//! under `#[cfg(test)]`), and the property suite there replays this
-//! compiler against it (identical output streams, identical errors, over
-//! randomized netlists, stream lengths, and configuration overrides).
+//! [`CompiledSim::run`] then runs the table *instruction-major*: every
+//! slot holds a flat `u16` lane with one entry per cycle (bits as 0/1),
+//! and each instruction computes all cycles at once: an op step is one
+//! pass of [`Op::eval_lane`] over its operand lanes, and a latency-`d`
+//! output is its combinational lane shifted by `d` behind zeros. Because
+//! the netlist is a DAG, only the cycles up to its settle depth carry
+//! information; later cycles repeat the last one (see `run`).
+//!
+//! This is the only simulation engine in release builds. Two test-only
+//! specs pin it: the cycle-major loop it replaced
+//! (`CompiledSim::run_reference` in `sim/spec.rs`) and the
+//! decode-per-access interpreter (`Netlist::simulate_with_reference` in
+//! `netlist/spec.rs`). Their property suites require identical output
+//! streams and identical errors.
 
-use crate::netlist::{NetKind, NetlistError, Netlist};
-use apex_ir::{Op, Value};
+use crate::netlist::{NetKind, NetNode, Netlist, NetlistError};
+use apex_ir::{Op, ValueType};
 use apex_merge::{DatapathConfig, DpSource, MergedDatapath};
 use apex_rewrite::RuleSet;
 use std::collections::BTreeMap;
@@ -28,10 +30,10 @@ use std::collections::BTreeMap;
 /// A pre-resolved operand source for a compiled PE step.
 #[derive(Debug, Clone, Copy)]
 enum Src {
-    /// A netlist value slot (another node's output port this cycle).
+    /// A netlist value slot (another node's output port).
     Slot(u32),
     /// An intra-PE intermediate (datapath node index into the scratch
-    /// array; validation guarantees it is written before it is read).
+    /// lanes; validation guarantees it is written before it is read).
     Scratch(u32),
     /// An unmapped PE word port (reads zero, like the reference scatter).
     ZeroWord,
@@ -43,25 +45,21 @@ enum Src {
 #[derive(Debug, Clone)]
 struct Step {
     op: Op,
-    /// Destination scratch slot (the datapath node index).
+    /// Destination scratch lane (the datapath node index).
     dst: u32,
     ins: Vec<Src>,
 }
 
-/// What a compiled node computes each cycle.
+/// What a compiled node computes.
 #[derive(Debug, Clone)]
 enum InstrKind {
-    /// Reg / BitReg / Fifo: pass the producer slot through (the delay is
-    /// applied by the shared ring-buffer stage below).
+    /// Reg / BitReg / Fifo: pass the producer slot through, delayed.
     Delay {
         /// Producer value slot.
         src: u32,
     },
     /// A PE: run the op steps, then gather the configured outputs.
-    Pe {
-        steps: Vec<Step>,
-        outs: Vec<Src>,
-    },
+    Pe { steps: Vec<Step>, outs: Vec<Src> },
 }
 
 /// A compiled netlist node (delay elements and PEs only — inputs and
@@ -71,20 +69,15 @@ struct Instr {
     kind: InstrKind,
     /// First value slot of this node's outputs.
     out_base: u32,
-    /// Number of outputs.
-    width: u32,
     /// Cycle latency (0 = combinational pass-through).
     lat: u32,
-    /// First element of this node's region in the ring-buffer arena
-    /// (`lat * width` values).
-    ring_base: u32,
 }
 
-/// A netlist compiled for repeated cycle evaluation. Compile once per
+/// A netlist compiled for repeated simulation. Compile once per
 /// (netlist, configuration) pair, then [`CompiledSim::run`] any number of
 /// streams against it; `run` takes `&self` and allocates only the
-/// per-run state arrays.
-pub struct CompiledSim {
+/// per-run lanes.
+pub(crate) struct CompiledSim {
     instrs: Vec<Instr>,
     /// Value slot per `WordInput` node, in node-index order.
     word_in_slots: Vec<u32>,
@@ -95,14 +88,15 @@ pub struct CompiledSim {
     /// Producer value slot per `WordOutput`/`BitOutput` node.
     word_out_slots: Vec<u32>,
     bit_out_slots: Vec<u32>,
-    /// Zero-initialized value array (one slot per node output, typed).
-    init_values: Vec<Value>,
-    /// Zero-initialized ring arena (delay state starts drained-empty).
-    init_ring: Vec<Value>,
+    /// Type of each value slot (one per node output port).
+    slot_types: Vec<ValueType>,
     scratch_len: usize,
-    /// Sum of all node latencies: extra cycles run past the input streams
-    /// so every delayed value reaches the outputs.
+    /// Sum of all node latencies: the output streams run this many
+    /// cycles past the input streams, so every delayed value drains out.
     drain: u32,
+    /// Longest latency along any path: past `n_cycles + settle` cycles
+    /// every value is constant.
+    settle: u32,
     /// A configuration error found at compile time, surfaced on the first
     /// run that would actually evaluate a cycle — the reference
     /// interpreter only fails once cycle 0 reaches the offending PE, and
@@ -117,9 +111,10 @@ impl CompiledSim {
     /// # Errors
     /// Returns [`NetlistError::Cyclic`] on a cyclic netlist (matching the
     /// reference, which sorts before looking at streams). Configuration
-    /// errors are deferred to [`CompiledSim::run`] to match the
-    /// reference's evaluate-time reporting.
-    pub fn compile(
+    /// errors, operand type mismatches included, are deferred to
+    /// [`CompiledSim::run`] to match the reference's evaluate-time
+    /// reporting.
+    pub(crate) fn compile(
         netlist: &Netlist,
         dp: &MergedDatapath,
         rules: &RuleSet,
@@ -131,12 +126,10 @@ impl CompiledSim {
 
         // flat value layout: one slot per node output port
         let mut val_base = vec![0u32; n];
-        let mut init_values: Vec<Value> = Vec::new();
+        let mut slot_types: Vec<ValueType> = Vec::new();
         for i in 0..n as u32 {
-            val_base[i as usize] = init_values.len() as u32;
-            for t in netlist.output_types(i, rules) {
-                init_values.push(Value::zero(t));
-            }
+            val_base[i as usize] = slot_types.len() as u32;
+            slot_types.extend(netlist.output_types(i, rules));
         }
 
         let drain: u32 = (0..n as u32).map(|i| netlist.latency(i, pe_latency)).sum();
@@ -175,23 +168,24 @@ impl CompiledSim {
         let dp_order = dp.topo_order();
 
         let mut instrs: Vec<Instr> = Vec::new();
-        let mut init_ring: Vec<Value> = Vec::new();
+        // the longest latency path ending at each node; the largest is
+        // the netlist's settle depth
+        let mut depth = vec![0u32; n];
         let mut deferred: Option<NetlistError> = None;
         for &u in &order {
             let node = &netlist.nodes[u as usize];
             let lat = netlist.latency(u, pe_latency);
-            let out_tys = netlist.output_types(u, rules);
-            let width = out_tys.len() as u32;
-            let ring_base = init_ring.len() as u32;
-            if lat > 0 {
-                for _ in 0..lat {
-                    for t in &out_tys {
-                        init_ring.push(Value::zero(*t));
-                    }
-                }
-            }
+            depth[u as usize] = lat
+                + node
+                    .inputs
+                    .iter()
+                    .map(|r| depth[r.node as usize])
+                    .max()
+                    .unwrap_or(0);
             let kind = match &node.kind {
-                NetKind::WordInput | NetKind::BitInput | NetKind::WordOutput
+                NetKind::WordInput
+                | NetKind::BitInput
+                | NetKind::WordOutput
                 | NetKind::BitOutput => continue,
                 NetKind::Reg | NetKind::BitReg | NetKind::Fifo(_) => {
                     let r = &node.inputs[0];
@@ -201,31 +195,35 @@ impl CompiledSim {
                 }
                 NetKind::Pe(inst) => {
                     let rule = &rules.rules[inst.rule as usize];
-                    let cfg = config_overrides
-                        .get(&u)
-                        .cloned()
-                        .unwrap_or_else(|| rule.instantiate(&inst.payloads));
-                    let n_word = rule.config.word_input_map.len();
-                    match compile_pe(netlist, dp, &dp_order, u, node, &cfg, n_word, &val_base) {
-                        Ok((steps, outs)) => {
-                            if outs.len() as u32 != width {
-                                // the template promised `width` outputs
-                                // but the (decoded) override selects a
-                                // different count; the reference would
-                                // read out of range — fail cleanly
-                                if deferred.is_none() {
-                                    deferred = Some(NetlistError::BadConfig {
-                                        node: u,
-                                        message: "output arity mismatch with decoded configuration"
-                                            .to_owned(),
-                                    });
-                                }
-                            }
-                            InstrKind::Pe { steps, outs }
+                    let instantiated;
+                    let cfg = match config_overrides.get(&u) {
+                        Some(cfg) => cfg,
+                        None => {
+                            instantiated = rule.instantiate(&inst.payloads);
+                            &instantiated
                         }
-                        Err(e) => {
+                    };
+                    let n_word = rule.config.word_input_map.len();
+                    let width = netlist.output_types(u, rules).len();
+                    let compiled =
+                        compile_pe(dp, &dp_order, node, cfg, n_word, &val_base, &slot_types)
+                            .and_then(|(steps, outs)| {
+                                if outs.len() == width {
+                                    Ok((steps, outs))
+                                } else {
+                                    // the template promised `width` outputs
+                                    // but the (decoded) override selects a
+                                    // different count; the reference would
+                                    // read out of range — fail cleanly
+                                    Err("output arity mismatch with decoded configuration"
+                                        .to_owned())
+                                }
+                            });
+                    match compiled {
+                        Ok((steps, outs)) => InstrKind::Pe { steps, outs },
+                        Err(message) => {
                             if deferred.is_none() {
-                                deferred = Some(e);
+                                deferred = Some(NetlistError::BadConfig { node: u, message });
                             }
                             // keep a placeholder so slots stay aligned;
                             // run() errors before ever executing it
@@ -240,9 +238,7 @@ impl CompiledSim {
             instrs.push(Instr {
                 kind,
                 out_base: val_base[u as usize],
-                width,
                 lat,
-                ring_base,
             });
         }
 
@@ -254,22 +250,23 @@ impl CompiledSim {
             bit_in_nodes,
             word_out_slots,
             bit_out_slots,
-            init_values,
-            init_ring,
+            slot_types,
             scratch_len: dp.node_count(),
             drain,
+            settle: depth.into_iter().max().unwrap_or(0),
             deferred,
         })
     }
 
-    /// Runs the compiled table cycle-accurately over the input streams —
-    /// the flat-array equivalent of the spec's `simulate_with_reference`:
-    /// same stream binding (node-index order, zero-padded past stream
-    /// end), same drain length, same output ordering, same errors.
+    /// Runs the compiled table over the input streams, instruction-major
+    /// over per-slot cycle lanes. Stream binding (node-index order,
+    /// zero-padded past each stream's end), output length
+    /// (`n_cycles + drain`), output order and errors are those of the
+    /// spec's `simulate_with_reference`.
     ///
     /// # Errors
     /// Fails on missing input streams or (deferred) bad configurations.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         word_streams: &[Vec<u16>],
         bit_streams: &[Vec<bool>],
@@ -301,84 +298,90 @@ impl CompiledSim {
             }
         }
 
-        let mut values = self.init_values.clone();
-        let mut ring = self.init_ring.clone();
-        let mut heads = vec![0u32; self.instrs.len()];
-        let mut scratch = vec![Value::Word(0); self.scratch_len];
-        let mut comb: Vec<Value> = Vec::with_capacity(8);
-        let mut ops: Vec<Value> = Vec::with_capacity(4);
-        let mut word_out = vec![Vec::with_capacity(total); self.word_out_slots.len()];
-        let mut bit_out = vec![Vec::with_capacity(total); self.bit_out_slots.len()];
-
-        for cycle in 0..total {
-            // bind inputs (zero past the end of the streams / the drain)
-            for (k, &slot) in self.word_in_slots.iter().enumerate() {
-                let v = if cycle < n_cycles {
-                    word_streams[k].get(cycle).copied().unwrap_or(0)
-                } else {
-                    0
-                };
-                values[slot as usize] = Value::Word(v);
-            }
-            for (k, &slot) in self.bit_in_slots.iter().enumerate() {
-                let v = if cycle < n_cycles {
-                    bit_streams[k].get(cycle).copied().unwrap_or(false)
-                } else {
-                    false
-                };
-                values[slot as usize] = Value::Bit(v);
-            }
-            // one topological sweep over the instruction table
-            for (ii, instr) in self.instrs.iter().enumerate() {
-                comb.clear();
-                match &instr.kind {
-                    InstrKind::Delay { src } => comb.push(values[*src as usize]),
-                    InstrKind::Pe { steps, outs } => {
-                        for step in steps {
-                            ops.clear();
-                            for s in &step.ins {
-                                ops.push(resolve(*s, &values, &scratch));
-                            }
-                            scratch[step.dst as usize] = step.op.eval(&ops);
-                        }
-                        for s in outs {
-                            comb.push(resolve(*s, &values, &scratch));
-                        }
-                    }
-                }
-                let base = instr.out_base as usize;
-                if instr.lat == 0 {
-                    values[base..base + comb.len()].copy_from_slice(&comb);
-                } else {
-                    // ring buffer: emit the value stored `lat` cycles ago,
-                    // store this cycle's in its place
-                    let start = instr.ring_base as usize
-                        + heads[ii] as usize * instr.width as usize;
-                    for (k, v) in comb.iter().enumerate() {
-                        values[base + k] = ring[start + k];
-                        ring[start + k] = *v;
-                    }
-                    heads[ii] = (heads[ii] + 1) % instr.lat;
-                }
-            }
-            for (k, &slot) in self.word_out_slots.iter().enumerate() {
-                word_out[k].push(values[slot as usize].word());
-            }
-            for (k, &slot) in self.bit_out_slots.iter().enumerate() {
-                bit_out[k].push(values[slot as usize].bit());
+        // Only the first `live` cycles are computed. The netlist is a DAG
+        // (compile rejects cycles; delay is a node latency, never a
+        // feedback edge) and every op is pure, so a node's value at cycle
+        // `t` is a function of the input values at cycles `t - L` over
+        // the latency sums `L` of the paths into it, or of a delay's zero
+        // initial state where `t - L` would fall below 0. Every such `L`
+        // is at most `settle`, so from cycle `n_cycles + settle` on each
+        // of those reads lands in the inputs' zero padding and no initial
+        // state is read: every value is the same function of all-zero
+        // inputs, constant in `t`. The cycles from `live` to `total`
+        // therefore repeat cycle `live - 1`.
+        let live = total.min(n_cycles + self.settle as usize + 1);
+        let fed = n_cycles.min(live);
+        let at = |slot: u32| slot as usize * live;
+        let mut lanes = vec![0u16; self.slot_types.len() * live];
+        for (&slot, s) in self.word_in_slots.iter().zip(word_streams) {
+            let head = fed.min(s.len());
+            lanes[at(slot)..][..head].copy_from_slice(&s[..head]);
+        }
+        for (&slot, s) in self.bit_in_slots.iter().zip(bit_streams) {
+            for (v, &b) in lanes[at(slot)..][..fed].iter_mut().zip(s) {
+                *v = u16::from(b);
             }
         }
-        Ok((word_out, bit_out))
-    }
-}
 
-#[inline]
-fn resolve(s: Src, values: &[Value], scratch: &[Value]) -> Value {
-    match s {
-        Src::Slot(i) => values[i as usize],
-        Src::Scratch(j) => scratch[j as usize],
-        Src::ZeroWord => Value::Word(0),
-        Src::ZeroBit => Value::Bit(false),
+        let mut scratch = vec![0u16; self.scratch_len * live];
+        let zeros = vec![0u16; live];
+        let mut out = vec![0u16; live];
+        for instr in &self.instrs {
+            // a delay of `lat` cycles: the first `lat` entries keep the
+            // lane's zero initial state, the rest are the input shifted
+            let lat = (instr.lat as usize).min(live);
+            let base = at(instr.out_base);
+            match &instr.kind {
+                InstrKind::Delay { src } => {
+                    lanes.copy_within(at(*src)..at(*src) + live - lat, base + lat);
+                }
+                InstrKind::Pe { steps, outs } => {
+                    for step in steps {
+                        let lane = |p: usize| -> &[u16] {
+                            match step.ins.get(p) {
+                                Some(Src::Slot(i)) => &lanes[at(*i)..][..live],
+                                Some(Src::Scratch(j)) => &scratch[*j as usize * live..][..live],
+                                _ => &zeros,
+                            }
+                        };
+                        let (a, b, s) = (lane(0), lane(1), lane(2));
+                        for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(s) {
+                            *o = step.op.eval_lane(x, y, z);
+                        }
+                        scratch[step.dst as usize * live..][..live].copy_from_slice(&out);
+                    }
+                    for (k, src) in outs.iter().enumerate() {
+                        let to = base + k * live + lat;
+                        match src {
+                            Src::Slot(i) => lanes.copy_within(at(*i)..at(*i) + live - lat, to),
+                            Src::Scratch(j) => lanes[to..][..live - lat]
+                                .copy_from_slice(&scratch[*j as usize * live..][..live - lat]),
+                            Src::ZeroWord | Src::ZeroBit => {}
+                        }
+                    }
+                }
+            }
+        }
+
+        // each stream: its live lane, then the settled value to `total`
+        let stream = |slot: u32| {
+            let lane = &lanes[at(slot)..][..live];
+            let settled = lane.last().copied().unwrap_or(0);
+            lane.iter()
+                .copied()
+                .chain(std::iter::repeat_n(settled, total - live))
+        };
+        let word_out = self
+            .word_out_slots
+            .iter()
+            .map(|&s| stream(s).collect())
+            .collect();
+        let bit_out = self
+            .bit_out_slots
+            .iter()
+            .map(|&s| stream(s).map(|v| v != 0).collect())
+            .collect();
+        Ok((word_out, bit_out))
     }
 }
 
@@ -386,33 +389,29 @@ fn resolve(s: Src, values: &[Value], scratch: &[Value]) -> Value {
 /// `MergedDatapath::evaluate_as_source`: validate, scatter the netlist
 /// inputs onto datapath ports through the config's input maps (later map
 /// entries overwrite, unmapped ports read zero), evaluate active nodes in
-/// datapath topo order, gather `word_out_sel` then `bit_out_sel`.
-#[allow(clippy::too_many_arguments)]
+/// datapath topo order, gather `word_out_sel` then `bit_out_sel`. Each
+/// step's operands are checked against [`Op::input_types`] here, once,
+/// in place of `Op::eval`'s per-call assertions.
+///
+/// # Errors
+/// Returns the `BadConfig` message for this PE.
 fn compile_pe(
-    _netlist: &Netlist,
     dp: &MergedDatapath,
     dp_order: &Result<Vec<u32>, apex_merge::DatapathError>,
-    u: u32,
-    node: &crate::netlist::NetNode,
+    node: &NetNode,
     cfg: &DatapathConfig,
     n_word: usize,
     val_base: &[u32],
-) -> Result<(Vec<Step>, Vec<Src>), NetlistError> {
-    let bad = |e: &dyn std::fmt::Display| NetlistError::BadConfig {
-        node: u,
-        message: e.to_string(),
-    };
-    dp.validate_config(cfg).map_err(|e| bad(&e))?;
-    let order = match dp_order {
-        Ok(o) => o,
-        Err(e) => return Err(bad(e)),
-    };
+    slot_types: &[ValueType],
+) -> Result<(Vec<Step>, Vec<Src>), String> {
+    dp.validate_config(cfg).map_err(|e| e.to_string())?;
+    let order = dp_order.as_ref().map_err(|e| e.to_string())?;
     if cfg.word_input_map.len() != n_word
         || cfg.bit_input_map.len() != node.inputs.len().saturating_sub(n_word)
     {
         // the reference asserts these lengths; reachable only from
         // hand-corrupted configurations, so fail cleanly instead
-        return Err(bad(&"input map length mismatch"));
+        return Err("input map length mismatch".to_owned());
     }
     // scatter: which netlist slot feeds each datapath port
     let mut port_word = vec![Src::ZeroWord; dp.word_inputs];
@@ -429,12 +428,19 @@ fn compile_pe(
     }
     let src_of = |s: DpSource| -> Src {
         match s {
-            DpSource::WordInput(k) => port_word
-                .get(k as usize)
-                .copied()
-                .unwrap_or(Src::ZeroWord),
+            DpSource::WordInput(k) => port_word.get(k as usize).copied().unwrap_or(Src::ZeroWord),
             DpSource::BitInput(k) => port_bit.get(k as usize).copied().unwrap_or(Src::ZeroBit),
             DpSource::Node(j) => Src::Scratch(j),
+        }
+    };
+    let type_of = |s: Src| -> Option<ValueType> {
+        match s {
+            Src::Slot(i) => slot_types.get(i as usize).copied(),
+            Src::Scratch(j) => cfg.node_cfg[j as usize]
+                .as_ref()
+                .map(|nc| nc.op.output_type()),
+            Src::ZeroWord => Some(ValueType::Word),
+            Src::ZeroBit => Some(ValueType::Bit),
         }
     };
     let mut steps = Vec::new();
@@ -443,12 +449,19 @@ fn compile_pe(
             continue;
         };
         let dpn = &dp.nodes[j as usize];
-        let ins = nc
+        let ins: Vec<Src> = nc
             .port_sel
             .iter()
             .enumerate()
             .map(|(p, &sel)| src_of(dpn.port_candidates[p][sel as usize]))
             .collect();
+        let tys = nc.op.input_types();
+        if ins.len() != tys.len() || ins.iter().zip(tys).any(|(&s, &ty)| type_of(s) != Some(ty)) {
+            return Err(format!(
+                "datapath node {j}: operand types do not match {}",
+                nc.op
+            ));
+        }
         steps.push(Step {
             op: nc.op,
             dst: j,
@@ -463,3 +476,6 @@ fn compile_pe(
         .collect();
     Ok((steps, outs))
 }
+
+#[cfg(test)]
+mod spec;

@@ -233,63 +233,119 @@ pub fn select_subgraphs(
     selection: &SubgraphSelection,
 ) -> Result<(Vec<MinedSubgraph>, Provenance), MineError> {
     let mined = mine(&app.graph, miner)?;
-    let ranked = rank_subgraphs(app, mined.subgraphs, selection);
+    let ranked = rank_subgraphs(app, mined.subgraphs, selection, selection.per_app);
     Ok((
-        ranked
-            .into_iter()
-            .take(selection.per_app)
-            .map(|(m, _)| m)
-            .collect(),
+        ranked.into_iter().map(|(m, _)| m).collect(),
         mined.provenance,
     ))
 }
 
-/// The ranking of [`select_subgraphs`], untruncated: every kept subgraph
-/// with its materialized datapath, best first.
+/// Non-constant operations a mined subgraph fuses into one PE. At least
+/// one for every mined pattern: each pattern has an edge, and the
+/// consumer end of an edge is never a constant.
+fn fused_ops(m: &MinedSubgraph) -> usize {
+    m.pattern
+        .labels()
+        .iter()
+        .filter(|l| !matches!(l, OpKind::Const | OpKind::BitConst))
+        .count()
+}
+
+/// A candidate's ranking score, given its utilizable MIS `umis`.
+/// Nondecreasing in `umis`, so a bound on `umis` bounds the score.
+fn score(rank: SelectionRank, m: &MinedSubgraph, fused: usize, umis: usize) -> usize {
+    match rank {
+        SelectionRank::SavingsPotential => umis * (fused - 1),
+        SelectionRank::MisSize => m.mis_size,
+    }
+}
+
+/// An admissible upper bound on a subgraph's utilizable MIS, from mining
+/// statistics alone: the MIS picks pairwise disjoint occurrences out of
+/// the utilizable subset of `occurrences`, and each one covers `fused`
+/// distinct non-constant compute nodes of the application's
+/// `compute_ops`. `mis_size` is no such bound: greedy MIS over a subset
+/// of the occurrences can exceed greedy MIS over all of them.
+fn utilizable_mis_bound(m: &MinedSubgraph, fused: usize, compute_ops: usize) -> usize {
+    m.occurrences.len().min(compute_ops / fused.max(1))
+}
+
+/// Rank order of two candidates by `(score, canonical code)`: higher
+/// score first, then the smaller code. `Less` means `a` ranks first.
+fn rank_order(a: (usize, &str), b: (usize, &str)) -> std::cmp::Ordering {
+    b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1))
+}
+
+/// The ranking of [`select_subgraphs`], cut at the first `k`: the best
+/// kept subgraphs with their materialized datapaths, best first.
+///
+/// Exact scores are the costly part: the data-input filter needs a
+/// materialized datapath and the score a utilizable MIS. So candidates
+/// are visited in order of an admissible upper bound on their score (the
+/// score at [`utilizable_mis_bound`]; ties on the canonical code) and
+/// scored only when the scan reaches them, and the scan stops once the
+/// k-th exact `(score, code)` ranks before the next bound. Canonical
+/// codes of mined patterns are distinct, so every unvisited candidate
+/// ranks after the k-th, and the result is exactly the first `k` of the
+/// full sort by exact score. A candidate whose utilizable-MIS bound is
+/// below `min_mis` is dropped without being materialized.
 fn rank_subgraphs(
     app: &Application,
     subgraphs: Vec<MinedSubgraph>,
     selection: &SubgraphSelection,
+    k: usize,
 ) -> Vec<(MinedSubgraph, Graph)> {
-    let mut scored: Vec<(usize, MinedSubgraph, Graph)> = subgraphs
+    if k == 0 {
+        return Vec::new();
+    }
+    let compute_ops = app.graph.compute_op_count();
+    let mut pending: Vec<(usize, usize, MinedSubgraph)> = subgraphs
         .into_iter()
         .filter_map(|m| {
-            let fused = m
-                .pattern
-                .labels()
-                .iter()
-                .filter(|l| !matches!(l, OpKind::Const | OpKind::BitConst))
-                .count();
+            let fused = fused_ops(&m);
             if fused < selection.min_fused_ops {
                 return None;
             }
-            let materialized = materialize_with_consts(&app.graph, &m);
-            let data_inputs = materialized
-                .node_ids()
-                .filter(|&i| materialized.op(i) == Op::Input)
-                .count();
-            if data_inputs > selection.max_data_inputs {
-                return None;
-            }
-            let umis = m.utilizable_mis(&app.graph);
-            if umis < selection.min_mis {
-                return None;
-            }
-            let score = match selection.rank {
-                SelectionRank::SavingsPotential => umis * (fused - 1),
-                SelectionRank::MisSize => m.mis_size,
-            };
-            Some((score, m, materialized))
+            let umis_bound = utilizable_mis_bound(&m, fused, compute_ops);
+            let bound = score(selection.rank, &m, fused, umis_bound);
+            (umis_bound >= selection.min_mis).then_some((bound, fused, m))
         })
         .collect();
-    scored.sort_by(|a, b| {
-        b.0.cmp(&a.0).then_with(|| {
-            a.1.pattern
-                .canonical_code_ref()
-                .cmp(b.1.pattern.canonical_code_ref())
-        })
+    pending.sort_by(|a, b| {
+        rank_order(
+            (a.0, a.2.pattern.canonical_code_ref()),
+            (b.0, b.2.pattern.canonical_code_ref()),
+        )
     });
-    scored.into_iter().map(|(_, m, g)| (m, g)).collect()
+    let fanouts = app.graph.fanouts();
+    let mut top: Vec<(usize, MinedSubgraph, Graph)> = Vec::with_capacity(k + 1);
+    for (bound, fused, m) in pending {
+        let code = m.pattern.canonical_code_ref();
+        if let Some((kth, worst, _)) = top.get(k - 1) {
+            if rank_order((*kth, worst.pattern.canonical_code_ref()), (bound, code)).is_lt() {
+                break;
+            }
+        }
+        let materialized = materialize_with_consts(&app.graph, &m);
+        let data_inputs = materialized
+            .node_ids()
+            .filter(|&i| materialized.op(i) == Op::Input)
+            .count();
+        if data_inputs > selection.max_data_inputs {
+            continue;
+        }
+        let umis = m.utilizable_mis(&app.graph, &fanouts);
+        if umis < selection.min_mis {
+            continue;
+        }
+        let exact = score(selection.rank, &m, fused, umis);
+        let at = top.partition_point(|(s, t, _)| {
+            rank_order((*s, t.pattern.canonical_code_ref()), (exact, code)).is_lt()
+        });
+        top.insert(at, (exact, m, materialized));
+        top.truncate(k);
+    }
+    top.into_iter().map(|(_, m, g)| (m, g)).collect()
 }
 
 /// A ranked subgraph reduced to what a variant build merges; the mined
@@ -336,9 +392,8 @@ fn rank_apps(
         } else {
             Vec::new()
         };
-        let candidates: Vec<Candidate> = rank_subgraphs(app, mined.subgraphs, selection)
+        let candidates: Vec<Candidate> = rank_subgraphs(app, mined.subgraphs, selection, keep)
             .into_iter()
-            .take(keep)
             .map(|(m, graph)| {
                 let (pattern, _) = Pattern::from_occurrence(&graph, &graph.compute_nodes());
                 Candidate {
@@ -701,9 +756,127 @@ pub fn ops_used(graph: &Graph) -> BTreeSet<Op> {
 }
 
 #[cfg(test)]
+mod spec;
+
+#[cfg(test)]
 mod tests {
+    use super::spec::rank_subgraphs_reference;
     use super::*;
     use apex_apps::{camera_pipeline, gaussian, ip_apps};
+
+    /// An eight-add accumulation chain. Its chain patterns overlap so
+    /// densely that the compute-node term of [`utilizable_mis_bound`] is
+    /// the binding one, and tight: `add → add` has 7 occurrences, and its
+    /// utilizable MIS is ⌊8 / 2⌋ = 4.
+    fn add_chain() -> Application {
+        let mut g = Graph::new("add_chain");
+        let mut acc = g.input();
+        for _ in 0..8 {
+            let x = g.input();
+            acc = g.add(Op::Add, &[acc, x]);
+        }
+        g.output(acc);
+        let info = apex_apps::AppInfo {
+            name: "add_chain".to_owned(),
+            domain: apex_apps::Domain::ImageProcessing,
+            description: "accumulation chain".to_owned(),
+            mem_tiles: 0,
+            io_tiles: 1,
+            unroll: 1,
+            output_pixels: 1,
+        };
+        Application::new(info, g)
+    }
+
+    /// The nine suite applications and [`add_chain`], each with its
+    /// mined subgraphs.
+    fn mined_suite() -> Vec<(Application, Vec<MinedSubgraph>)> {
+        apex_apps::analyzed_apps()
+            .into_iter()
+            .chain(apex_apps::unseen_apps())
+            .chain([add_chain()])
+            .map(|app| {
+                let mined = mine(&app.graph, &MinerConfig::default()).unwrap().subgraphs;
+                (app, mined)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_k_ranking_is_the_full_sort_prefix() {
+        let variants = [
+            SubgraphSelection::default(),
+            SubgraphSelection {
+                min_mis: 1,
+                ..SubgraphSelection::default()
+            },
+            SubgraphSelection {
+                max_data_inputs: 2,
+                ..SubgraphSelection::default()
+            },
+            SubgraphSelection {
+                max_data_inputs: 8,
+                ..SubgraphSelection::default()
+            },
+            SubgraphSelection {
+                min_fused_ops: 3,
+                ..SubgraphSelection::default()
+            },
+        ];
+        let summary = |ranked: &[(MinedSubgraph, Graph)]| {
+            ranked
+                .iter()
+                .map(|(m, g)| (m.pattern.canonical_code(), m.mis_size, apex_ir::to_text(g)))
+                .collect::<Vec<_>>()
+        };
+        for (app, mined) in mined_suite() {
+            for rank in [SelectionRank::SavingsPotential, SelectionRank::MisSize] {
+                for variant in &variants {
+                    let selection = SubgraphSelection {
+                        rank,
+                        ..variant.clone()
+                    };
+                    // clones start with empty utilizable-statistics caches
+                    let full = summary(&rank_subgraphs_reference(&app, mined.clone(), &selection));
+                    for k in 0..=6 {
+                        let top = summary(&rank_subgraphs(&app, mined.clone(), &selection, k));
+                        assert_eq!(
+                            top,
+                            full[..k.min(full.len())],
+                            "{} {selection:?} k={k}",
+                            app.info.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_bounds_are_admissible() {
+        let (mut tight, mut binding) = (0, 0);
+        for (app, mined) in mined_suite() {
+            let fanouts = app.graph.fanouts();
+            let compute_ops = app.graph.compute_op_count();
+            for m in &mined {
+                let fused = fused_ops(m);
+                let umis = m.utilizable_mis(&app.graph, &fanouts);
+                let umis_bound = utilizable_mis_bound(m, fused, compute_ops);
+                assert!(umis <= umis_bound, "{}: {}", app.info.name, m.pattern);
+                tight += usize::from(umis == umis_bound);
+                binding += usize::from(umis_bound < m.occurrences.len());
+                for rank in [SelectionRank::SavingsPotential, SelectionRank::MisSize] {
+                    assert!(
+                        score(rank, m, fused, umis) <= score(rank, m, fused, umis_bound),
+                        "{}: {} {rank:?}",
+                        app.info.name,
+                        m.pattern
+                    );
+                }
+            }
+        }
+        assert!(tight > 0 && binding > 0, "{tight} tight, {binding} binding");
+    }
 
     #[test]
     fn required_kinds_complete_comparator_class() {

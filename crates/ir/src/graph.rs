@@ -387,13 +387,17 @@ impl Graph {
         let mut out = Graph::new(name);
         let mut map: BTreeMap<NodeId, NodeId> = BTreeMap::new();
         let mut external: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        let mut sorted: Vec<NodeId> = keep_set.iter().copied().collect();
-        sorted.sort(); // ids are topologically ordered
+        // kept nodes with a kept consumer; the kept nodes' own inputs name
+        // every such edge, so no whole-graph fanout table is needed
+        let mut consumed: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
+        // ids are topologically ordered
+        let sorted: Vec<NodeId> = keep_set.iter().copied().collect();
         for &id in &sorted {
             let node = self.node(id);
             let mut new_inputs = Vec::with_capacity(node.inputs.len());
             for (&src, &ty) in node.inputs.iter().zip(node.op.input_types()) {
                 let new_src = if let Some(&m) = map.get(&src) {
+                    consumed.insert(src);
                     m
                 } else if let Some(&m) = external.get(&src) {
                     m
@@ -411,13 +415,11 @@ impl Graph {
             map.insert(id, new_id);
         }
         // Wire sinks: kept nodes with no kept consumer become outputs.
-        let fan = self.fanouts();
         for &id in &sorted {
             if matches!(self.op(id), Op::Output | Op::BitOutput) {
                 continue;
             }
-            let has_internal_consumer = fan[id.index()].iter().any(|c| keep_set.contains(c));
-            if !has_internal_consumer {
+            if !consumed.contains(&id) {
                 let new_id = map[&id];
                 match self.op(id).output_type() {
                     ValueType::Word => out.output(new_id),
@@ -453,6 +455,9 @@ impl Graph {
         s
     }
 }
+
+#[cfg(test)]
+mod spec;
 
 #[cfg(test)]
 mod tests {
@@ -554,6 +559,27 @@ mod tests {
         let add_new = map[&add];
         assert!(sub.node(add_new).inputs().contains(&map[&mul]));
         assert_eq!(sub.primary_inputs().len(), 3);
+    }
+
+    #[test]
+    fn extract_subgraph_matches_the_fanout_reference() {
+        use super::spec::{extract_subgraph_reference, random_graph, XorShift};
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..300 {
+            let g = random_graph(&mut rng);
+            // random keep-sets over every node kind, with repeats and in
+            // arbitrary order
+            let mut keep: Vec<NodeId> = (0..rng.below(g.len() + 1))
+                .map(|_| NodeId(rng.below(g.len()) as u32))
+                .collect();
+            if rng.below(2) == 0 {
+                keep.reverse();
+            }
+            let (got, got_map) = g.extract_subgraph(&keep, "sub");
+            let (want, want_map) = extract_subgraph_reference(&g, &keep, "sub");
+            assert_eq!(crate::to_text(&got), crate::to_text(&want), "keep {keep:?}");
+            assert_eq!(got_map, want_map);
+        }
     }
 
     #[test]

@@ -57,6 +57,15 @@ impl Default for MinerConfig {
 }
 
 /// A frequent subgraph with its occurrence statistics.
+///
+/// Two MIS figures describe it. [`MinedSubgraph::mis_size`] is the greedy
+/// MIS over every occurrence, fixed at mining time. The utilizable MIS
+/// ([`MinedSubgraph::utilizable_mis`]) is the greedy MIS over the
+/// occurrences that can each become one fully-utilized PE; it is computed
+/// lazily, since subgraph selection needs it only for the candidates its
+/// bound-ordered scan reaches. Greedy MIS is not monotone under taking a
+/// subset, so `mis_size` is no upper bound on the utilizable MIS; the
+/// occurrence count is.
 #[derive(Debug, Clone)]
 pub struct MinedSubgraph {
     /// The pattern itself.
@@ -99,24 +108,24 @@ impl MinedSubgraph {
     /// selection with instance-level dependency cycles.
     ///
     /// The result (and the MIS over it) is computed once on the first
-    /// call and cached; `graph` must be the graph the subgraph was mined
+    /// call and cached. `graph` must be the graph the subgraph was mined
     /// from — it is the only graph the stored occurrences are meaningful
-    /// against.
-    pub fn utilizable_occurrences(&self, graph: &Graph) -> &[Vec<NodeId>] {
-        &self.util_stats(graph).0
+    /// against — and `fanouts` its [`Graph::fanouts`] table, which the
+    /// caller builds once per graph and shares across every subgraph.
+    pub fn utilizable_occurrences(&self, graph: &Graph, fanouts: &[Vec<NodeId>]) -> &[Vec<NodeId>] {
+        &self.util_stats(graph, fanouts).0
     }
 
     /// MIS size over the utilizable occurrences only — how many
     /// fully-utilized PEs implementing this subgraph the application can
     /// actually instantiate. Cached alongside
-    /// [`MinedSubgraph::utilizable_occurrences`].
-    pub fn utilizable_mis(&self, graph: &Graph) -> usize {
-        self.util_stats(graph).1
+    /// [`MinedSubgraph::utilizable_occurrences`], with the same arguments.
+    pub fn utilizable_mis(&self, graph: &Graph, fanouts: &[Vec<NodeId>]) -> usize {
+        self.util_stats(graph, fanouts).1
     }
 
-    fn util_stats(&self, graph: &Graph) -> &(Vec<Vec<NodeId>>, usize) {
+    fn util_stats(&self, graph: &Graph, fan: &[Vec<NodeId>]) -> &(Vec<Vec<NodeId>>, usize) {
         self.util.get_or_init(|| {
-            let fan = graph.fanouts();
             let occ: Vec<Vec<NodeId>> = self
                 .occurrences
                 .iter()
@@ -141,7 +150,7 @@ impl MinedSubgraph {
                             fan[n.index()].len() == internal
                         }
                     });
-                    visible && exits == 1 && convex(&fan, &set)
+                    visible && exits == 1 && convex(fan, &set)
                 })
                 .cloned()
                 .collect();
@@ -312,7 +321,11 @@ pub fn rank(results: &mut [MinedSubgraph]) {
         b.mis_size
             .cmp(&a.mis_size)
             .then(b.pattern.len().cmp(&a.pattern.len()))
-            .then_with(|| a.pattern.canonical_code().cmp(&b.pattern.canonical_code()))
+            .then_with(|| {
+                a.pattern
+                    .canonical_code_ref()
+                    .cmp(b.pattern.canonical_code_ref())
+            })
     });
 }
 
@@ -663,11 +676,15 @@ mod tests {
         .unwrap()
         .subgraphs;
         let m = &mined[0];
-        let first = m.utilizable_occurrences(&g);
-        let again = m.utilizable_occurrences(&g);
+        let fan = g.fanouts();
+        let first = m.utilizable_occurrences(&g, &fan);
+        let again = m.utilizable_occurrences(&g, &fan);
         // the second call must return the cached slice, not a recomputation
         assert!(std::ptr::eq(first, again));
-        assert_eq!(m.utilizable_mis(&g), maximal_independent_set(first).len());
+        assert_eq!(
+            m.utilizable_mis(&g, &fan),
+            maximal_independent_set(first).len()
+        );
     }
 
     #[test]

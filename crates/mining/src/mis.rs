@@ -29,21 +29,57 @@ fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
 ///
 /// Built from a node → occurrence inverted index rather than all-pairs
 /// node-set intersection: every application node lists the occurrences
-/// containing it, and exactly the pairs co-listed somewhere become edges.
-/// Cost is proportional to the overlap actually present instead of
-/// O(n²) pairwise scans, which dominated MIS analysis for patterns with
-/// thousands of occurrences.
+/// containing it, and occurrence `i`'s neighbours are the owners of its
+/// nodes. A stamp array (`stamp[j] == i` once `j` joined `adj[i]`) keeps
+/// each list duplicate-free as it is built, so a pair sharing several
+/// nodes is pushed once. Cost is Σ over occurrences of the owner lists
+/// of its nodes, plus sorting the final lists — proportional to the
+/// overlap actually present instead of O(n²) pairwise scans.
 ///
 /// The inverted index and the adjacency lists are charged against `meter`
-/// as they grow; `None` the moment a charge is rejected (nothing partial
-/// escapes — a missing edge would let overlapping occurrences masquerade
-/// as independent).
+/// before they are built; `None` the moment a charge is rejected (nothing
+/// partial escapes — a missing edge would let overlapping occurrences
+/// masquerade as independent). The adjacency is charged
+/// `C(|owners|, 2)` edge slots per index entry, in one sum: the meter
+/// rejects that sum exactly when it would reject some prefix of the
+/// slots charged one by one, so truncation under a byte cap does not
+/// depend on how the charge is split.
 pub fn overlap_graph(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<Vec<Vec<usize>>> {
     let n = occurrences.len();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     if n == 0 {
         return Some(adj);
     }
+    let owners = owner_index(occurrences, meter)?;
+    let edge_bytes = (2 * std::mem::size_of::<usize>()) as u64;
+    let pairs: u64 = owners
+        .iter()
+        .map(|l| (l.len() as u64) * (l.len() as u64).saturating_sub(1) / 2)
+        .sum();
+    if !meter.charge(pairs.saturating_mul(edge_bytes)) {
+        return None;
+    }
+    let mut stamp = vec![u32::MAX; n];
+    for (i, occ) in occurrences.iter().enumerate() {
+        let list = &mut adj[i];
+        stamp[i] = i as u32; // no self-edge
+        for &node in occ {
+            for &j in &owners[node.index()] {
+                if stamp[j as usize] != i as u32 {
+                    stamp[j as usize] = i as u32;
+                    list.push(j as usize);
+                }
+            }
+        }
+        list.sort_unstable();
+    }
+    Some(adj)
+}
+
+/// The node → occurrence inverted index over `occurrences` (non-empty),
+/// each owner list ascending and duplicate-free; charged against `meter`
+/// as it grows, `None` when a charge is rejected.
+fn owner_index(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<Vec<Vec<u32>>> {
     let max_node = occurrences
         .iter()
         .flatten()
@@ -68,23 +104,7 @@ pub fn overlap_graph(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<V
             }
         }
     }
-    let edge_bytes = (2 * std::mem::size_of::<usize>()) as u64;
-    for list in &owners {
-        for (k, &a) in list.iter().enumerate() {
-            for &b in &list[k + 1..] {
-                if !meter.charge(edge_bytes) {
-                    return None;
-                }
-                adj[a as usize].push(b as usize);
-                adj[b as usize].push(a as usize);
-            }
-        }
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    Some(adj)
+    Some(owners)
 }
 
 /// Greedy maximal independent set: repeatedly selects the remaining node
@@ -159,7 +179,11 @@ pub fn mis_size(occurrences: &[Vec<NodeId>]) -> usize {
 }
 
 #[cfg(test)]
+mod spec;
+
+#[cfg(test)]
 mod tests {
+    use super::spec::{maximal_independent_set_metered_reference, overlap_graph_reference};
     use super::*;
     use apex_fault::Provenance;
 
@@ -228,6 +252,23 @@ mod tests {
     }
 
     #[test]
+    fn greedy_mis_can_grow_on_a_subset() {
+        // why a subgraph's `mis_size` bounds no MIS over a subset of its
+        // occurrences (such as the utilizable ones): without occurrence 0
+        // the min-degree greedy finds three disjoint occurrences, not two
+        let occ = vec![
+            ids(&[2, 7]),
+            ids(&[2, 4]),
+            ids(&[0, 5]),
+            ids(&[0, 7]),
+            ids(&[2, 6]),
+            ids(&[4, 5]),
+        ];
+        assert_eq!(mis_size(&occ), 2);
+        assert_eq!(mis_size(&occ[1..]), 3);
+    }
+
+    #[test]
     fn empty_input_gives_empty_set() {
         assert_eq!(mis_size(&[]), 0);
     }
@@ -267,6 +308,70 @@ mod tests {
             }
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn overlap_graph_matches_the_per_pair_reference_under_byte_caps() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut built, mut rejected, mut prefixes) = (0, 0, 0);
+        for _ in 0..400 {
+            // dense overlap on few nodes, repeated nodes left in place
+            let nodes = 2 + rand(40);
+            let occ: Vec<Vec<NodeId>> = (0..rand(40))
+                .map(|_| {
+                    let mut v: Vec<NodeId> = (0..1 + rand(6))
+                        .map(|_| NodeId(rand(nodes) as u32))
+                        .collect();
+                    if rand(2) == 0 {
+                        v.sort();
+                    }
+                    v
+                })
+                .collect();
+            let full = overlap_graph_reference(&occ, &mut Budget::unlimited().start())
+                .map_or(0, |adj| adj.iter().map(Vec::len).sum::<usize>() as u64);
+            let cap = rand(64 * (full + 32));
+            let budget = Budget::unlimited().with_max_bytes(cap);
+            // some scratch is already charged when the analysis starts
+            let preload = rand(64);
+            let (mut got_m, mut want_m) = (budget.start(), budget.start());
+            got_m.charge(preload);
+            want_m.charge(preload);
+            let got = overlap_graph(&occ, &mut got_m);
+            let want = overlap_graph_reference(&occ, &mut want_m);
+            assert_eq!(got, want, "cap {cap}: {occ:?}");
+            // a rejected build leaves its accepted prefix charged until
+            // the caller releases it; a completed one charges the same sum
+            if got.is_some() {
+                assert_eq!(got_m.used(), want_m.used());
+                built += 1;
+            } else {
+                rejected += 1;
+            }
+            assert_eq!(got_m.provenance(), want_m.provenance());
+
+            let (mut got_m, mut want_m) = (budget.start(), budget.start());
+            got_m.charge(preload);
+            want_m.charge(preload);
+            let got = maximal_independent_set_metered(&occ, &mut got_m);
+            let want = maximal_independent_set_metered_reference(&occ, &mut want_m);
+            assert_eq!(got, want, "cap {cap}: {occ:?}");
+            assert_eq!(got_m.used(), want_m.used(), "scratch released alike");
+            assert_eq!(got_m.provenance(), want_m.provenance());
+            if got.1 > 0 && got.1 < occ.len() {
+                prefixes += 1;
+            }
+        }
+        assert!(
+            built > 0 && rejected > 0 && prefixes > 0,
+            "{built} {rejected} {prefixes}"
+        );
     }
 
     #[test]

@@ -127,10 +127,11 @@ proptest! {
         })
         .unwrap()
         .subgraphs;
+        let fan = g.fanouts();
         for m in mined.iter().take(10) {
-            let u = m.utilizable_occurrences(&g);
+            let u = m.utilizable_occurrences(&g, &fan);
             prop_assert!(u.len() <= m.occurrences.len());
-            prop_assert!(m.utilizable_mis(&g) <= m.mis_size);
+            prop_assert!(m.utilizable_mis(&g, &fan) <= m.mis_size);
             for o in u {
                 prop_assert!(m.occurrences.contains(o));
             }

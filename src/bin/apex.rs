@@ -287,13 +287,14 @@ fn mine(args: &[String]) -> Result<(), ApexError> {
         println!("note: mining stopped early ({})", mined.provenance.marker());
     }
     println!("{:>4} {:>5} {:>5} {:>6}  pattern", "#", "occ", "MIS", "uMIS");
+    let fanouts = app.graph.fanouts();
     for (i, m) in mined.subgraphs.iter().take(25).enumerate() {
         println!(
             "{:>4} {:>5} {:>5} {:>6}  {}",
             i + 1,
             m.occurrences.len(),
             m.mis_size,
-            m.utilizable_mis(&app.graph),
+            m.utilizable_mis(&app.graph, &fanouts),
             m.pattern
         );
     }

@@ -131,7 +131,10 @@ proptest! {
         for m in mined.iter().take(10) {
             let u = m.utilizable_occurrences(&g, &fan);
             prop_assert!(u.len() <= m.occurrences.len());
-            prop_assert!(m.utilizable_mis(&g, &fan) <= m.mis_size);
+            // greedy MIS can grow on a subset of the occurrences
+            // (`mis.rs` `greedy_mis_can_grow_on_a_subset`), so `mis_size`
+            // bounds nothing here; the utilizable occurrences do
+            prop_assert!(m.utilizable_mis(&g, &fan) <= u.len());
             for o in u {
                 prop_assert!(m.occurrences.contains(o));
             }

@@ -8,8 +8,9 @@
 //! The SMT query `∃x ∀y: P(x, y) = Op(y)` is answered constructively —
 //! configurations are built by structural search over the PE's finite
 //! configuration space — and every rule is then validated against the IR
-//! golden model over corner + random input vectors ([`verify_rule`]),
-//! our bounded-equivalence substitute for Boolector (DESIGN.md §3).
+//! golden model over a fixed battery of corner and random input vectors
+//! ([`verify_rule`]), our bounded-equivalence substitute for Boolector
+//! (DESIGN.md §3); it proves nothing beyond that battery.
 //!
 //! # Examples
 //!

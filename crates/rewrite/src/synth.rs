@@ -12,7 +12,11 @@
 //!
 //! Every candidate rule is validated by [`verify_rule`] before being
 //! admitted — the bounded-equivalence substitute for the paper's SMT
-//! check.
+//! check. Synthesis runs its battery at 64 vectors: the 36 corner
+//! vectors (word input `k` of vector `t` gets `CORNERS[(t + k) % 6]`;
+//! `Const` payloads cycle the corners for `t < 6`) and 28 random ones
+//! from a fixed seed. The constant passthrough runs the 36 corner
+//! vectors alone. Nothing is enumerated exhaustively.
 
 use crate::rule::{verify_rule, RewriteRule};
 use apex_fault::{ApexError, Stage};
@@ -46,31 +50,44 @@ pub struct SynthesisReport {
     /// Operation templates that could not be implemented on the PE
     /// (applications needing them cannot be mapped).
     pub missing: Vec<String>,
-    /// Number of rules that failed post-synthesis verification (always 0
-    /// unless the structural search has a bug).
+    /// Number of stored-configuration rules that failed verification and
+    /// were dropped (0 unless merging stored a wrong configuration).
     pub rejected: usize,
 }
 
 /// Verification trials per rule.
-const VERIFY_TRIALS: usize = 64;
+pub(crate) const VERIFY_TRIALS: usize = 64;
 
-/// Builds rules from the datapath's stored configurations.
+/// Verification trials for the constant-passthrough rule.
+pub(crate) const PASSTHROUGH_TRIALS: usize = 16;
+
+/// Builds rules from the datapath's stored configurations, dropping any
+/// that fails verification.
 ///
 /// `sources[i]` must be the subgraph that produced `dp.configs[i]`.
 ///
 /// # Panics
 /// Panics if `sources` is not aligned with the stored configurations.
-// invariant: merge_graph maps every source node into the datapath, so
-// payload nodes are always present in the config's node_map
-#[allow(clippy::expect_used)]
 pub fn rules_from_configs(dp: &MergedDatapath, sources: &[Graph]) -> Vec<RewriteRule> {
     assert_eq!(
         sources.len(),
         dp.configs.len(),
         "one source graph per stored configuration"
     );
-    let mut rules = Vec::new();
-    for (cfg, src) in dp.configs.iter().zip(sources) {
+    config_rules(dp, sources)
+        .filter(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+        .collect()
+}
+
+/// The unverified rule of each stored configuration.
+// invariant: merge_graph maps every source node into the datapath, so
+// payload nodes are always present in the config's node_map
+#[allow(clippy::expect_used)]
+pub(crate) fn config_rules<'a>(
+    dp: &'a MergedDatapath,
+    sources: &'a [Graph],
+) -> impl Iterator<Item = RewriteRule> + 'a {
+    dp.configs.iter().zip(sources).map(|(cfg, src)| {
         let node_map: BTreeMap<u32, u32> = cfg.node_map.iter().copied().collect();
         let mut payload_bindings = Vec::new();
         for (id, node) in src.iter() {
@@ -82,18 +99,14 @@ pub fn rules_from_configs(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Rewrite
                 payload_bindings.push((id, dp_node));
             }
         }
-        let rule = RewriteRule {
+        RewriteRule {
             name: src.name().to_owned(),
             pattern: src.clone(),
             config: cfg.clone(),
             payload_bindings,
             ops_covered: src.compute_nodes().len(),
-        };
-        if verify_rule(dp, &rule, VERIFY_TRIALS) {
-            rules.push(rule);
         }
-    }
-    rules
+    })
 }
 
 /// Builds the pattern graph for an op template: `const_ports` lists the
@@ -160,196 +173,230 @@ fn is_const_reg(node: &apex_merge::DpNode, ty: ValueType) -> bool {
 /// Structurally synthesizes a rule executing a single operation, with the
 /// given operand indices bound to constant registers. Returns a verified
 /// rule or `None`.
+pub fn synthesize_op_rule(dp: &MergedDatapath, op: Op, const_ports: &[u8]) -> Option<RewriteRule> {
+    op_rule_candidates(dp, op, const_ports).find(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+}
+
+/// The unverified single-op rules the structural search proposes, in the
+/// order [`synthesize_op_rule`] tries them: per datapath node that can
+/// execute `op`, the operands in port order, then swapped for a
+/// commutative binary op.
+pub(crate) fn op_rule_candidates<'a>(
+    dp: &'a MergedDatapath,
+    op: Op,
+    const_ports: &'a [u8],
+) -> impl Iterator<Item = RewriteRule> + 'a {
+    const IN_ORDER: [usize; 3] = [0, 1, 2];
+    const SWAPPED: [usize; 2] = [1, 0];
+    let arity = op.arity();
+    let orders = std::iter::once(&IN_ORDER[..arity])
+        .chain((arity == 2 && op.commutative()).then_some(&SWAPPED[..]));
+    dp.nodes
+        .iter()
+        .enumerate()
+        .filter(move |(_, node)| supports(node, op) && node.arity() >= arity)
+        .flat_map(move |(n_idx, node)| {
+            orders
+                .clone()
+                .filter_map(move |order| place_op_rule(dp, n_idx, node, op, const_ports, order))
+        })
+}
+
+/// Places `op` on datapath node `n_idx` with operand `i` on port
+/// `order[i]`, or `None` when some operand finds no free source.
 // invariant: the operand-placement loop assigns every port before the
 // `expect`s that read them back
 #[allow(clippy::expect_used)]
-pub fn synthesize_op_rule(
+fn place_op_rule(
     dp: &MergedDatapath,
+    n_idx: usize,
+    node: &apex_merge::DpNode,
     op: Op,
     const_ports: &[u8],
+    order: &[usize],
 ) -> Option<RewriteRule> {
     let arity = op.arity();
-    let orders: Vec<Vec<usize>> = if arity == 2 && op.commutative() {
-        vec![vec![0, 1], vec![1, 0]]
-    } else {
-        vec![(0..arity).collect()]
-    };
-    for (n_idx, node) in dp.nodes.iter().enumerate() {
-        if !supports(node, op) || node.arity() < arity {
-            continue;
+    let mut port_sel = vec![0u32; arity];
+    let mut used_word: BTreeSet<u16> = BTreeSet::new();
+    let mut used_bit: BTreeSet<u16> = BTreeSet::new();
+    let mut claimed: Vec<u32> = Vec::new(); // const reg nodes
+    let mut operand_source: Vec<Option<DpSource>> = vec![None; arity];
+    for i in 0..arity {
+        let p = order[i];
+        let want_ty = op.input_types()[i];
+        let cands = &node.port_candidates[p];
+        let found = if const_ports.contains(&(i as u8)) {
+            cands.iter().position(|c| match c {
+                DpSource::Node(j) => {
+                    is_const_reg(&dp.nodes[*j as usize], want_ty) && !claimed.contains(j)
+                }
+                _ => false,
+            })
+        } else {
+            cands.iter().position(|c| match (c, want_ty) {
+                (DpSource::WordInput(k), ValueType::Word) => !used_word.contains(k),
+                (DpSource::BitInput(k), ValueType::Bit) => !used_bit.contains(k),
+                _ => false,
+            })
+        };
+        let sel = found?;
+        let src = cands[sel];
+        match src {
+            DpSource::WordInput(k) => {
+                used_word.insert(k);
+            }
+            DpSource::BitInput(k) => {
+                used_bit.insert(k);
+            }
+            DpSource::Node(j) => claimed.push(j),
         }
-        'order: for order in &orders {
-            let mut port_sel = vec![0u32; arity];
-            let mut used_word: BTreeSet<u16> = BTreeSet::new();
-            let mut used_bit: BTreeSet<u16> = BTreeSet::new();
-            let mut claimed: Vec<u32> = Vec::new(); // const reg nodes
-            let mut operand_source: Vec<Option<DpSource>> = vec![None; arity];
-            for i in 0..arity {
-                let p = order[i];
-                let want_ty = op.input_types()[i];
-                let cands = &node.port_candidates[p];
-                let found = if const_ports.contains(&(i as u8)) {
-                    cands.iter().position(|c| match c {
-                        DpSource::Node(j) => {
-                            is_const_reg(&dp.nodes[*j as usize], want_ty)
-                                && !claimed.contains(j)
-                        }
-                        _ => false,
-                    })
-                } else {
-                    cands.iter().position(|c| match (c, want_ty) {
-                        (DpSource::WordInput(k), ValueType::Word) => !used_word.contains(k),
-                        (DpSource::BitInput(k), ValueType::Bit) => !used_bit.contains(k),
-                        _ => false,
-                    })
+        port_sel[p] = sel as u32;
+        operand_source[i] = Some(src);
+    }
+    // build pattern + config
+    let name = rule_name(op, const_ports);
+    let (pattern, pattern_consts) = op_pattern(op, const_ports, &name);
+    let mut cfg = empty_config(dp, &name);
+    cfg.node_cfg[n_idx] = Some(NodeConfig { op, port_sel });
+    let mut payload_bindings = Vec::new();
+    let mut const_iter = pattern_consts.iter();
+    let mut word_input_map = Vec::new();
+    let mut bit_input_map = Vec::new();
+    for source in operand_source {
+        match source.expect("operand placed") {
+            DpSource::WordInput(k) => word_input_map.push(k),
+            DpSource::BitInput(k) => bit_input_map.push(k),
+            DpSource::Node(j) => {
+                let pc = *const_iter.next().expect("const operand recorded");
+                let payload = match pattern.op(pc) {
+                    Op::Const(_) => Op::Const(0),
+                    other => other,
                 };
-                let Some(sel) = found else { continue 'order };
-                let src = cands[sel];
-                match src {
-                    DpSource::WordInput(k) => {
-                        used_word.insert(k);
-                    }
-                    DpSource::BitInput(k) => {
-                        used_bit.insert(k);
-                    }
-                    DpSource::Node(j) => claimed.push(j),
-                }
-                port_sel[p] = sel as u32;
-                operand_source[i] = Some(src);
-            }
-            // build pattern + config
-            let name = rule_name(op, const_ports);
-            let (pattern, pattern_consts) = op_pattern(op, const_ports, &name);
-            let mut cfg = empty_config(dp, &name);
-            cfg.node_cfg[n_idx] = Some(NodeConfig { op, port_sel });
-            let mut payload_bindings = Vec::new();
-            let mut const_iter = pattern_consts.iter();
-            let mut word_input_map = Vec::new();
-            let mut bit_input_map = Vec::new();
-            for i in 0..arity {
-                match operand_source[i].expect("operand placed") {
-                    DpSource::WordInput(k) => word_input_map.push(k),
-                    DpSource::BitInput(k) => bit_input_map.push(k),
-                    DpSource::Node(j) => {
-                        let pc = *const_iter.next().expect("const operand recorded");
-                        let payload = match pattern.op(pc) {
-                            Op::Const(_) => Op::Const(0),
-                            other => other,
-                        };
-                        cfg.node_cfg[j as usize] = Some(NodeConfig {
-                            op: payload,
-                            port_sel: Vec::new(),
-                        });
-                        payload_bindings.push((pc, j));
-                    }
-                }
-            }
-            cfg.word_input_map = word_input_map;
-            cfg.bit_input_map = bit_input_map;
-            match op.output_type() {
-                ValueType::Word => cfg.word_out_sel.push(DpSource::Node(n_idx as u32)),
-                ValueType::Bit => cfg.bit_out_sel.push(DpSource::Node(n_idx as u32)),
-            }
-            let rule = RewriteRule {
-                name,
-                pattern,
-                config: cfg,
-                payload_bindings,
-                ops_covered: 1 + const_ports.len(),
-            };
-            if verify_rule(dp, &rule, VERIFY_TRIALS) {
-                return Some(rule);
+                cfg.node_cfg[j as usize] = Some(NodeConfig {
+                    op: payload,
+                    port_sel: Vec::new(),
+                });
+                payload_bindings.push((pc, j));
             }
         }
     }
-    None
+    cfg.word_input_map = word_input_map;
+    cfg.bit_input_map = bit_input_map;
+    match op.output_type() {
+        ValueType::Word => cfg.word_out_sel.push(DpSource::Node(n_idx as u32)),
+        ValueType::Bit => cfg.bit_out_sel.push(DpSource::Node(n_idx as u32)),
+    }
+    Some(RewriteRule {
+        name,
+        pattern,
+        config: cfg,
+        payload_bindings,
+        ops_covered: 1 + const_ports.len(),
+    })
 }
 
 /// Synthesizes a LUT-based rule for a bit operation (how the baseline PE
 /// executes `BitAnd`/`BitOr`/etc., Section 2.1's "look up table for bit
 /// operations").
 pub fn lut_rule_for_bit_op(dp: &MergedDatapath, op: Op) -> Option<RewriteRule> {
-    if op.output_type() != ValueType::Bit
-        || op.input_types().iter().any(|t| *t != ValueType::Bit)
-    {
-        return None;
-    }
-    let arity = op.arity();
-    if arity > 3 {
-        return None;
-    }
-    // truth table as a function of the operand bits only
+    lut_rule_candidates(dp, op).find(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+}
+
+/// The unverified LUT rules for a bit operation, one per LUT node that
+/// can take its operands; none for an op that is not bit-to-bit or has
+/// more than three operands.
+pub(crate) fn lut_rule_candidates(
+    dp: &MergedDatapath,
+    op: Op,
+) -> impl Iterator<Item = RewriteRule> + '_ {
+    let lowers = op.output_type() == ValueType::Bit
+        && op.input_types().iter().all(|t| *t == ValueType::Bit)
+        && op.arity() <= 3;
+    let table = if lowers { truth_table(op) } else { 0 };
+    dp.nodes
+        .iter()
+        .enumerate()
+        .filter(move |(_, node)| lowers && node.ops.iter().any(|o| matches!(o, Op::Lut(_))))
+        .filter_map(move |(n_idx, node)| place_lut_rule(dp, n_idx, node, op, table))
+}
+
+/// The 3-input LUT table of a bit operation, as a function of its operand
+/// bits only.
+fn truth_table(op: Op) -> u8 {
     let mut table = 0u8;
     for idx in 0..8u8 {
-        let bits: Vec<Value> = (0..arity)
+        let bits: Vec<Value> = (0..op.arity())
             .map(|i| Value::Bit((idx >> i) & 1 == 1))
             .collect();
         if op.eval(&bits).bit() {
             table |= 1 << idx;
         }
     }
-    for (n_idx, node) in dp.nodes.iter().enumerate() {
-        if !node.ops.iter().any(|o| matches!(o, Op::Lut(_))) {
-            continue;
-        }
-        let mut port_sel = vec![0u32; 3];
-        let mut used: BTreeSet<u16> = BTreeSet::new();
-        let mut bit_input_map = Vec::new();
-        let mut ok = true;
-        for p in 0..3 {
-            let cands = &node.port_candidates[p];
-            let found = if p < arity {
-                cands.iter().position(|c| match c {
-                    DpSource::BitInput(k) => !used.contains(k),
-                    _ => false,
-                })
-            } else {
-                // don't-care port: any always-live source
-                cands
-                    .iter()
-                    .position(|c| matches!(c, DpSource::BitInput(_)))
-            };
-            let Some(sel) = found else {
-                ok = false;
-                break;
-            };
-            if p < arity {
-                if let DpSource::BitInput(k) = cands[sel] {
-                    used.insert(k);
-                    bit_input_map.push(k);
-                }
-            }
-            port_sel[p] = sel as u32;
-        }
-        if !ok {
-            continue;
-        }
-        let name = rule_name(op, &[]);
-        let (pattern, _) = op_pattern(op, &[], &name);
-        let mut cfg = empty_config(dp, &name);
-        cfg.node_cfg[n_idx] = Some(NodeConfig {
-            op: Op::Lut(table),
-            port_sel,
-        });
-        cfg.bit_out_sel.push(DpSource::Node(n_idx as u32));
-        cfg.bit_input_map = bit_input_map;
-        let rule = RewriteRule {
-            name,
-            pattern,
-            config: cfg,
-            payload_bindings: Vec::new(),
-            ops_covered: 1,
+    table
+}
+
+/// Places the LUT rule for `op` (truth table `table`) on LUT node `n_idx`,
+/// or `None` when its ports cannot take the operands.
+fn place_lut_rule(
+    dp: &MergedDatapath,
+    n_idx: usize,
+    node: &apex_merge::DpNode,
+    op: Op,
+    table: u8,
+) -> Option<RewriteRule> {
+    let arity = op.arity();
+    let mut port_sel = vec![0u32; 3];
+    let mut used: BTreeSet<u16> = BTreeSet::new();
+    let mut bit_input_map = Vec::new();
+    for p in 0..3 {
+        let cands = &node.port_candidates[p];
+        let found = if p < arity {
+            cands.iter().position(|c| match c {
+                DpSource::BitInput(k) => !used.contains(k),
+                _ => false,
+            })
+        } else {
+            // don't-care port: any always-live source
+            cands
+                .iter()
+                .position(|c| matches!(c, DpSource::BitInput(_)))
         };
-        if verify_rule(dp, &rule, VERIFY_TRIALS) {
-            return Some(rule);
+        let sel = found?;
+        if p < arity {
+            if let DpSource::BitInput(k) = cands[sel] {
+                used.insert(k);
+                bit_input_map.push(k);
+            }
         }
+        port_sel[p] = sel as u32;
     }
-    None
+    let name = rule_name(op, &[]);
+    let (pattern, _) = op_pattern(op, &[], &name);
+    let mut cfg = empty_config(dp, &name);
+    cfg.node_cfg[n_idx] = Some(NodeConfig {
+        op: Op::Lut(table),
+        port_sel,
+    });
+    cfg.bit_out_sel.push(DpSource::Node(n_idx as u32));
+    cfg.bit_input_map = bit_input_map;
+    Some(RewriteRule {
+        name,
+        pattern,
+        config: cfg,
+        payload_bindings: Vec::new(),
+        ops_covered: 1,
+    })
 }
 
 /// Rule that outputs a bare constant (covers application constants no
 /// other rule folds).
 pub fn const_passthrough_rule(dp: &MergedDatapath) -> Option<RewriteRule> {
+    const_passthrough_candidate(dp).filter(|rule| verify_rule(dp, rule, PASSTHROUGH_TRIALS))
+}
+
+/// The unverified constant-passthrough rule, on the first word constant
+/// register.
+pub(crate) fn const_passthrough_candidate(dp: &MergedDatapath) -> Option<RewriteRule> {
     let j = dp
         .nodes
         .iter()
@@ -363,14 +410,13 @@ pub fn const_passthrough_rule(dp: &MergedDatapath) -> Option<RewriteRule> {
         port_sel: Vec::new(),
     });
     cfg.word_out_sel.push(DpSource::Node(j as u32));
-    let rule = RewriteRule {
+    Some(RewriteRule {
         name: "const".into(),
         pattern: g,
         config: cfg,
         payload_bindings: vec![(c, j as u32)],
         ops_covered: 1,
-    };
-    verify_rule(dp, &rule, 16).then_some(rule)
+    })
 }
 
 fn rule_name(op: Op, const_ports: &[u8]) -> String {
@@ -436,6 +482,7 @@ pub fn standard_ruleset(
     apps: &[&Graph],
 ) -> Result<(RuleSet, SynthesisReport), ApexError> {
     let mut rules = rules_from_configs(dp, sources);
+    let rejected = sources.len() - rules.len();
     let mut missing = Vec::new();
     // template synthesis (search + verification) is independent per
     // template: fan out across the pool, keeping deterministic order
@@ -479,13 +526,7 @@ pub fn standard_ruleset(
             .cmp(&a.ops_covered)
             .then_with(|| a.name.cmp(&b.name))
     });
-    Ok((
-        RuleSet { rules },
-        SynthesisReport {
-            missing,
-            rejected: 0,
-        },
-    ))
+    Ok((RuleSet { rules }, SynthesisReport { missing, rejected }))
 }
 
 #[cfg(test)]
@@ -573,6 +614,27 @@ mod tests {
             .rules
             .windows(2)
             .all(|w| w[0].ops_covered >= w[1].ops_covered));
+    }
+
+    #[test]
+    fn stored_configurations_that_fail_verification_are_counted() {
+        // out = a - b, merged as the datapath's one stored configuration
+        let mut g = Graph::new("stored_sub");
+        let a = g.input();
+        let b = g.input();
+        let d = g.add(Op::Sub, &[a, b]);
+        g.output(d);
+        let dp = MergedDatapath::from_graph(&g);
+        let (rules, report) = standard_ruleset(&dp, &[g.clone()], &[&g]).unwrap();
+        assert_eq!(report.rejected, 0);
+        assert!(rules.rules.iter().any(|r| r.name == "stored_sub"));
+        // corrupted: the stored configuration feeds the operands swapped
+        let mut bad = dp.clone();
+        bad.configs[0].word_input_map.reverse();
+        let (rules, report) = standard_ruleset(&bad, &[g.clone()], &[&g]).unwrap();
+        assert_eq!(report.rejected, 1);
+        assert!(rules.rules.iter().all(|r| r.name != "stored_sub"));
+        assert!(report.missing.is_empty(), "the single-op rule still covers sub");
     }
 
     #[test]

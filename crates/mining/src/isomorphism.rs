@@ -1,9 +1,16 @@
-//! Subgraph-isomorphism search (VF2-style backtracking).
+//! Subgraph-isomorphism search (VF2-style backtracking) and embedding
+//! growth.
 //!
 //! [`find_embeddings`] enumerates every injective, label- and
 //! port-consistent mapping of a [`Pattern`] into the compute region of an
-//! application graph. This is the workhorse the frequent-subgraph miner
-//! (our GraMi substitute) is built on.
+//! application graph. The frequent-subgraph miner (our GraMi substitute)
+//! searches only its single-node patterns this way: every larger pattern
+//! is one extension away from a parent whose embeddings it already holds,
+//! and `grow_embeddings` derives the child's list from the parent's rows
+//! (Pangolin's BFS extension), in exactly the order and with exactly the
+//! truncation the search would give. Port feasibility tracks used ports
+//! in a `u64` mask, and a row grown by an edge re-checks only the edge's
+//! destination.
 //!
 //! ## Hot-path layout
 //!
@@ -15,12 +22,15 @@
 //! per-label fixed-size bitsets over the graph's dense node-id space, so
 //! the inner backtracking loop is allocation-free — per-depth candidate
 //! buffers are reused across the whole search. This is the only matcher
-//! in release builds: the original scalar matcher is kept verbatim as
-//! test-only spec code (`find_embeddings_reference` in the `spec` child
-//! module, compiled under `#[cfg(test)]`), and the property tests there
-//! require this search to return exactly its embedding sequence.
+//! in release builds: the original scalar matcher and its allocating port
+//! check are kept verbatim as test-only spec code
+//! (`find_embeddings_reference` in the `spec` child module, compiled
+//! under `#[cfg(test)]`). The property tests there require this search to
+//! return exactly its embedding sequence, and every grown list to equal
+//! the search's.
 
 use crate::bitset::Bitset;
+use crate::miner::Extension;
 use crate::pattern::Pattern;
 use apex_fault::{Budget, Meter};
 use apex_ir::{Graph, NodeId, OpKind};
@@ -275,6 +285,148 @@ pub fn find_embeddings_metered(
     }
 }
 
+/// The embeddings of `child`, one [`Extension`] away from the pattern
+/// whose complete embedding list `parent` holds, derived from that list
+/// instead of searching the graph (Pangolin's BFS extension over SoA
+/// embedding lists). `parent` must not be truncated: a truncated list
+/// lacks some of the parent's embeddings, and so some of the child's.
+///
+/// Every embedding of the child restricts to an embedding of the parent
+/// (a subset of the in-edges at a node can always take distinct ports),
+/// so the child's rows are parent rows extended by one checked edge. An
+/// edge extension keeps the parent rows that carry the new edge and
+/// still assign distinct ports at its destination. A node extension
+/// pairs each parent row with every image of the new node, not already
+/// in the row, among the anchor's consumers (or producers) carrying its
+/// label and joined to the anchor by the new edge.
+///
+/// The result equals [`find_embeddings_metered`] on `child` row for row:
+/// the staged `(parent row, new image)` pairs are sorted into the order
+/// the search emits (lexicographic by image along the child's matching
+/// order), then charged and stored one row at a time with the same
+/// `limit` and byte-cap truncation. `meter` is ticked once per parent
+/// row and once per candidate image; a tripped tick stops the growth and
+/// returns what was staged so far, `truncated`.
+pub(crate) fn grow_embeddings(
+    parent: &EmbeddingSet,
+    child: &Pattern,
+    ext: Extension,
+    index: &GraphIndex<'_>,
+    limit: usize,
+    meter: &mut Meter,
+) -> EmbeddingSet {
+    debug_assert!(!parent.truncated, "a truncated list cannot be grown");
+    let g = index.graph();
+    let list = &parent.list;
+    let (k, n) = (list.positions(), child.len());
+    let mut row = vec![NodeId(u32::MAX); n];
+    let fill = |row: &mut [NodeId], r: usize| {
+        for (p, img) in row.iter_mut().enumerate().take(k) {
+            *img = list.col(p)[r];
+        }
+    };
+    // (parent row, image of the new node); the image is unused (and
+    // never read: it sits at position k == n) for an edge extension
+    let mut staged: Vec<(u32, NodeId)> = Vec::new();
+    let mut stopped = false;
+    match ext {
+        Extension::Edge { src, dst, port } => {
+            for r in 0..list.len() {
+                if !meter.tick() {
+                    stopped = true;
+                    break;
+                }
+                fill(&mut row, r);
+                if edge_exists(g, row[src as usize], row[dst as usize], port)
+                    && port_feasible_at(child, g, &row, dst as usize)
+                {
+                    staged.push((r as u32, NodeId(u32::MAX)));
+                }
+            }
+        }
+        Extension::Node {
+            at,
+            label,
+            new_is_dst,
+            port,
+        } => {
+            let at = at as usize;
+            let mut cands: Vec<NodeId> = Vec::new();
+            'rows: for r in 0..list.len() {
+                if !meter.tick() {
+                    stopped = true;
+                    break;
+                }
+                fill(&mut row, r);
+                let anchor = row[at];
+                let pool = if new_is_dst {
+                    index.fanout(anchor)
+                } else {
+                    g.node(anchor).inputs()
+                };
+                cands.clear();
+                cands.extend(pool.iter().copied().filter(|&v| index.has_label(v, label)));
+                // a node feeding two ports of one consumer is listed twice
+                cands.sort_unstable();
+                cands.dedup();
+                for &c in &cands {
+                    if !meter.tick() {
+                        stopped = true;
+                        break 'rows;
+                    }
+                    if row[..k].contains(&c) {
+                        continue;
+                    }
+                    // the new edge's ports need no search: its source
+                    // image occurs in no other edge of its destination,
+                    // so the ports holding it are free
+                    let (s, d) = if new_is_dst { (anchor, c) } else { (c, anchor) };
+                    if edge_exists(g, s, d, port) {
+                        staged.push((r as u32, c));
+                    }
+                }
+            }
+        }
+    }
+    let order = matching_order(child);
+    let image = |&(r, c): &(u32, NodeId), p: u32| {
+        if p as usize == k {
+            c
+        } else {
+            list.col(p as usize)[r as usize]
+        }
+    };
+    staged.sort_unstable_by(|a, b| {
+        order
+            .iter()
+            .map(|&p| image(a, p).cmp(&image(b, p)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut out = EmbeddingList::new(n);
+    let mut truncated = stopped;
+    let bytes = (n * std::mem::size_of::<NodeId>()) as u64;
+    for &(r, c) in &staged {
+        fill(&mut row, r as usize);
+        if k < n {
+            row[k] = c;
+        }
+        if !meter.charge(bytes) {
+            truncated = true;
+            break;
+        }
+        out.push(&row);
+        if out.len() >= limit {
+            truncated = true;
+            break;
+        }
+    }
+    EmbeddingSet {
+        list: out,
+        truncated,
+    }
+}
+
 fn matching_order(pattern: &Pattern) -> Vec<u32> {
     let n = pattern.len();
     let mut adj = vec![Vec::new(); n];
@@ -455,48 +607,39 @@ fn edge_exists(g: &Graph, src: NodeId, dst: NodeId, port: Option<u8>) -> bool {
 /// injectively assigned to distinct input ports of the image node. Needed
 /// for parallel edges into commutative operations (e.g. `x * x`).
 fn ports_feasible(pattern: &Pattern, g: &Graph, mapping: &[NodeId]) -> bool {
-    for d in 0..pattern.len() {
-        let edges = pattern.in_edges(d);
-        if edges.is_empty() {
-            continue;
-        }
-        let img_inputs = g.node(mapping[d]).inputs();
-        // tiny backtracking over port assignments (arity <= 3)
-        let mut used = vec![false; img_inputs.len()];
-        if !assign(edges, 0, img_inputs, mapping, &mut used) {
-            return false;
-        }
-    }
-    true
+    (0..pattern.len()).all(|d| port_feasible_at(pattern, g, mapping, d))
 }
 
+/// [`ports_feasible`] at pattern node `d` alone: a row grown by an edge
+/// re-checks only the edge's destination. Allocation-free: used ports are
+/// bits of a `u64` (op arity is at most 3).
+fn port_feasible_at(pattern: &Pattern, g: &Graph, mapping: &[NodeId], d: usize) -> bool {
+    let edges = pattern.in_edges(d);
+    edges.is_empty() || assign(edges, 0, g.node(mapping[d]).inputs(), mapping, 0)
+}
+
+/// Tiny backtracking over port assignments: places in-edge `k` onwards
+/// on ports not set in `used`.
 fn assign(
     edges: &[crate::pattern::PatternEdge],
     k: usize,
     img_inputs: &[NodeId],
     mapping: &[NodeId],
-    used: &mut Vec<bool>,
+    used: u64,
 ) -> bool {
-    if k == edges.len() {
+    let Some(e) = edges.get(k) else {
         return true;
-    }
-    let e = edges[k];
-    let want = mapping[e.src as usize];
-    let range: Vec<usize> = match e.port {
-        Some(p) => vec![p as usize],
-        None => (0..img_inputs.len()).collect(),
     };
-    for p in range {
-        if p < img_inputs.len() && !used[p] && img_inputs[p] == want {
-            used[p] = true;
-            if assign(edges, k + 1, img_inputs, mapping, used) {
-                used[p] = false;
-                return true;
-            }
-            used[p] = false;
-        }
-    }
-    false
+    let want = mapping[e.src as usize];
+    let mut ports = match e.port {
+        Some(p) => p as usize..(p as usize + 1).min(img_inputs.len()),
+        None => 0..img_inputs.len(),
+    };
+    ports.any(|p| {
+        used & (1 << p) == 0
+            && img_inputs[p] == want
+            && assign(edges, k + 1, img_inputs, mapping, used | (1 << p))
+    })
 }
 
 #[cfg(test)]

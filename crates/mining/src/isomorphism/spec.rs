@@ -3,9 +3,9 @@
 //! output. The property suite below requires the SoA/bitset
 //! [`find_embeddings`] to return exactly its embedding sequence.
 
-use super::{edge_exists, matching_order, ports_feasible, GraphIndex};
+use super::{edge_exists, matching_order, GraphIndex};
 use crate::pattern::Pattern;
-use apex_ir::{NodeId, OpKind};
+use apex_ir::{Graph, NodeId, OpKind};
 
 /// One embedding: pattern-node index → graph node. The search itself
 /// stores embeddings column-wise in an [`super::EmbeddingList`]; this
@@ -155,11 +155,200 @@ impl RefSearch<'_, '_> {
     }
 }
 
+/// The original port-feasibility check, retained as the specification of
+/// the mask-based [`super::ports_feasible`] and used by the reference
+/// matcher: a `Vec<bool>` of used ports per pattern node and a `Vec` of
+/// candidate ports per pattern edge.
+fn ports_feasible(pattern: &Pattern, g: &Graph, mapping: &[NodeId]) -> bool {
+    for d in 0..pattern.len() {
+        let edges = pattern.in_edges(d);
+        if edges.is_empty() {
+            continue;
+        }
+        let img_inputs = g.node(mapping[d]).inputs();
+        // tiny backtracking over port assignments (arity <= 3)
+        let mut used = vec![false; img_inputs.len()];
+        if !assign(edges, 0, img_inputs, mapping, &mut used) {
+            return false;
+        }
+    }
+    true
+}
+
+fn assign(
+    edges: &[crate::pattern::PatternEdge],
+    k: usize,
+    img_inputs: &[NodeId],
+    mapping: &[NodeId],
+    used: &mut Vec<bool>,
+) -> bool {
+    if k == edges.len() {
+        return true;
+    }
+    let e = edges[k];
+    let want = mapping[e.src as usize];
+    let range: Vec<usize> = match e.port {
+        Some(p) => vec![p as usize],
+        None => (0..img_inputs.len()).collect(),
+    };
+    for p in range {
+        if p < img_inputs.len() && !used[p] && img_inputs[p] == want {
+            used[p] = true;
+            if assign(edges, k + 1, img_inputs, mapping, used) {
+                used[p] = false;
+                return true;
+            }
+            used[p] = false;
+        }
+    }
+    false
+}
+
 mod properties {
+    use super::super::{find_embeddings_metered, grow_embeddings, EmbeddingSet};
     use super::*;
+    use crate::miner::enumerate_extensions;
     use crate::{find_embeddings, mine, MinerConfig};
+    use apex_fault::{Budget, Provenance};
     use apex_ir::{Graph, Op};
     use proptest::prelude::*;
+
+    /// What [`check_growth`] exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        grown: usize,
+        fallbacks: usize,
+        truncated: usize,
+        capped: usize,
+    }
+
+    /// Walks the miner's breadth-first pattern growth over `g` (every
+    /// enumerated extension of every frequent pattern, deduplicated by
+    /// canonical code as `mine` does) and requires each child grown from
+    /// a complete parent list to equal the search row for row: same
+    /// rows, same `truncated`, same bytes charged and provenance when
+    /// both start from a meter under `cap` with `preload(child)` bytes
+    /// already used.
+    fn check_growth(
+        g: &Graph,
+        cfg: &MinerConfig,
+        cap: Option<u64>,
+        mut preload: impl FnMut() -> u64,
+    ) -> Coverage {
+        let index = GraphIndex::new(g);
+        let budget = match cap {
+            Some(c) => Budget::unlimited().with_max_bytes(c),
+            None => Budget::unlimited(),
+        };
+        let unmetered = || Budget::unlimited().start();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut frontier: std::collections::VecDeque<(Pattern, EmbeddingSet)> =
+            std::collections::VecDeque::new();
+        for (label, nodes) in index.labels() {
+            if nodes.len() >= cfg.min_support {
+                let p = Pattern::single(label);
+                let es = find_embeddings_metered(&p, &index, cfg.max_embeddings, &mut unmetered());
+                seen.insert(p.canonical_code());
+                frontier.push_back((p, es));
+            }
+        }
+        let mut explored = frontier.len();
+        let mut cov = Coverage::default();
+        while let Some((pattern, parent)) = frontier.pop_front() {
+            if explored >= cfg.max_patterns {
+                continue;
+            }
+            for ext in enumerate_extensions(&pattern, &parent, &index, cfg) {
+                let child = ext.apply(&pattern);
+                if !seen.insert(child.canonical_code()) {
+                    continue;
+                }
+                let (mut m_search, mut m_grow) = (budget.start(), budget.start());
+                let pre = preload();
+                m_search.charge(pre);
+                m_grow.charge(pre);
+                let want =
+                    find_embeddings_metered(&child, &index, cfg.max_embeddings, &mut m_search);
+                if parent.truncated {
+                    cov.fallbacks += 1;
+                } else {
+                    let got = grow_embeddings(
+                        &parent,
+                        &child,
+                        ext,
+                        &index,
+                        cfg.max_embeddings,
+                        &mut m_grow,
+                    );
+                    assert_eq!(got.truncated, want.truncated, "{child}");
+                    assert_eq!(got.len(), want.len(), "{child}");
+                    for i in 0..want.len() {
+                        assert_eq!(got.list.row(i), want.list.row(i), "row {i} of {child}");
+                    }
+                    assert_eq!(m_grow.used(), m_search.used(), "{child}");
+                    assert_eq!(m_grow.provenance(), m_search.provenance(), "{child}");
+                    cov.grown += 1;
+                    cov.truncated += usize::from(want.truncated);
+                    cov.capped += usize::from(m_search.provenance() != Provenance::Completed);
+                }
+                // the walk itself continues on complete statistics
+                let full =
+                    find_embeddings_metered(&child, &index, cfg.max_embeddings, &mut unmetered());
+                if explored < cfg.max_patterns && full.mni_support(child.len()) >= cfg.min_support {
+                    explored += 1;
+                    frontier.push_back((child, full));
+                }
+            }
+        }
+        cov
+    }
+
+    #[test]
+    fn grown_lists_equal_the_search_on_the_suite() {
+        for app in apex_apps::analyzed_apps()
+            .into_iter()
+            .chain(apex_apps::unseen_apps())
+        {
+            let cov = check_growth(&app.graph, &MinerConfig::default(), None, || 0);
+            assert!(cov.grown > 50, "{}: {cov:?}", app.info.name);
+        }
+    }
+
+    #[test]
+    fn small_limits_and_byte_caps_truncate_grown_lists_like_the_search() {
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut total = Coverage::default();
+        for (app, limit) in [
+            ("gaussian", 40),
+            ("harris", 7),
+            ("resnet", 150),
+            ("camera", 25),
+        ] {
+            let app = apex_apps::by_name(app).unwrap();
+            let cfg = MinerConfig {
+                max_embeddings: limit,
+                max_patterns: 80,
+                ..MinerConfig::default()
+            };
+            // caps around one list's worth of rows, part of it preloaded
+            let cov = check_growth(&app.graph, &cfg, Some(4096), || rand(4096));
+            total.grown += cov.grown;
+            total.fallbacks += cov.fallbacks;
+            total.truncated += cov.truncated;
+            total.capped += cov.capped;
+        }
+        assert!(
+            total.grown > 100 && total.fallbacks > 0 && total.truncated > total.capped,
+            "{total:?}"
+        );
+        assert!(total.capped > 0, "{total:?}");
+    }
 
     fn arb_graph() -> impl Strategy<Value = Graph> {
         let spec = prop::collection::vec((0u8..6, any::<u16>(), any::<u16>()), 4..40);
@@ -190,6 +379,28 @@ mod properties {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn grown_lists_equal_the_search_on_arbitrary_graphs(
+            g in arb_graph(),
+            limit in 1usize..60,
+            cap in 0u32..2048,
+        ) {
+            let cap = u64::from(cap);
+            let cfg = MinerConfig {
+                min_support: 2,
+                max_pattern_nodes: 5,
+                max_patterns: 60,
+                ..MinerConfig::default()
+            };
+            check_growth(&g, &cfg, None, || 0);
+            let cfg = MinerConfig { max_embeddings: limit, ..cfg };
+            let mut k = 0u64;
+            check_growth(&g, &cfg, Some(cap), || {
+                k += 1;
+                (k * 37) % (cap + 1)
+            });
+        }
 
         #[test]
         fn soa_search_matches_reference_matcher(g in arb_graph()) {

@@ -58,7 +58,7 @@ pub use isomorphism::{
     find_embeddings, find_embeddings_metered, EmbeddingList, EmbeddingSet, GraphIndex,
 };
 pub use miner::{mine, rank, MineOutcome, MinedSubgraph, MinerConfig};
-pub use mis::{maximal_independent_set, mis_size, overlap_graph};
+pub use mis::{maximal_independent_set, mis_size};
 pub use pattern::{Pattern, PatternEdge};
 
 /// Errors raised by the mining stage.

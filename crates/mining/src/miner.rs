@@ -3,9 +3,11 @@
 //! Pattern-growth enumeration over a single large application graph:
 //! start from frequent single-label patterns, repeatedly extend by one
 //! node-plus-edge or one internal edge, de-duplicate via canonical codes,
-//! and prune with GraMi's anti-monotone MNI support.
+//! and prune with GraMi's anti-monotone MNI support. Single-label
+//! patterns, and children of a truncated parent list, are searched in the
+//! graph; every other child's embeddings are grown from its parent's list.
 
-use crate::isomorphism::{find_embeddings_metered, EmbeddingSet, GraphIndex};
+use crate::isomorphism::{find_embeddings_metered, grow_embeddings, EmbeddingSet, GraphIndex};
 use crate::mis::{maximal_independent_set, maximal_independent_set_metered};
 use crate::pattern::Pattern;
 use crate::MineError;
@@ -40,6 +42,14 @@ pub struct MinerConfig {
     /// (embedding rows, MIS overlap graph). Exceeding the byte cap
     /// truncates the affected statistics deterministically with a
     /// [`Provenance::TruncatedByBudget`] record instead of OOM-aborting.
+    ///
+    /// A step is one frontier pattern, one backtracking step of an
+    /// embedding search, or one parent row or candidate image while a
+    /// child's embeddings are grown from its parent's list; a
+    /// step-budgeted run therefore stops at a different point than when
+    /// every child was searched. Byte caps truncate exactly where the
+    /// search-only miner did (grown rows are charged in the search's
+    /// order), and deadlines and cancellation behave as before.
     pub budget: Budget,
 }
 
@@ -162,7 +172,7 @@ impl MinedSubgraph {
 
 /// Extension descriptor considered during pattern growth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Extension {
+pub(crate) enum Extension {
     /// Add a new node with `label`, connected to pattern node `at`.
     Node {
         at: u32,
@@ -172,6 +182,21 @@ enum Extension {
     },
     /// Add an edge between two existing pattern nodes.
     Edge { src: u32, dst: u32, port: Option<u8> },
+}
+
+impl Extension {
+    /// The child pattern this extension grows from `pattern`.
+    pub(crate) fn apply(self, pattern: &Pattern) -> Pattern {
+        match self {
+            Extension::Node {
+                at,
+                label,
+                new_is_dst,
+                port,
+            } => pattern.extend_with_node(at, label, new_is_dst, port),
+            Extension::Edge { src, dst, port } => pattern.extend_with_edge(src, dst, port),
+        }
+    }
 }
 
 /// Convexity of an occurrence: no application path may leave the node set
@@ -285,20 +310,25 @@ pub fn mine(graph: &Graph, config: &MinerConfig) -> Result<MineOutcome, MineErro
             if explored >= config.max_patterns {
                 break;
             }
-            let child = match ext {
-                Extension::Node {
-                    at,
-                    label,
-                    new_is_dst,
-                    port,
-                } => pattern.extend_with_node(at, label, new_is_dst, port),
-                Extension::Edge { src, dst, port } => pattern.extend_with_edge(src, dst, port),
-            };
+            let child = ext.apply(&pattern);
             let code = child.canonical_code();
             if !seen.insert(code) {
                 continue;
             }
-            let es = find_embeddings_metered(&child, &index, config.max_embeddings, &mut meter);
+            // grow the child from the parent's rows; a truncated parent
+            // list lacks embeddings, so its children are searched afresh
+            let es = if embeddings.truncated {
+                find_embeddings_metered(&child, &index, config.max_embeddings, &mut meter)
+            } else {
+                grow_embeddings(
+                    &embeddings,
+                    &child,
+                    ext,
+                    &index,
+                    config.max_embeddings,
+                    &mut meter,
+                )
+            };
             if es.mni_support(child.len()) >= config.min_support {
                 explored += 1;
                 frontier.push_back((child, es));
@@ -329,7 +359,7 @@ pub fn rank(results: &mut [MinedSubgraph]) {
     });
 }
 
-fn enumerate_extensions(
+pub(crate) fn enumerate_extensions(
     pattern: &Pattern,
     embeddings: &EmbeddingSet,
     index: &GraphIndex<'_>,

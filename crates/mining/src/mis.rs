@@ -6,106 +6,16 @@
 //! overlap graph (edge = two occurrences share an application node); the
 //! size of a maximal independent set of that graph estimates how many
 //! fully-utilized PEs implementing the subgraph the application can use.
+//!
+//! The overlap graph is never materialized: the greedy selection walks a
+//! CSR node → owning-occurrence index, so an occurrence's neighbours are
+//! the owners of its nodes, deduplicated with a stamp array. The byte
+//! meter is charged what the explicit graph would cost, so budget
+//! truncation is that of the adjacency-list greedy kept as the test-only
+//! spec in the `spec` child module.
 
 use apex_fault::{Budget, Meter};
 use apex_ir::NodeId;
-
-#[cfg(test)]
-fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Builds the overlap graph: `adj[i]` lists occurrences sharing at least
-/// one application node with occurrence `i` (each list sorted ascending,
-/// duplicate-free).
-///
-/// Built from a node → occurrence inverted index rather than all-pairs
-/// node-set intersection: every application node lists the occurrences
-/// containing it, and occurrence `i`'s neighbours are the owners of its
-/// nodes. A stamp array (`stamp[j] == i` once `j` joined `adj[i]`) keeps
-/// each list duplicate-free as it is built, so a pair sharing several
-/// nodes is pushed once. Cost is Σ over occurrences of the owner lists
-/// of its nodes, plus sorting the final lists — proportional to the
-/// overlap actually present instead of O(n²) pairwise scans.
-///
-/// The inverted index and the adjacency lists are charged against `meter`
-/// before they are built; `None` the moment a charge is rejected (nothing
-/// partial escapes — a missing edge would let overlapping occurrences
-/// masquerade as independent). The adjacency is charged
-/// `C(|owners|, 2)` edge slots per index entry, in one sum: the meter
-/// rejects that sum exactly when it would reject some prefix of the
-/// slots charged one by one, so truncation under a byte cap does not
-/// depend on how the charge is split.
-pub fn overlap_graph(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<Vec<Vec<usize>>> {
-    let n = occurrences.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    if n == 0 {
-        return Some(adj);
-    }
-    let owners = owner_index(occurrences, meter)?;
-    let edge_bytes = (2 * std::mem::size_of::<usize>()) as u64;
-    let pairs: u64 = owners
-        .iter()
-        .map(|l| (l.len() as u64) * (l.len() as u64).saturating_sub(1) / 2)
-        .sum();
-    if !meter.charge(pairs.saturating_mul(edge_bytes)) {
-        return None;
-    }
-    let mut stamp = vec![u32::MAX; n];
-    for (i, occ) in occurrences.iter().enumerate() {
-        let list = &mut adj[i];
-        stamp[i] = i as u32; // no self-edge
-        for &node in occ {
-            for &j in &owners[node.index()] {
-                if stamp[j as usize] != i as u32 {
-                    stamp[j as usize] = i as u32;
-                    list.push(j as usize);
-                }
-            }
-        }
-        list.sort_unstable();
-    }
-    Some(adj)
-}
-
-/// The node → occurrence inverted index over `occurrences` (non-empty),
-/// each owner list ascending and duplicate-free; charged against `meter`
-/// as it grows, `None` when a charge is rejected.
-fn owner_index(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<Vec<Vec<u32>>> {
-    let max_node = occurrences
-        .iter()
-        .flatten()
-        .map(|id| id.index())
-        .max()
-        .unwrap_or(0);
-    let index_bytes = ((max_node + 1) * std::mem::size_of::<Vec<u32>>()) as u64;
-    if !meter.charge(index_bytes) {
-        return None;
-    }
-    let mut owners: Vec<Vec<u32>> = vec![Vec::new(); max_node + 1];
-    for (i, occ) in occurrences.iter().enumerate() {
-        if !meter.charge((occ.len() * std::mem::size_of::<u32>()) as u64) {
-            return None;
-        }
-        for &node in occ {
-            let slot = &mut owners[node.index()];
-            // occurrence node sets are deduplicated, but stay correct for
-            // callers that pass repeated nodes
-            if slot.last() != Some(&(i as u32)) {
-                slot.push(i as u32);
-            }
-        }
-    }
-    Some(owners)
-}
 
 /// Greedy maximal independent set: repeatedly selects the remaining node
 /// with the fewest remaining neighbours and removes its neighbourhood.
@@ -119,16 +29,22 @@ pub fn maximal_independent_set(occurrences: &[Vec<NodeId>]) -> Vec<usize> {
 }
 
 /// [`maximal_independent_set`] for the miner: accounts the
-/// overlap-analysis scratch (inverted index + adjacency lists) against
-/// `meter`. When a charge is rejected the analysis deterministically
-/// retries over the first half of the occurrence list, repeatedly, until
-/// it fits — so memory exhaustion degrades to a conservative utilization
-/// estimate over an occurrence *prefix* instead of aborting. Returns the
-/// selected indices and the prefix length analysed (`< occurrences.len()`
-/// exactly when the budget truncated the analysis); the caller must
-/// shrink its stored occurrence list to that prefix to stay
-/// verifier-consistent. Scratch charges are released before returning
-/// (the structures are dropped here).
+/// overlap-analysis scratch against `meter`. When a charge is rejected
+/// the analysis deterministically retries over the first half of the
+/// occurrence list, repeatedly, until it fits — so memory exhaustion
+/// degrades to a conservative utilization estimate over an occurrence
+/// *prefix* instead of aborting. Returns the selected indices and the
+/// prefix length analysed (`< occurrences.len()` exactly when the budget
+/// truncated the analysis); the caller must shrink its stored occurrence
+/// list to that prefix to stay verifier-consistent. Scratch charges are
+/// released before returning (the structures are dropped here).
+///
+/// The charges are those of an explicit overlap graph, whatever is
+/// actually built: one node → occurrence index slot per application
+/// node id, then each occurrence's owner entries as it is indexed, then
+/// `C(|owners|, 2)` edge slots per index entry in one sum. A sum is
+/// rejected exactly when some prefix of its parts charged one by one
+/// would be, so truncation does not depend on how the charge is split.
 pub fn maximal_independent_set_metered(
     occurrences: &[Vec<NodeId>],
     meter: &mut Meter,
@@ -136,41 +52,161 @@ pub fn maximal_independent_set_metered(
     let mut n = occurrences.len();
     loop {
         let before = meter.used();
-        let adj = overlap_graph(&occurrences[..n], meter);
+        let owners = OwnerIndex::build(&occurrences[..n], meter);
         meter.release(meter.used() - before);
-        match adj {
-            Some(adj) => return (greedy_mis(n, &adj), n),
+        match owners {
+            Some(owners) => return (owners.greedy_mis(&occurrences[..n]), n),
             None => n /= 2,
         }
     }
 }
 
-/// The greedy min-degree selection over a built overlap graph.
-fn greedy_mis(n: usize, adj: &[Vec<usize>]) -> Vec<usize> {
-    let mut alive = vec![true; n];
-    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-    let mut chosen = Vec::new();
-    loop {
-        let mut best: Option<usize> = None;
-        for v in 0..n {
-            if alive[v] && best.is_none_or(|b| degree[v] < degree[b]) {
-                best = Some(v);
+/// The node → occurrence inverted index in CSR form: the occurrences
+/// owning application node `v` are `list[start[v]..start[v + 1]]`,
+/// ascending and duplicate-free. Occurrence `i`'s overlap neighbours are
+/// the owners of its nodes, so the greedy never materializes the
+/// overlap graph's adjacency lists.
+struct OwnerIndex {
+    start: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl OwnerIndex {
+    /// Builds the index by counting sort, charging `meter` as described
+    /// on [`maximal_independent_set_metered`]; `None` the moment a
+    /// charge is rejected.
+    fn build(occurrences: &[Vec<NodeId>], meter: &mut Meter) -> Option<OwnerIndex> {
+        if occurrences.is_empty() {
+            return Some(OwnerIndex {
+                start: vec![0],
+                list: Vec::new(),
+            });
+        }
+        let slots = occurrences
+            .iter()
+            .flatten()
+            .map(|id| id.index())
+            .max()
+            .unwrap_or(0)
+            + 1;
+        if !meter.charge((slots * std::mem::size_of::<Vec<u32>>()) as u64) {
+            return None;
+        }
+        // pass 1: owners per node; `last[v]` is the latest occurrence
+        // counted at `v`, so a node repeated within one occurrence
+        // (callers outside the miner may pass such lists) counts once
+        let mut last = vec![u32::MAX; slots];
+        let mut start = vec![0u32; slots + 1];
+        for (i, occ) in occurrences.iter().enumerate() {
+            if !meter.charge((occ.len() * std::mem::size_of::<u32>()) as u64) {
+                return None;
+            }
+            for &node in occ {
+                if last[node.index()] != i as u32 {
+                    last[node.index()] = i as u32;
+                    start[node.index() + 1] += 1;
+                }
             }
         }
-        let Some(v) = best else { break };
-        chosen.push(v);
-        alive[v] = false;
-        for &u in &adj[v] {
-            if alive[u] {
-                alive[u] = false;
-                for &w in &adj[u] {
-                    degree[w] = degree[w].saturating_sub(1);
+        let edge_bytes = (2 * std::mem::size_of::<usize>()) as u64;
+        let pairs: u64 = start
+            .iter()
+            .map(|&c| u64::from(c) * u64::from(c).saturating_sub(1) / 2)
+            .sum();
+        if !meter.charge(pairs.saturating_mul(edge_bytes)) {
+            return None;
+        }
+        for v in 0..slots {
+            start[v + 1] += start[v];
+        }
+        // pass 2: scatter in occurrence order, so each owner run ascends
+        let mut fill = start.clone();
+        let mut list = vec![0u32; start[slots] as usize];
+        last.fill(u32::MAX);
+        for (i, occ) in occurrences.iter().enumerate() {
+            for &node in occ {
+                let v = node.index();
+                if last[v] != i as u32 {
+                    last[v] = i as u32;
+                    list[fill[v] as usize] = i as u32;
+                    fill[v] += 1;
+                }
+            }
+        }
+        Some(OwnerIndex { start, list })
+    }
+
+    fn owners(&self, node: NodeId) -> &[u32] {
+        let v = node.index();
+        &self.list[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// Calls `visit` once per overlap neighbour of occurrence `i` (not
+    /// `i` itself), using `stamp` with the fresh tag `tag`.
+    fn neighbours(
+        &self,
+        occ: &[NodeId],
+        i: usize,
+        stamp: &mut [u32],
+        tag: u32,
+        mut visit: impl FnMut(usize),
+    ) {
+        stamp[i] = tag;
+        for &node in occ {
+            for &j in self.owners(node) {
+                if stamp[j as usize] != tag {
+                    stamp[j as usize] = tag;
+                    visit(j as usize);
                 }
             }
         }
     }
-    chosen.sort_unstable();
-    chosen
+
+    /// The greedy min-degree selection: repeatedly picks the alive
+    /// occurrence with the fewest alive neighbours (lowest index on a
+    /// tie) and kills its neighbourhood. Degrees start at the full
+    /// neighbour count and drop by one per killed neighbour; a stamp
+    /// array dedups each neighbourhood as it is walked.
+    fn greedy_mis(&self, occurrences: &[Vec<NodeId>]) -> Vec<usize> {
+        let n = occurrences.len();
+        let mut stamp = vec![u32::MAX; n];
+        let mut tag = 0u32;
+        let mut degree = vec![0usize; n];
+        for (i, occ) in occurrences.iter().enumerate() {
+            self.neighbours(occ, i, &mut stamp, tag, |_| degree[i] += 1);
+            tag += 1;
+        }
+        let mut alive = vec![true; n];
+        let mut chosen = Vec::new();
+        let mut killed = Vec::new();
+        loop {
+            let mut best: Option<usize> = None;
+            for v in 0..n {
+                if alive[v] && best.is_none_or(|b| degree[v] < degree[b]) {
+                    best = Some(v);
+                }
+            }
+            let Some(v) = best else { break };
+            chosen.push(v);
+            alive[v] = false;
+            killed.clear();
+            self.neighbours(&occurrences[v], v, &mut stamp, tag, |u| {
+                if alive[u] {
+                    alive[u] = false;
+                    killed.push(u);
+                }
+            });
+            tag += 1;
+            for &u in &killed {
+                self.neighbours(&occurrences[u], u, &mut stamp, tag, |w| {
+                    degree[w] = degree[w].saturating_sub(1);
+                });
+                tag += 1;
+            }
+        }
+        chosen.sort_unstable();
+        chosen
+    }
 }
 
 /// Convenience: the MIS size of a set of occurrences.
@@ -183,9 +219,23 @@ mod spec;
 
 #[cfg(test)]
 mod tests {
-    use super::spec::{maximal_independent_set_metered_reference, overlap_graph_reference};
+    use super::spec::{
+        maximal_independent_set_metered_reference, overlap_graph, overlap_graph_reference,
+    };
     use super::*;
     use apex_fault::Provenance;
+
+    fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
 
     fn ids(v: &[u32]) -> Vec<NodeId> {
         v.iter().map(|&x| NodeId(x)).collect()
@@ -221,7 +271,7 @@ mod tests {
         // chosen occurrences must be pairwise disjoint
         for (i, &a) in mis.iter().enumerate() {
             for &b in &mis[i + 1..] {
-                assert!(!super::sorted_intersects(&occ[a], &occ[b]));
+                assert!(!sorted_intersects(&occ[a], &occ[b]));
             }
         }
     }
@@ -323,7 +373,8 @@ mod tests {
         for _ in 0..400 {
             // dense overlap on few nodes, repeated nodes left in place
             let nodes = 2 + rand(40);
-            let occ: Vec<Vec<NodeId>> = (0..rand(40))
+            let count = if rand(4) == 0 { rand(160) } else { rand(40) };
+            let occ: Vec<Vec<NodeId>> = (0..count)
                 .map(|_| {
                     let mut v: Vec<NodeId> = (0..1 + rand(6))
                         .map(|_| NodeId(rand(nodes) as u32))
@@ -372,6 +423,39 @@ mod tests {
             built > 0 && rejected > 0 && prefixes > 0,
             "{built} {rejected} {prefixes}"
         );
+    }
+
+    #[test]
+    fn csr_greedy_matches_the_adjacency_greedy_on_mined_occurrences() {
+        let cfg = crate::MinerConfig {
+            budget: Budget::unlimited(),
+            ..crate::MinerConfig::default()
+        };
+        let (mut checked, mut prefixes) = (0, 0);
+        for app in apex_apps::analyzed_apps()
+            .into_iter()
+            .chain(apex_apps::unseen_apps())
+        {
+            for m in crate::mine(&app.graph, &cfg).unwrap().subgraphs {
+                let occ = &m.occurrences;
+                let full = maximal_independent_set(occ);
+                assert_eq!(full.len(), m.mis_size);
+                for cap in [None, Some(1 << 10), Some(1 << 14), Some(1 << 17)] {
+                    let budget = cap.map_or(Budget::unlimited(), |c| {
+                        Budget::unlimited().with_max_bytes(c)
+                    });
+                    let (mut got_m, mut want_m) = (budget.start(), budget.start());
+                    let got = maximal_independent_set_metered(occ, &mut got_m);
+                    let want = maximal_independent_set_metered_reference(occ, &mut want_m);
+                    assert_eq!(got, want, "{} cap {cap:?}", m.pattern);
+                    assert_eq!(got_m.used(), want_m.used());
+                    assert_eq!(got_m.provenance(), want_m.provenance());
+                    prefixes += usize::from(got.1 < occ.len());
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000 && prefixes > 100, "{checked} {prefixes}");
     }
 
     #[test]

@@ -5,12 +5,18 @@
 //! are recorded only for non-commutative destinations — `x - y` and
 //! `y - x` are different computations, while `x + y` and `y + x` are not
 //! (Section 3.3's destination-port matching rule).
+//!
+//! A pattern's canonical code is searched over class-restricted node
+//! permutations with every permuted edge packed into one `u64` whose
+//! order is the order of its `"s>d:p"` string; only the winning edge list
+//! is rendered. The string-building original is the test-only spec in the
+//! `spec` child module.
 
 use crate::MineError;
 use apex_ir::{Graph, NodeId, OpKind, ValueType};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -219,7 +225,9 @@ impl Pattern {
     /// string — `','` sorts below every character an edge string can
     /// contain (digits, `-`, `:`, `>`), making element-wise comparison of
     /// the sorted edge lists equivalent to comparing the joined code
-    /// strings the original single-pass implementation built.
+    /// strings the original single-pass implementation built. Each edge
+    /// string is compared as a packed `u64` key with the same order (see
+    /// `compute_canonical_code`), and only the winner is formatted.
     pub fn canonical_code(&self) -> String {
         self.code.get_or_init(|| self.compute_canonical_code()).clone()
     }
@@ -229,7 +237,11 @@ impl Pattern {
         self.code.get_or_init(|| self.compute_canonical_code())
     }
 
-    #[allow(clippy::expect_used)]
+    /// The permutation search on packed edge keys: `rank(s) << 40 |
+    /// rank(d) << 16 | port_key(p)` orders like the `"s>d:p"` string,
+    /// because `'>'` and `':'` sort above every digit (so the first
+    /// differing field decides) and ranks and port keys follow string
+    /// order within a field.
     fn compute_canonical_code(&self) -> String {
         let n = self.len();
         let mut outdeg = vec![0usize; n];
@@ -245,8 +257,7 @@ impl Pattern {
         for (i, k) in keys.iter().enumerate() {
             class_of.entry(*k).or_default().push(i);
         }
-        let classes: Vec<Vec<usize>> = class_of.values().cloned().collect();
-
+        let classes: Vec<Vec<usize>> = class_of.into_values().collect();
         // base position for every class in the canonical numbering
         let mut base = Vec::with_capacity(classes.len());
         let mut acc = 0;
@@ -254,36 +265,62 @@ impl Pattern {
             base.push(acc);
             acc += c.len();
         }
-
-        let raw_edges: Vec<(usize, usize, i32)> = self
+        // node index -> rank of its "{i}>" string in string order (the
+        // identity up to 10 nodes; "10>" sorts before "1>"), and back
+        let mut by_string: Vec<usize> = (0..n).collect();
+        if n > 10 {
+            by_string.sort_by_cached_key(|&i| format!("{i}>"));
+        }
+        let mut rank = vec![0u64; n];
+        for (r, &i) in by_string.iter().enumerate() {
+            rank[i] = r as u64;
+        }
+        // one u64 per permuted edge, ordered as its "s>d:p" string
+        let raw_edges: Vec<(usize, usize, u64)> = self
             .edges()
-            .map(|(s, d, p)| (s as usize, d as usize, p.map_or(-1i32, i32::from)))
+            .map(|(s, d, p)| (s as usize, d as usize, port_key(p)))
             .collect();
-        let mut best: Option<Vec<String>> = None;
-        let mut scratch: Vec<String> = Vec::with_capacity(raw_edges.len());
+        // above every real key vector, so the first permutation replaces it
+        let mut best: Vec<u64> = vec![u64::MAX; raw_edges.len()];
+        let mut scratch: Vec<u64> = Vec::with_capacity(raw_edges.len());
         let mut perm = vec![0usize; n]; // original node -> canonical index
         permute_classes(&classes, &base, 0, &mut perm, &mut |perm| {
             scratch.clear();
-            for &(s, d, p) in &raw_edges {
-                scratch.push(format!("{}>{}:{}", perm[s], perm[d], p));
-            }
-            scratch.sort();
-            match &best {
-                Some(b) if b.as_slice() <= scratch.as_slice() => {}
-                _ => best = Some(scratch.clone()),
+            scratch.extend(
+                raw_edges
+                    .iter()
+                    .map(|&(s, d, p)| (rank[perm[s]] << 40) | (rank[perm[d]] << 16) | p),
+            );
+            scratch.sort_unstable();
+            if scratch < best {
+                best.clone_from(&scratch);
             }
         });
-        // invariant: permute_classes always visits the identity permutation,
-        // so `best` is set for every non-empty pattern (and single() makes
-        // empty patterns unconstructible from the public API)
-        let edges = best.expect("at least one permutation");
-        let mut code = String::new();
+        let mut code = String::with_capacity(16 * classes.len() + 8 * best.len());
         for c in &classes {
             let (l, i, o) = keys[c[0]];
-            code.push_str(&format!("[{l:?}/{i}/{o}x{}]", c.len()));
+            let _ = write!(code, "[{l:?}/");
+            push_num(&mut code, i);
+            code.push('/');
+            push_num(&mut code, o);
+            code.push('x');
+            push_num(&mut code, c.len());
+            code.push(']');
         }
         code.push('|');
-        code.push_str(&edges.join(","));
+        for (k, &e) in best.iter().enumerate() {
+            if k > 0 {
+                code.push(',');
+            }
+            push_num(&mut code, by_string[(e >> 40) as usize]);
+            code.push('>');
+            push_num(&mut code, by_string[((e >> 16) & 0xFF_FFFF) as usize]);
+            code.push(':');
+            match port_of_key(e & 0xFFFF) {
+                Some(p) => push_num(&mut code, usize::from(p)),
+                None => code.push_str("-1"),
+            }
+        }
         code
     }
 
@@ -420,6 +457,48 @@ impl Pattern {
     }
 }
 
+/// Sort key of an edge string's trailing `"{port}"` (`-1` for `None`):
+/// `'-'` sorts below every digit, and a decimal string sorts after its
+/// proper prefixes (`"1" < "10" < "2"`), so digits are compared
+/// left-aligned, one base-11 place each, an absent digit lowest.
+fn port_key(port: Option<u8>) -> u64 {
+    let Some(p) = port else { return 0 };
+    let digits: &[u8] = match p {
+        0..=9 => &[p],
+        10..=99 => &[p / 10, p % 10],
+        _ => &[p / 100, p / 10 % 10, p % 10],
+    };
+    let mut key = 0u64;
+    for place in 0..3 {
+        key = key * 11 + digits.get(place).map_or(0, |&d| u64::from(d) + 1);
+    }
+    key + 1
+}
+
+/// Appends `x` in decimal (the code is rendered without `write!` per
+/// number: formatting machinery dominated rendering).
+fn push_num(code: &mut String, x: usize) {
+    if x >= 10 {
+        push_num(code, x / 10);
+    }
+    code.push(char::from(b'0' + (x % 10) as u8));
+}
+
+/// Inverse of [`port_key`].
+fn port_of_key(key: u64) -> Option<u8> {
+    let mut k = key.checked_sub(1)?;
+    let mut places = [0u64; 3];
+    for place in places.iter_mut().rev() {
+        *place = k % 11;
+        k /= 11;
+    }
+    let mut p = 0u64;
+    for &d in places.iter().take_while(|&&d| d > 0) {
+        p = p * 10 + d - 1;
+    }
+    Some(p as u8)
+}
+
 fn permute_classes(
     classes: &[Vec<usize>],
     base: &[usize],
@@ -436,11 +515,9 @@ fn permute_classes(
     permute_within(&mut order, 0, &mut |o| {
         // assign canonical slots base[ci]..base[ci]+len
         // (perm entries for other classes are untouched)
-        let mut p = perm.clone();
         for (slot, &mi) in o.iter().enumerate() {
-            p[members[mi]] = base[ci] + slot;
+            perm[members[mi]] = base[ci] + slot;
         }
-        *perm = p;
         permute_classes(classes, base, ci + 1, perm, visit);
     });
 }
@@ -471,6 +548,9 @@ impl fmt::Display for Pattern {
         write!(f, "{}}}", edges.join(" "))
     }
 }
+
+#[cfg(test)]
+mod spec;
 
 #[cfg(test)]
 mod tests {

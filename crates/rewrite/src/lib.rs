@@ -40,7 +40,7 @@ mod synth;
 pub use rule::{verify_rule, RewriteRule};
 pub use synth::{
     const_passthrough_rule, lut_rule_for_bit_op, needed_templates, rules_from_configs,
-    standard_ruleset, synthesize_op_rule, RuleSet, SynthesisReport,
+    standard_ruleset, synthesize_op_rule, RuleSet, SynthesisReport, VERIFY_TRIALS,
 };
 
 /// Errors raised by the rewrite-rule synthesis stage.

@@ -55,8 +55,10 @@ pub struct SynthesisReport {
     pub rejected: usize,
 }
 
-/// Verification trials per rule.
-pub(crate) const VERIFY_TRIALS: usize = 64;
+/// Verification trials per rule: the battery size synthesis hands
+/// [`verify_rule`] (36 corner vectors, then 28 random ones). `apex
+/// verify` checks stored rules with the same battery.
+pub const VERIFY_TRIALS: usize = 64;
 
 /// Verification trials for the constant-passthrough rule.
 pub(crate) const PASSTHROUGH_TRIALS: usize = 16;

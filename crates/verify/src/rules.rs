@@ -9,10 +9,12 @@ use apex_rewrite::{verify_rule, RewriteRule};
 
 /// Verifies a ruleset against the datapath its rules configure.
 ///
-/// `equiv_trials` is the number of random vectors for the `RULE-EQUIV`
-/// bounded-equivalence check on top of the corner battery; 0 skips the
-/// (comparatively expensive) equivalence check and runs only the static
-/// rules.
+/// `equiv_trials` is the battery size of the `RULE-EQUIV`
+/// bounded-equivalence check, passed to [`verify_rule`]: `max(trials,
+/// 36)` vectors, of which the first 36 are corner vectors and only the
+/// rest random (`apex_rewrite::VERIFY_TRIALS` is synthesis's own
+/// battery); 0 skips the (comparatively expensive) equivalence check and
+/// runs only the static rules.
 ///
 /// Rules:
 /// * `RULE-IFACE` — the pattern's input/output interface disagrees with
@@ -147,7 +149,8 @@ pub fn verify_ruleset(
                 "equivalence",
                 format!(
                     "configured datapath diverges from the pattern on the \
-                     corner+{equiv_trials}-random witness battery"
+                     {}-vector witness battery",
+                    equiv_trials.max(36)
                 ),
             ));
         }
@@ -189,6 +192,36 @@ mod tests {
         let (dp, rules) = scale();
         let vs = verify_ruleset(&dp, &rules, 32);
         assert!(vs.is_empty(), "{}", crate::render(&vs));
+    }
+
+    #[test]
+    fn synthesis_battery_flags_a_corner_agreeing_lie() {
+        // the PE computes umax(a >> b, b); the rule claims umax(a, b).
+        // The two agree on every corner vector, so a corners-only
+        // battery (up to 36 trials) accepts the lie; synthesis's battery
+        // adds random vectors, which reject it
+        let mut pe = Graph::new("umax_lshr");
+        let (a, b) = (pe.input(), pe.input());
+        let s = pe.add(Op::Lshr, &[a, b]);
+        let m = pe.add(Op::Umax, &[s, b]);
+        pe.output(m);
+        let dp = MergedDatapath::from_graph(&pe);
+        let mut claim = Graph::new("umax");
+        let (a, b) = (claim.input(), claim.input());
+        let m = claim.add(Op::Umax, &[a, b]);
+        claim.output(m);
+        let lie = vec![RewriteRule {
+            name: "umax".into(),
+            pattern: claim,
+            config: dp.configs[0].clone(),
+            payload_bindings: Vec::new(),
+            ops_covered: 1,
+        }];
+        assert!(verify_ruleset(&dp, &lie, 36).is_empty());
+        let vs = verify_ruleset(&dp, &lie, apex_rewrite::VERIFY_TRIALS);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "RULE-EQUIV");
+        assert!(vs[0].message.contains("64-vector"), "{}", vs[0].message);
     }
 
     #[test]

@@ -623,7 +623,11 @@ fn verify_app(
     report(
         "rewrite",
         &format!("({} rules)", variant.rules.rules.len()),
-        v::verify_ruleset(&variant.spec.datapath, &variant.rules.rules, 8),
+        v::verify_ruleset(
+            &variant.spec.datapath,
+            &variant.rules.rules,
+            apex::rewrite::VERIFY_TRIALS,
+        ),
     );
     let mut spec = variant.spec.clone();
     apex::pipeline::auto_pipeline(&mut spec, tech, &apex::pipeline::PePipelineOptions::default())?;

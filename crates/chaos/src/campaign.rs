@@ -481,12 +481,8 @@ mod inject {
 
         // invariant 6: the surviving variant passes the static verifier
         if let Some(v) = faulted.as_ref().and_then(|f| f.variant.as_ref()) {
-            let mut found = apex_verify::verify_datapath_with(&v.spec.datapath, &v.sources, 16);
-            found.extend(apex_verify::verify_ruleset(
-                &v.spec.datapath,
-                &v.rules.rules,
-                8,
-            ));
+            let mut found = apex_verify::verify_datapath(&v.spec.datapath, &v.sources);
+            found.extend(apex_verify::verify_ruleset(&v.spec.datapath, &v.rules.rules));
             for x in found {
                 violations.push(format!("verify on the surviving variant: {x}"));
             }

@@ -720,15 +720,13 @@ fn finish(
     let (rules, synthesis) = try_standard_ruleset(&spec.datapath, &sources, &graphs)?;
     #[cfg(debug_assertions)]
     {
-        // cheap static passes at the variant boundary; the expensive
-        // per-rule equivalence battery stays in `apex verify` / synthesis
         crate::dse::debug_verify(
             "merge",
-            &apex_verify::verify_datapath_with(&spec.datapath, &sources, 8),
+            &apex_verify::verify_datapath(&spec.datapath, &sources),
         );
         crate::dse::debug_verify(
             "rewrite",
-            &apex_verify::verify_ruleset(&spec.datapath, &rules.rules, 0),
+            &apex_verify::verify_ruleset(&spec.datapath, &rules.rules),
         );
         crate::dse::debug_verify("pe", &apex_verify::verify_pe(&spec));
     }

@@ -1,17 +1,13 @@
 //! Reference interpreter for dataflow graphs.
 //!
-//! Two modes are provided:
-//!
-//! * [`evaluate`] — combinational semantics. Registers and FIFOs act as
-//!   wires. This is the *golden model* every downstream stage (rewrite-rule
-//!   synthesis, mapping, pipelining, CGRA simulation) is checked against.
-//! * [`simulate`] — cycle-accurate semantics. Registers delay one cycle,
-//!   FIFOs delay `d` cycles. Used to validate branch-delay matching and the
-//!   register-file FIFO transform.
+//! [`evaluate`] gives a graph's combinational semantics: registers and
+//! FIFOs act as wires. This is the *golden model* every downstream stage
+//! (rewrite-rule synthesis, mapping, pipelining, CGRA simulation) is
+//! checked against; cycle timing is checked on netlists and on the
+//! fabric, against `evaluate` at a latency offset.
 
 use crate::graph::Graph;
 use crate::op::{Op, Value};
-use std::collections::VecDeque;
 
 /// Evaluates a graph combinationally.
 ///
@@ -64,137 +60,6 @@ pub fn evaluate(graph: &Graph, inputs: &[Value]) -> Vec<Value> {
         .collect()
 }
 
-/// Per-node state used by the cycle-accurate simulator.
-enum NodeState {
-    /// Combinational node, or primary input.
-    None,
-    /// Register or FIFO contents (front = oldest value).
-    Delay(VecDeque<Value>),
-}
-
-/// Cycle-accurate simulation.
-///
-/// `input_streams[i][c]` is the value of primary input `i` at cycle `c`.
-/// All streams must have the same length; the simulation runs for that many
-/// cycles plus enough extra cycles to drain registers, with inputs held at
-/// zero during the drain. Returns one stream per primary output covering
-/// every simulated cycle.
-///
-/// # Panics
-/// Panics if stream counts or types do not match the graph's inputs.
-pub fn simulate(graph: &Graph, input_streams: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let pis = graph.primary_inputs();
-    assert_eq!(
-        input_streams.len(),
-        pis.len(),
-        "graph '{}' has {} primary inputs, got {} streams",
-        graph.name(),
-        pis.len(),
-        input_streams.len()
-    );
-    let n_cycles = input_streams.first().map_or(0, Vec::len);
-    for s in input_streams {
-        assert_eq!(s.len(), n_cycles, "ragged input streams");
-    }
-    let drain: u32 = graph
-        .iter()
-        .map(|(_, n)| n.op().latency())
-        .sum();
-    let total = n_cycles + drain as usize;
-
-    let mut state: Vec<NodeState> = graph
-        .iter()
-        .map(|(_, n)| match n.op() {
-            Op::Reg | Op::BitReg => {
-                let mut q = VecDeque::with_capacity(1);
-                q.push_back(Value::zero(n.op().output_type()));
-                NodeState::Delay(q)
-            }
-            Op::Fifo(d) => {
-                let mut q = VecDeque::with_capacity(d as usize);
-                for _ in 0..d {
-                    q.push_back(Value::zero(n.op().output_type()));
-                }
-                NodeState::Delay(q)
-            }
-            _ => NodeState::None,
-        })
-        .collect();
-
-    let pos = graph.primary_outputs();
-    let mut out_streams: Vec<Vec<Value>> = vec![Vec::with_capacity(total); pos.len()];
-    let mut values: Vec<Value> = graph
-        .iter()
-        .map(|(_, n)| Value::zero(n.op().output_type()))
-        .collect();
-
-    for cycle in 0..total {
-        for (slot, (&pi, stream)) in pis.iter().zip(input_streams).enumerate() {
-            let v = if cycle < n_cycles {
-                stream[cycle]
-            } else {
-                Value::zero(graph.op(pi).output_type())
-            };
-            assert_eq!(
-                v.value_type(),
-                graph.op(pi).output_type(),
-                "input stream {slot} type mismatch at cycle {cycle}"
-            );
-            values[pi.index()] = v;
-        }
-        let mut in_buf: Vec<Value> = Vec::with_capacity(3);
-        for (id, node) in graph.iter() {
-            match node.op() {
-                Op::Input | Op::BitInput => {}
-                Op::Reg | Op::BitReg | Op::Fifo(_) => {
-                    in_buf.clear();
-                    in_buf.extend(node.inputs().iter().map(|s| values[s.index()]));
-                    let incoming = in_buf[0];
-                    if let NodeState::Delay(q) = &mut state[id.index()] {
-                        match q.pop_front() {
-                            // zero-depth FIFO acts as a wire
-                            None => values[id.index()] = incoming,
-                            Some(v) => {
-                                values[id.index()] = v;
-                                q.push_back(incoming);
-                            }
-                        }
-                    }
-                }
-                op => {
-                    in_buf.clear();
-                    in_buf.extend(node.inputs().iter().map(|s| values[s.index()]));
-                    values[id.index()] = op.eval(&in_buf);
-                }
-            }
-        }
-        for (slot, &po) in pos.iter().enumerate() {
-            out_streams[slot].push(values[po.index()]);
-        }
-    }
-    out_streams
-}
-
-/// Total input-to-output latency in cycles: the maximum over outputs of the
-/// sum of register/FIFO delays along any path from an input.
-pub fn pipeline_latency(graph: &Graph) -> u32 {
-    let mut lat = vec![0u32; graph.len()];
-    let mut max = 0;
-    for (id, node) in graph.iter() {
-        let arr = node
-            .inputs()
-            .iter()
-            .map(|s| lat[s.index()])
-            .max()
-            .unwrap_or(0);
-        lat[id.index()] = arr + node.op().latency();
-        if matches!(node.op(), Op::Output | Op::BitOutput) {
-            max = max.max(lat[id.index()]);
-        }
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,62 +92,5 @@ mod tests {
         g.output(r);
         let out = evaluate(&g, &[Value::Word(42)]);
         assert_eq!(out, vec![Value::Word(42)]);
-    }
-
-    #[test]
-    fn simulate_register_delays_one_cycle() {
-        let mut g = Graph::new("d1");
-        let a = g.input();
-        let r = g.add(Op::Reg, &[a]);
-        g.output(r);
-        let streams = simulate(&g, &[vec![Value::Word(7), Value::Word(9)]]);
-        assert_eq!(
-            streams[0],
-            vec![Value::Word(0), Value::Word(7), Value::Word(9)]
-        );
-    }
-
-    #[test]
-    fn simulate_fifo_delays_d_cycles() {
-        let mut g = Graph::new("d3");
-        let a = g.input();
-        let f = g.add(Op::Fifo(3), &[a]);
-        g.output(f);
-        let inputs: Vec<Value> = (1..=4u16).map(Value::Word).collect();
-        let streams = simulate(&g, &[inputs]);
-        assert_eq!(streams[0].len(), 7);
-        assert_eq!(&streams[0][3..7], &[1, 2, 3, 4].map(Value::Word));
-        assert!(streams[0][..3].iter().all(|v| *v == Value::Word(0)));
-    }
-
-    #[test]
-    fn simulate_matches_evaluate_for_combinational_graphs() {
-        let g = mac();
-        let inputs = [Value::Word(10), Value::Word(20), Value::Word(30)];
-        let golden = evaluate(&g, &inputs);
-        let streams = simulate(&g, &[vec![inputs[0]], vec![inputs[1]], vec![inputs[2]]]);
-        assert_eq!(streams[0][0], golden[0]);
-    }
-
-    #[test]
-    fn pipeline_latency_sums_longest_path() {
-        let mut g = Graph::new("lat");
-        let a = g.input();
-        let r1 = g.add(Op::Reg, &[a]);
-        let f = g.add(Op::Fifo(3), &[r1]);
-        let b = g.input();
-        let s = g.add(Op::Add, &[f, b]);
-        g.output(s);
-        assert_eq!(pipeline_latency(&g), 4);
-    }
-
-    #[test]
-    fn zero_depth_fifo_is_wire() {
-        let mut g = Graph::new("f0");
-        let a = g.input();
-        let f = g.add(Op::Fifo(0), &[a]);
-        g.output(f);
-        let streams = simulate(&g, &[vec![Value::Word(5)]]);
-        assert_eq!(streams[0], vec![Value::Word(5)]);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! This crate is our substitute for [CoreIR] in the APEX paper's flow: a
 //! word-level (16-bit) dataflow-graph intermediate representation with a
-//! 1-bit predicate datapath, a reference interpreter, and a cycle-accurate
-//! simulator.
+//! 1-bit predicate datapath and a reference interpreter.
 //!
 //! Every later stage of the APEX pipeline consumes or produces these
 //! graphs:
@@ -11,11 +10,12 @@
 //! * applications (`apex-apps`) are built as [`Graph`]s,
 //! * the subgraph miner (`apex-mining`) mines them,
 //! * the datapath merger (`apex-merge`) merges mined patterns into PE
-//!   datapaths (also [`Graph`]s),
-//! * the mapper (`apex-map`) rewrites application graphs into graphs of PE
-//!   instances,
-//! * the pipeliners (`apex-pipeline`) insert [`Op::Reg`]/[`Op::Fifo`]
-//!   nodes, and
+//!   datapaths,
+//! * the mapper (`apex-map`) rewrites application graphs into netlists of
+//!   PE instances,
+//! * the pipeliners (`apex-pipeline`) insert `NetKind::Reg`/`Fifo` nets
+//!   into mapped netlists (`apex-map`'s `map_application` rejects IR
+//!   registers), and
 //! * the CGRA simulator (`apex-cgra`) checks fabric execution against
 //!   [`evaluate`], the golden model.
 //!
@@ -50,6 +50,6 @@ mod text;
 
 pub use expr::{BitExpr, Expr, ExprGraph};
 pub use graph::{Graph, GraphError, Node, NodeId};
-pub use interp::{evaluate, pipeline_latency, simulate};
+pub use interp::evaluate;
 pub use op::{Op, OpKind, Value, ValueType, ALL_OP_KINDS};
 pub use text::{from_text, op_from_token, op_to_token, to_text, ParseError};

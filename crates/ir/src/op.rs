@@ -467,21 +467,11 @@ impl Op {
         )
     }
 
-    /// Cycles of delay this node contributes during cycle-accurate
-    /// simulation (0 for combinational operations).
-    pub fn latency(self) -> u32 {
-        match self {
-            Op::Reg | Op::BitReg => 1,
-            Op::Fifo(d) => u32::from(d),
-            _ => 0,
-        }
-    }
-
     /// Evaluates the operation on input values: the typed wrapper of
     /// [`Op::eval_lane`], which holds the semantics.
     ///
-    /// Registers and FIFOs act as wires here; cycle-accurate delay is the
-    /// simulator's job.
+    /// Registers and FIFOs act as wires here; cycle delay is modelled on
+    /// mapped netlists, not in the IR.
     ///
     /// # Panics
     /// Panics if `inputs` does not match [`Op::input_types`].

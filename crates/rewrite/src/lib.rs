@@ -37,10 +37,10 @@ use std::fmt;
 mod rule;
 mod synth;
 
-pub use rule::{verify_rule, RewriteRule};
+pub use rule::{verify_rule, RewriteRule, VERIFY_TRIALS};
 pub use synth::{
-    const_passthrough_rule, lut_rule_for_bit_op, needed_templates, rules_from_configs,
-    standard_ruleset, synthesize_op_rule, RuleSet, SynthesisReport, VERIFY_TRIALS,
+    config_rules, const_passthrough_rule, lut_rule_for_bit_op, needed_templates,
+    rules_from_configs, standard_ruleset, synthesize_op_rule, RuleSet, SynthesisReport,
 };
 
 /// Errors raised by the rewrite-rule synthesis stage.

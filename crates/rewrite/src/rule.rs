@@ -67,6 +67,12 @@ impl RewriteRule {
 /// Word values the corner vectors draw from.
 const CORNERS: [u16; 6] = [0, 1, 2, 0x7FFF, 0x8000, 0xFFFF];
 
+/// Vectors in the equivalence battery: the 36 corner vectors, then 28
+/// random ones. Every check that a configured PE computes a graph
+/// (synthesis, `apex verify`'s `MERGE-WITNESS` and `RULE-EQUIV`, the
+/// chaos campaign) runs this one battery through [`verify_rule`].
+pub const VERIFY_TRIALS: usize = 64;
+
 /// Verifies a rule against the IR golden model: for every vector of a
 /// fixed test battery, the configured PE must produce exactly the
 /// pattern's outputs.
@@ -74,18 +80,17 @@ const CORNERS: [u16; 6] = [0, 1, 2, 0x7FFF, 0x8000, 0xFFFF];
 /// This is our bounded-equivalence substitute for the paper's SMT query
 /// `∃x ∀y: P(x, y) = Op(y)` (DESIGN.md §3): the configuration `x` is
 /// constructed structurally, and `∀y` is checked, not proven, on a fixed
-/// battery of `max(trials, 36)` vectors:
+/// battery of [`VERIFY_TRIALS`] (64) vectors:
 ///
 /// * 36 corner vectors: vector `t` gives word input `k` the value
 ///   `CORNERS[(t + k) % 6]` of `[0, 1, 2, 0x7FFF, 0x8000, 0xFFFF]` (six
 ///   distinct word vectors), and `Const` payloads take `CORNERS[t]` for
 ///   `t < 6`;
-/// * then `trials - 36` random vectors from a fixed xorshift seed.
+/// * then 28 random vectors from a fixed xorshift seed.
 ///
 /// Later `Const` payloads, and every bit input, `BitConst` and `Lut`
 /// payload, are drawn from the same generator, within a vector in the
-/// order payloads, words, bits. Synthesis passes 64 trials (28 random
-/// vectors); `apex verify` passes 8 (no random vector).
+/// order payloads, words, bits.
 ///
 /// The parts that depend only on the rule (instantiating and validating
 /// the configuration, the datapath's topological order, the pattern's
@@ -99,10 +104,17 @@ const CORNERS: [u16; 6] = [0, 1, 2, 0x7FFF, 0x8000, 0xFFFF];
 /// vector would: payloads that do not fit [`RewriteRule::instantiate`],
 /// a malformed pattern, input maps that disagree with the pattern's
 /// inputs, or a datapath whose selected sources do not fit their ports.
+pub fn verify_rule(dp: &MergedDatapath, rule: &RewriteRule) -> bool {
+    verify_lanes(dp, rule, VERIFY_TRIALS)
+}
+
+/// The lane engine behind [`verify_rule`], on `max(trials, 36)` vectors:
+/// the 36 corner vectors, then `trials - 36` random ones. Only the
+/// reference comparison in `spec.rs` runs it at another size.
 // invariant: `validate_config` passed, so every node source the loops
 // resolve is an active node
 #[allow(clippy::expect_used)]
-pub fn verify_rule(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool {
+fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool {
     let pattern = &rule.pattern;
     let payloads = rule.pattern_payloads();
     let count = |op: Op| pattern.node_ids().filter(|&i| pattern.op(i) == op).count();
@@ -338,7 +350,7 @@ mod tests {
     #[test]
     fn verify_accepts_correct_rule() {
         let (dp, rule) = scale_rule();
-        assert!(verify_rule(&dp, &rule, 100));
+        assert!(verify_rule(&dp, &rule));
     }
 
     #[test]
@@ -353,7 +365,7 @@ mod tests {
         let binding_node = rule.payload_bindings[0].1;
         rule.pattern = g;
         rule.payload_bindings = vec![(c, binding_node)];
-        assert!(!verify_rule(&dp, &rule, 100));
+        assert!(!verify_rule(&dp, &rule));
     }
 
     #[test]

@@ -123,9 +123,10 @@ fn substitute_payloads(pattern: &Graph, bindings: &[(NodeId, u32)], payloads: &[
 
 mod properties {
     use super::{verify_rule, verify_rule_reference, RewriteRule};
+    use crate::rule::{verify_lanes, VERIFY_TRIALS};
     use crate::synth::{
         config_rules, const_passthrough_candidate, lut_rule_candidates, needed_templates,
-        op_rule_candidates, PASSTHROUGH_TRIALS, VERIFY_TRIALS,
+        op_rule_candidates,
     };
     use apex_apps::{analyzed_apps, unseen_apps, Application};
     use apex_core::specialization_ladder;
@@ -148,7 +149,7 @@ mod properties {
     impl Tally {
         /// Requires both verifiers to accept, reject or panic alike.
         fn check(&mut self, dp: &MergedDatapath, rule: &RewriteRule, trials: usize) {
-            let lanes = catch_unwind(AssertUnwindSafe(|| verify_rule(dp, rule, trials))).ok();
+            let lanes = catch_unwind(AssertUnwindSafe(|| verify_lanes(dp, rule, trials))).ok();
             let reference =
                 catch_unwind(AssertUnwindSafe(|| verify_rule_reference(dp, rule, trials))).ok();
             assert_eq!(
@@ -170,25 +171,23 @@ mod properties {
         apps
     }
 
-    /// Every rule `standard_ruleset` can verify for these inputs, with the
-    /// trial count it verifies it at: the stored configurations' rules,
-    /// every structural and LUT candidate of every template (synthesis
-    /// stops at the first that verifies), and the constant passthrough.
+    /// Every rule `standard_ruleset` can verify for these inputs: the
+    /// stored configurations' rules, every structural and LUT candidate
+    /// of every template (synthesis stops at the first that verifies),
+    /// and the constant passthrough.
     fn checked_candidates(
         dp: &MergedDatapath,
         sources: &[Graph],
         apps: &[&Graph],
-    ) -> Vec<(RewriteRule, usize)> {
-        let mut out: Vec<(RewriteRule, usize)> = config_rules(dp, sources)
-            .map(|r| (r, VERIFY_TRIALS))
-            .collect();
+    ) -> Vec<RewriteRule> {
+        let mut out: Vec<RewriteRule> = config_rules(dp, sources).map(Result::unwrap).collect();
         for (op, const_ports) in needed_templates(apps) {
-            out.extend(op_rule_candidates(dp, op, &const_ports).map(|r| (r, VERIFY_TRIALS)));
+            out.extend(op_rule_candidates(dp, op, &const_ports));
             if const_ports.is_empty() {
-                out.extend(lut_rule_candidates(dp, op).map(|r| (r, VERIFY_TRIALS)));
+                out.extend(lut_rule_candidates(dp, op));
             }
         }
-        out.extend(const_passthrough_candidate(dp).map(|r| (r, PASSTHROUGH_TRIALS)));
+        out.extend(const_passthrough_candidate(dp));
         out
     }
 
@@ -416,8 +415,8 @@ mod properties {
         let pe = baseline_pe();
         let mut apps: Vec<&Graph> = suite.iter().map(|a| &a.graph).collect();
         apps.push(&probe);
-        for (rule, trials) in checked_candidates(&pe.datapath, &[], &apps) {
-            tally.check(&pe.datapath, &rule, trials);
+        for rule in checked_candidates(&pe.datapath, &[], &apps) {
+            tally.check(&pe.datapath, &rule, VERIFY_TRIALS);
         }
         let tech = TechModel::default();
         for app in &suite {
@@ -432,8 +431,8 @@ mod properties {
             assert_eq!(ladder.len(), 5, "{}: steps 0-4", app.info.name);
             for v in &ladder {
                 let dp = &v.spec.datapath;
-                for (rule, trials) in checked_candidates(dp, &v.sources, &[&app.graph]) {
-                    tally.check(dp, &rule, trials);
+                for rule in checked_candidates(dp, &v.sources, &[&app.graph]) {
+                    tally.check(dp, &rule, VERIFY_TRIALS);
                 }
             }
         }
@@ -450,12 +449,12 @@ mod properties {
         let mut cases: Vec<(MergedDatapath, RewriteRule)> = Vec::new();
         let pe = baseline_pe();
         let probe = probe_app();
-        for (rule, _) in checked_candidates(&pe.datapath, &[], &[&probe]) {
+        for rule in checked_candidates(&pe.datapath, &[], &[&probe]) {
             cases.push((pe.datapath.clone(), rule));
         }
         for g in payload_graphs() {
             let dp = MergedDatapath::from_graph(&g);
-            let rules: Vec<RewriteRule> = config_rules(&dp, &[g]).collect();
+            let rules: Vec<RewriteRule> = config_rules(&dp, &[g]).map(Result::unwrap).collect();
             cases.extend(rules.into_iter().map(|r| (dp.clone(), r)));
         }
         // merged, multi-configuration datapaths: muxed ports, shared
@@ -475,7 +474,7 @@ mod properties {
             )
             .unwrap();
             let v = ladder.last().unwrap();
-            for rule in config_rules(&v.spec.datapath, &v.sources) {
+            for rule in config_rules(&v.spec.datapath, &v.sources).map(Result::unwrap) {
                 cases.push((v.spec.datapath.clone(), rule));
             }
         }
@@ -505,7 +504,7 @@ mod properties {
     fn only_random_vectors_catch_a_corner_agreeing_lie() {
         // the PE computes umax(a >> b, b); the pattern claims umax(a, b).
         // The two agree on all six corner word vectors, so the lie
-        // passes a corners-only battery (`apex verify`'s 36 vectors) and
+        // passes a corners-only battery (any size up to 36) and
         // only the random vectors past 36 reject it
         let mut pe = Graph::new("umax_lshr");
         let (a, b) = (pe.input(), pe.input());
@@ -513,7 +512,10 @@ mod properties {
         let m = pe.add(Op::Umax, &[s, b]);
         pe.output(m);
         let dp = MergedDatapath::from_graph(&pe);
-        let mut lie = config_rules(&dp, std::slice::from_ref(&pe)).next().unwrap();
+        let mut lie = config_rules(&dp, std::slice::from_ref(&pe))
+            .next()
+            .unwrap()
+            .unwrap();
         let mut claim = Graph::new("umax");
         let (a, b) = (claim.input(), claim.input());
         let m = claim.add(Op::Umax, &[a, b]);
@@ -523,11 +525,12 @@ mod properties {
         for trials in TRIALS {
             tally.check(&dp, &lie, trials);
             assert_eq!(
-                verify_rule(&dp, &lie, trials),
+                verify_lanes(&dp, &lie, trials),
                 trials <= 36,
                 "{trials} trials"
             );
         }
+        assert!(!verify_rule(&dp, &lie));
     }
 
     #[test]
@@ -555,7 +558,7 @@ mod properties {
         let mut tally = Tally::default();
         for trials in TRIALS {
             tally.check(&dp, &lie, trials);
-            assert!(!verify_rule(&dp, &lie, trials), "{trials} trials");
+            assert!(!verify_lanes(&dp, &lie, trials), "{trials} trials");
         }
     }
 
@@ -568,7 +571,10 @@ mod properties {
         let s = g.add(Op::Add, &[a, b]);
         g.output(s);
         let mut dp = MergedDatapath::from_graph(&g);
-        let mut rule = config_rules(&dp, std::slice::from_ref(&g)).next().unwrap();
+        let mut rule = config_rules(&dp, std::slice::from_ref(&g))
+            .next()
+            .unwrap()
+            .unwrap();
         dp.bit_inputs = 1;
         dp.nodes[0].port_candidates[0].push(DpSource::BitInput(0));
         rule.config.node_cfg[0].as_mut().unwrap().port_sel[0] = 1;
@@ -581,6 +587,7 @@ mod properties {
         let mut mixed = MergedDatapath::from_graph(&c);
         let mut read_as_word = config_rules(&mixed, std::slice::from_ref(&c))
             .next()
+            .unwrap()
             .unwrap();
         mixed.nodes[0].ops.insert(0, Op::Add);
         read_as_word.config.word_out_sel = std::mem::take(&mut read_as_word.config.bit_out_sel);

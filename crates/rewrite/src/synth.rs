@@ -10,13 +10,13 @@
 //! 3. **LUT fallback** — bit operations lower onto a 3-input LUT when no
 //!    dedicated gate exists (how the baseline PE executes bit logic).
 //!
-//! Every candidate rule is validated by [`verify_rule`] before being
-//! admitted — the bounded-equivalence substitute for the paper's SMT
-//! check. Synthesis runs its battery at 64 vectors: the 36 corner
-//! vectors (word input `k` of vector `t` gets `CORNERS[(t + k) % 6]`;
-//! `Const` payloads cycle the corners for `t < 6`) and 28 random ones
-//! from a fixed seed. The constant passthrough runs the 36 corner
-//! vectors alone. Nothing is enumerated exhaustively.
+//! Every candidate rule, the constant passthrough included, is validated
+//! by [`verify_rule`] before being admitted — the bounded-equivalence
+//! substitute for the paper's SMT check — on its one 64-vector battery
+//! ([`crate::VERIFY_TRIALS`]): the 36 corner vectors (word input `k` of
+//! vector `t` gets `CORNERS[(t + k) % 6]`; `Const` payloads cycle the
+//! corners for `t < 6`) and 28 random ones from a fixed seed. Nothing is
+//! enumerated exhaustively.
 
 use crate::rule::{verify_rule, RewriteRule};
 use apex_fault::{ApexError, Stage};
@@ -55,16 +55,8 @@ pub struct SynthesisReport {
     pub rejected: usize,
 }
 
-/// Verification trials per rule: the battery size synthesis hands
-/// [`verify_rule`] (36 corner vectors, then 28 random ones). `apex
-/// verify` checks stored rules with the same battery.
-pub const VERIFY_TRIALS: usize = 64;
-
-/// Verification trials for the constant-passthrough rule.
-pub(crate) const PASSTHROUGH_TRIALS: usize = 16;
-
 /// Builds rules from the datapath's stored configurations, dropping any
-/// that fails verification.
+/// whose payloads are unmapped or that fails verification.
 ///
 /// `sources[i]` must be the subgraph that produced `dp.configs[i]`.
 ///
@@ -77,37 +69,39 @@ pub fn rules_from_configs(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Rewrite
         "one source graph per stored configuration"
     );
     config_rules(dp, sources)
-        .filter(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+        .filter_map(Result::ok)
+        .filter(|rule| verify_rule(dp, rule))
         .collect()
 }
 
-/// The unverified rule of each stored configuration.
-// invariant: merge_graph maps every source node into the datapath, so
-// payload nodes are always present in the config's node_map
-#[allow(clippy::expect_used)]
-pub(crate) fn config_rules<'a>(
+/// The unverified rule of each stored configuration, in configuration
+/// order (`sources[i]` is the subgraph that produced `dp.configs[i]`):
+/// the source is the pattern, the stored configuration the template,
+/// and each payload node of the source (`Const`, `BitConst`, `Lut`) is
+/// bound to the datapath node its `node_map` entry names.
+///
+/// `Err(node)` names a payload node the configuration's `node_map`
+/// leaves unmapped, so no datapath node would receive its payload.
+pub fn config_rules<'a>(
     dp: &'a MergedDatapath,
     sources: &'a [Graph],
-) -> impl Iterator<Item = RewriteRule> + 'a {
+) -> impl Iterator<Item = Result<RewriteRule, NodeId>> + 'a {
     dp.configs.iter().zip(sources).map(|(cfg, src)| {
         let node_map: BTreeMap<u32, u32> = cfg.node_map.iter().copied().collect();
         let mut payload_bindings = Vec::new();
         for (id, node) in src.iter() {
             if matches!(node.op(), Op::Const(_) | Op::BitConst(_) | Op::Lut(_)) {
-                let dp_node = node_map
-                    .get(&id.0)
-                    .copied()
-                    .expect("payload node mapped by merge");
+                let dp_node = node_map.get(&id.0).copied().ok_or(id)?;
                 payload_bindings.push((id, dp_node));
             }
         }
-        RewriteRule {
+        Ok(RewriteRule {
             name: src.name().to_owned(),
             pattern: src.clone(),
             config: cfg.clone(),
             payload_bindings,
             ops_covered: src.compute_nodes().len(),
-        }
+        })
     })
 }
 
@@ -176,7 +170,7 @@ fn is_const_reg(node: &apex_merge::DpNode, ty: ValueType) -> bool {
 /// given operand indices bound to constant registers. Returns a verified
 /// rule or `None`.
 pub fn synthesize_op_rule(dp: &MergedDatapath, op: Op, const_ports: &[u8]) -> Option<RewriteRule> {
-    op_rule_candidates(dp, op, const_ports).find(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+    op_rule_candidates(dp, op, const_ports).find(|rule| verify_rule(dp, rule))
 }
 
 /// The unverified single-op rules the structural search proposes, in the
@@ -301,7 +295,7 @@ fn place_op_rule(
 /// executes `BitAnd`/`BitOr`/etc., Section 2.1's "look up table for bit
 /// operations").
 pub fn lut_rule_for_bit_op(dp: &MergedDatapath, op: Op) -> Option<RewriteRule> {
-    lut_rule_candidates(dp, op).find(|rule| verify_rule(dp, rule, VERIFY_TRIALS))
+    lut_rule_candidates(dp, op).find(|rule| verify_rule(dp, rule))
 }
 
 /// The unverified LUT rules for a bit operation, one per LUT node that
@@ -393,7 +387,7 @@ fn place_lut_rule(
 /// Rule that outputs a bare constant (covers application constants no
 /// other rule folds).
 pub fn const_passthrough_rule(dp: &MergedDatapath) -> Option<RewriteRule> {
-    const_passthrough_candidate(dp).filter(|rule| verify_rule(dp, rule, PASSTHROUGH_TRIALS))
+    const_passthrough_candidate(dp).filter(|rule| verify_rule(dp, rule))
 }
 
 /// The unverified constant-passthrough rule, on the first word constant

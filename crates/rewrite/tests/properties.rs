@@ -50,9 +50,9 @@ proptest! {
         )
         .unwrap();
         let (rules, _) = standard_ruleset(&dp, &[g1.clone(), g2.clone()], &[&g1, &g2]).unwrap();
-        // every admitted rule re-verifies with a fresh battery
+        // every admitted rule re-verifies
         for r in &rules.rules {
-            prop_assert!(verify_rule(&dp, r, 48), "rule {} must verify", r.name);
+            prop_assert!(verify_rule(&dp, r), "rule {} must verify", r.name);
         }
         // the two complex rules from the merged configs are present
         prop_assert!(rules.rules.iter().any(|r| r.name == "p1"));
@@ -103,5 +103,5 @@ fn verification_is_adversarial_not_vacuous() {
         lie.node_ids().find(|&i| matches!(lie.op(i), Op::Const(_))).unwrap(),
         binding,
     )];
-    assert!(!verify_rule(&dp, &rule, 64));
+    assert!(!verify_rule(&dp, &rule));
 }

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`verify_graph`] | [`apex_ir::Graph`] | DAG/SSA order, port arity, operand types, dead nodes, unreachable outputs |
 //! | [`verify_mined`] | [`apex_mining::MinedSubgraph`] | occurrences are real label/port-consistent embeddings; support counts match |
-//! | [`verify_datapath`] | [`apex_merge::MergedDatapath`] | mux selects exhaustive/exclusive, no dangling ports, per-source config witness |
+//! | [`verify_datapath`] | [`apex_merge::MergedDatapath`] | mux selects exhaustive/exclusive, no dangling ports, each stored configuration computes its source (the rule checks below) |
 //! | [`verify_ruleset`] | [`apex_rewrite::RewriteRule`] | LHS/RHS interface equality, payload bindings, bounded equivalence |
 //! | [`verify_pe`] | [`apex_pe::PeSpec`] | pipeline stage assignment well-formed and monotone |
 //! | [`verify_netlist`] / [`verify_placement`] / [`verify_routing`] / [`verify_bitstream`] | map/cgra artifacts | tile-type compatibility, connected routes, track capacity, encodable bitstream fields |
@@ -62,7 +62,7 @@ mod rules;
 
 pub use fabric::{verify_bitstream, verify_netlist, verify_placement, verify_routing};
 pub use ir::verify_graph;
-pub use merge::{verify_datapath, verify_datapath_with};
+pub use merge::verify_datapath;
 pub use mining::verify_mined;
 pub use pe::verify_pe;
 pub use rules::verify_ruleset;

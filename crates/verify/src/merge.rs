@@ -1,23 +1,16 @@
 //! Merge checker pass: the merged datapath structurally covers every
-//! constituent subgraph, and a concrete select-assignment witness per
-//! source reproduces its semantics on corner and random vectors.
+//! constituent subgraph, and the rule synthesis builds from each stored
+//! configuration passes the rewrite-rule checks.
 
 use crate::Violation;
-use apex_ir::{evaluate as ir_eval, Graph, Op, Value};
+use apex_ir::Graph;
 use apex_merge::{DpSource, MergedDatapath};
+use apex_rewrite::config_rules;
 
-/// Verifies a merged datapath against its constituent source subgraphs
-/// with the default witness-trial budget (16 vectors beyond corners).
+/// Verifies a merged datapath against its constituent source subgraphs.
 ///
 /// `sources[i]` must be the subgraph that `dp.configs[i]` claims to
 /// implement; pass `&[]` to run the structural checks only.
-pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation> {
-    verify_datapath_with(dp, sources, 16)
-}
-
-/// Verifies a merged datapath; `trials` controls how many witness
-/// evaluation vectors are tried per (source, config) pair in addition to
-/// the corner battery (0 skips the semantic witness entirely).
 ///
 /// Rules:
 /// * `MERGE-STRUCT` — the candidate-edge union is cyclic, or a node's
@@ -28,15 +21,16 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
 ///   ambiguous rather than exclusive),
 /// * `MERGE-CONFIG` — a stored configuration fails
 ///   [`MergedDatapath::validate_config`],
-/// * `MERGE-IFACE` — a source subgraph's input/output interface
-///   disagrees with its configuration's maps and output selects,
-/// * `MERGE-WITNESS` — the configured datapath does not reproduce the
-///   source subgraph's outputs on a witness vector.
-pub fn verify_datapath_with(
-    dp: &MergedDatapath,
-    sources: &[Graph],
-    trials: usize,
-) -> Vec<Violation> {
+/// * `MERGE-IFACE` — a configuration's input map names a port the PE
+///   lacks,
+/// * `MERGE-WITNESS` — `sources` is not aligned with the configurations,
+///   or the rule synthesis builds from a stored configuration
+///   ([`config_rules`]) cannot be built (a payload node without a
+///   `node_map` entry) or fails a `RULE-*` check of
+///   [`crate::verify_ruleset`], the 64-vector equivalence battery
+///   included. Synthesis (`apex_rewrite::rules_from_configs`) drops a
+///   well-formed configuration exactly when this fires.
+pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation> {
     let mut out = Vec::new();
     let artifact = format!("datapath '{}'", dp.name);
 
@@ -171,7 +165,7 @@ pub fn verify_datapath_with(
         }
     }
 
-    // --- per-source coverage witness ------------------------------------
+    // --- per-source rule check ------------------------------------------
     if sources.is_empty() {
         return out;
     }
@@ -188,128 +182,32 @@ pub fn verify_datapath_with(
         ));
         return out;
     }
-    for (ci, (src, cfg)) in sources.iter().zip(&dp.configs).enumerate() {
-        let loc = format!("config[{ci}] '{}'", cfg.name);
-        let word_n = src.node_ids().filter(|&i| src.op(i) == Op::Input).count();
-        let bit_n = src.node_ids().filter(|&i| src.op(i) == Op::BitInput).count();
-        let word_out = src.node_ids().filter(|&i| src.op(i) == Op::Output).count();
-        let bit_out = src.node_ids().filter(|&i| src.op(i) == Op::BitOutput).count();
-        let iface_ok = word_n == cfg.word_input_map.len()
-            && bit_n == cfg.bit_input_map.len()
-            && word_out == cfg.word_out_sel.len()
-            && bit_out == cfg.bit_out_sel.len();
-        if !iface_ok {
-            out.push(Violation::new(
-                "MERGE-IFACE",
-                &artifact,
-                loc,
-                format!(
-                    "source '{}' interface {word_n}W+{bit_n}B in / {word_out}W+{bit_out}B out \
-                     != config maps {}W+{}B in / {}W+{}B out",
-                    src.name(),
-                    cfg.word_input_map.len(),
-                    cfg.bit_input_map.len(),
-                    cfg.word_out_sel.len(),
-                    cfg.bit_out_sel.len()
-                ),
-            ));
-            continue;
-        }
-        if structural || trials == 0 || dp.validate_config(cfg).is_err() {
-            continue; // witness evaluation needs a well-formed datapath
-        }
-        if let Some(v) = witness(dp, src, ci, word_n, bit_n, trials, &artifact, &loc) {
-            out.push(v);
+    if structural {
+        return out; // simulating a configuration needs a well-formed datapath
+    }
+    for (ci, rule) in config_rules(dp, sources).enumerate() {
+        let loc = format!("config[{ci}] '{}'", dp.configs[ci].name);
+        let found = match rule {
+            Err(node) => vec![format!(
+                "payload node {node} of source '{}' has no node_map entry",
+                sources[ci].name()
+            )],
+            Ok(rule) => crate::rules::check_rule(dp, &rule, &artifact)
+                .into_iter()
+                .map(|v| format!("{}: {}", v.rule, v.message))
+                .collect(),
+        };
+        for message in found {
+            out.push(Violation::new("MERGE-WITNESS", &artifact, loc.clone(), message));
         }
     }
     out
 }
 
-/// Runs the corner + random witness battery for one (source, config)
-/// pair; returns the first divergence found.
-#[allow(clippy::too_many_arguments)]
-fn witness(
-    dp: &MergedDatapath,
-    src: &Graph,
-    ci: usize,
-    word_n: usize,
-    bit_n: usize,
-    trials: usize,
-    artifact: &str,
-    loc: &str,
-) -> Option<Violation> {
-    const CORNERS: [u16; 6] = [0, 1, 2, 0x7FFF, 0x8000, 0xFFFF];
-    let cfg = &dp.configs[ci];
-    let mut seed = 0x5EED_0000_0000_0001u64 ^ (ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    for t in 0..trials.max(CORNERS.len()) {
-        let words: Vec<u16> = (0..word_n)
-            .map(|k| {
-                if t < CORNERS.len() {
-                    CORNERS[(t + k) % CORNERS.len()]
-                } else {
-                    next() as u16
-                }
-            })
-            .collect();
-        let bits: Vec<bool> = (0..bit_n).map(|_| next() & 1 == 1).collect();
-        let mut wi = words.iter();
-        let mut bi = bits.iter();
-        let golden_inputs: Vec<Value> = src
-            .primary_inputs()
-            .iter()
-            .map(|&pi| match src.op(pi) {
-                Op::Input => Value::Word(wi.next().copied().unwrap_or(0)),
-                Op::BitInput => Value::Bit(bi.next().copied().unwrap_or(false)),
-                _ => Value::Word(0),
-            })
-            .collect();
-        let golden = ir_eval(src, &golden_inputs);
-        let got = match dp.evaluate_as_source(cfg, &words, &bits) {
-            Ok(g) => g,
-            Err(e) => {
-                return Some(Violation::new(
-                    "MERGE-WITNESS",
-                    artifact,
-                    loc.to_owned(),
-                    format!("evaluation failed on witness vector {t}: {e}"),
-                ));
-            }
-        };
-        let (got_w, got_b) = got;
-        let mut gw = got_w.into_iter();
-        let mut gb = got_b.into_iter();
-        for (po, g) in src.primary_outputs().iter().zip(golden) {
-            let ok = match src.op(*po) {
-                Op::Output => gw.next() == Some(g.word()),
-                Op::BitOutput => gb.next() == Some(g.bit()),
-                _ => true,
-            };
-            if !ok {
-                return Some(Violation::new(
-                    "MERGE-WITNESS",
-                    artifact,
-                    loc.to_owned(),
-                    format!(
-                        "output {po} diverges from source '{}' on witness vector {t} \
-                         (words {words:?}, bits {bits:?})",
-                        src.name()
-                    ),
-                ));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_ir::Op;
     use apex_merge::{merge_all, MergeOptions};
     use apex_tech::TechModel;
 
@@ -357,6 +255,37 @@ mod tests {
             "{}",
             crate::render(&vs)
         );
+    }
+
+    #[test]
+    fn unmapped_payload_node_is_a_violation_not_a_panic() {
+        // out = a * 7, whose stored configuration loses the constant's
+        // node_map entry: no datapath node would receive its payload
+        let mut g = Graph::new("scale");
+        let a = g.input();
+        let c = g.constant(7);
+        let m = g.add(Op::Mul, &[a, c]);
+        g.output(m);
+        let sources = [g];
+        let mut dp = MergedDatapath::from_graph(&sources[0]);
+        assert!(verify_datapath(&dp, &sources).is_empty());
+        dp.configs[0].node_map.retain(|&(src, _)| src != c.0);
+        let vs = verify_datapath(&dp, &sources);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "MERGE-WITNESS");
+        assert!(vs[0].message.contains("no node_map entry"), "{}", vs[0].message);
+        // synthesis drops the configuration the same way
+        assert!(apex_rewrite::rules_from_configs(&dp, &sources).is_empty());
+    }
+
+    #[test]
+    fn interface_disagreeing_with_the_source_fails_witness() {
+        let (mut dp, sources) = merged();
+        dp.configs[0].word_out_sel.clear();
+        let vs = verify_datapath(&dp, &sources);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "MERGE-WITNESS");
+        assert!(vs[0].message.starts_with("RULE-IFACE"), "{}", vs[0].message);
     }
 
     #[test]

@@ -1,24 +1,18 @@
 //! Rewrite-rule checker pass: pattern/configuration interface equality,
-//! payload-binding discipline, and optional bounded equivalence against
-//! the IR golden model.
+//! payload-binding discipline, and bounded equivalence against the IR
+//! golden model.
 
 use crate::Violation;
 use apex_ir::Op;
 use apex_merge::MergedDatapath;
-use apex_rewrite::{verify_rule, RewriteRule};
+use apex_rewrite::{verify_rule, RewriteRule, VERIFY_TRIALS};
 
 /// Verifies a ruleset against the datapath its rules configure.
-///
-/// `equiv_trials` is the battery size of the `RULE-EQUIV`
-/// bounded-equivalence check, passed to [`verify_rule`]: `max(trials,
-/// 36)` vectors, of which the first 36 are corner vectors and only the
-/// rest random (`apex_rewrite::VERIFY_TRIALS` is synthesis's own
-/// battery); 0 skips the (comparatively expensive) equivalence check and
-/// runs only the static rules.
 ///
 /// Rules:
 /// * `RULE-IFACE` — the pattern's input/output interface disagrees with
 ///   the configuration's maps and output selects (LHS/RHS port counts),
+///   or an input map names a port the PE lacks,
 /// * `RULE-PATTERN` — the pattern graph itself fails the IR pass,
 /// * `RULE-CONFIG` — the configuration template fails
 ///   [`MergedDatapath::validate_config`],
@@ -26,134 +20,157 @@ use apex_rewrite::{verify_rule, RewriteRule};
 ///   node, an out-of-range/inactive datapath node, or mismatched payload
 ///   kinds,
 /// * `RULE-EQUIV` — the configured datapath is not observationally
-///   equivalent to the pattern on the witness battery.
-pub fn verify_ruleset(
+///   equivalent to the pattern on [`verify_rule`]'s 64-vector battery.
+///
+/// The static rules gate `RULE-EQUIV`: a rule that breaks one is not
+/// simulated, since [`verify_rule`] may panic on it.
+pub fn verify_ruleset(dp: &MergedDatapath, rules: &[RewriteRule]) -> Vec<Violation> {
+    rules
+        .iter()
+        .enumerate()
+        .flat_map(|(ri, rule)| check_rule(dp, rule, &format!("rule #{ri} '{}'", rule.name)))
+        .collect()
+}
+
+/// The `RULE-*` violations of one rule, reported against `artifact`.
+pub(crate) fn check_rule(
     dp: &MergedDatapath,
-    rules: &[RewriteRule],
-    equiv_trials: usize,
+    rule: &RewriteRule,
+    artifact: &str,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (ri, rule) in rules.iter().enumerate() {
-        let artifact = format!("rule #{ri} '{}'", rule.name);
-        let mut broken = false;
+    let mut broken = false;
 
-        // --- pattern well-formedness ------------------------------------
-        let pattern_violations = crate::ir::verify_graph(&rule.pattern);
-        if !pattern_violations.is_empty() {
+    // --- pattern well-formedness ------------------------------------
+    let pattern_violations = crate::ir::verify_graph(&rule.pattern);
+    if !pattern_violations.is_empty() {
+        out.push(Violation::new(
+            "RULE-PATTERN",
+            artifact,
+            "pattern",
+            format!(
+                "pattern graph fails the IR pass ({}; first: {})",
+                pattern_violations.len(),
+                pattern_violations[0]
+            ),
+        ));
+        broken = true;
+    }
+
+    // --- interface equality: LHS (pattern) vs RHS (config) ----------
+    let count = |op: Op| rule.pattern.node_ids().filter(|&i| rule.pattern.op(i) == op).count();
+    let iface = [
+        (count(Op::Input), rule.config.word_input_map.len(), "word inputs"),
+        (count(Op::BitInput), rule.config.bit_input_map.len(), "bit inputs"),
+        (count(Op::Output), rule.config.word_out_sel.len(), "word outputs"),
+        (count(Op::BitOutput), rule.config.bit_out_sel.len(), "bit outputs"),
+    ];
+    for (lhs, rhs, what) in iface {
+        if lhs != rhs {
             out.push(Violation::new(
-                "RULE-PATTERN",
-                &artifact,
-                "pattern",
-                format!(
-                    "pattern graph fails the IR pass ({}; first: {})",
-                    pattern_violations.len(),
-                    pattern_violations[0]
-                ),
+                "RULE-IFACE",
+                artifact,
+                "interface",
+                format!("pattern has {lhs} {what}, configuration maps {rhs}"),
             ));
             broken = true;
         }
-
-        // --- interface equality: LHS (pattern) vs RHS (config) ----------
-        let count = |op: Op| rule.pattern.node_ids().filter(|&i| rule.pattern.op(i) == op).count();
-        let iface = [
-            (count(Op::Input), rule.config.word_input_map.len(), "word inputs"),
-            (count(Op::BitInput), rule.config.bit_input_map.len(), "bit inputs"),
-            (count(Op::Output), rule.config.word_out_sel.len(), "word outputs"),
-            (count(Op::BitOutput), rule.config.bit_out_sel.len(), "bit outputs"),
-        ];
-        for (lhs, rhs, what) in iface {
-            if lhs != rhs {
-                out.push(Violation::new(
-                    "RULE-IFACE",
-                    &artifact,
-                    "interface",
-                    format!("pattern has {lhs} {what}, configuration maps {rhs}"),
-                ));
-                broken = true;
-            }
-        }
-
-        // --- configuration template -------------------------------------
-        if let Err(e) = dp.validate_config(&rule.config) {
+    }
+    let maps = [
+        (&rule.config.word_input_map, dp.word_inputs, "word"),
+        (&rule.config.bit_input_map, dp.bit_inputs, "bit"),
+    ];
+    for (map, ports, what) in maps {
+        if let Some(&port) = map.iter().find(|&&p| p as usize >= ports) {
             out.push(Violation::new(
-                "RULE-CONFIG",
-                &artifact,
-                "config",
-                e.to_string(),
+                "RULE-IFACE",
+                artifact,
+                "interface",
+                format!("{what} input mapped to PE port {port} of {ports}"),
             ));
             broken = true;
         }
+    }
 
-        // --- payload bindings -------------------------------------------
-        for (bi, &(pn, dpn)) in rule.payload_bindings.iter().enumerate() {
-            let loc = format!("binding[{bi}]");
-            if pn.index() >= rule.pattern.len() {
-                out.push(Violation::new(
-                    "RULE-BINDING",
-                    &artifact,
-                    loc,
-                    format!("pattern node {pn} out of range"),
-                ));
-                broken = true;
-                continue;
-            }
-            let pop = rule.pattern.op(pn);
-            if !matches!(pop, Op::Const(_) | Op::BitConst(_) | Op::Lut(_)) {
-                out.push(Violation::new(
-                    "RULE-BINDING",
-                    &artifact,
-                    loc,
-                    format!("pattern node {pn} is {pop:?}, not a payload op"),
-                ));
-                broken = true;
-                continue;
-            }
-            match rule.config.node_cfg.get(dpn as usize) {
-                None => {
-                    out.push(Violation::new(
-                        "RULE-BINDING",
-                        &artifact,
-                        loc,
-                        format!("datapath node {dpn} out of range"),
-                    ));
-                    broken = true;
-                }
-                Some(None) => {
-                    out.push(Violation::new(
-                        "RULE-BINDING",
-                        &artifact,
-                        loc,
-                        format!("datapath node {dpn} is inactive in the template"),
-                    ));
-                    broken = true;
-                }
-                Some(Some(nc)) => {
-                    if std::mem::discriminant(&nc.op) != std::mem::discriminant(&pop) {
-                        out.push(Violation::new(
-                            "RULE-BINDING",
-                            &artifact,
-                            loc,
-                            format!("payload kind {pop:?} != bound register op {:?}", nc.op),
-                        ));
-                        broken = true;
-                    }
-                }
-            }
-        }
+    // --- configuration template -------------------------------------
+    if let Err(e) = dp.validate_config(&rule.config) {
+        out.push(Violation::new(
+            "RULE-CONFIG",
+            artifact,
+            "config",
+            e.to_string(),
+        ));
+        broken = true;
+    }
 
-        // --- bounded equivalence ----------------------------------------
-        if equiv_trials > 0 && !broken && !verify_rule(dp, rule, equiv_trials) {
+    // --- payload bindings -------------------------------------------
+    for (bi, &(pn, dpn)) in rule.payload_bindings.iter().enumerate() {
+        let loc = format!("binding[{bi}]");
+        if pn.index() >= rule.pattern.len() {
             out.push(Violation::new(
-                "RULE-EQUIV",
-                &artifact,
-                "equivalence",
-                format!(
-                    "configured datapath diverges from the pattern on the \
-                     {}-vector witness battery",
-                    equiv_trials.max(36)
-                ),
+                "RULE-BINDING",
+                artifact,
+                loc,
+                format!("pattern node {pn} out of range"),
             ));
+            broken = true;
+            continue;
         }
+        let pop = rule.pattern.op(pn);
+        if !matches!(pop, Op::Const(_) | Op::BitConst(_) | Op::Lut(_)) {
+            out.push(Violation::new(
+                "RULE-BINDING",
+                artifact,
+                loc,
+                format!("pattern node {pn} is {pop:?}, not a payload op"),
+            ));
+            broken = true;
+            continue;
+        }
+        match rule.config.node_cfg.get(dpn as usize) {
+            None => {
+                out.push(Violation::new(
+                    "RULE-BINDING",
+                    artifact,
+                    loc,
+                    format!("datapath node {dpn} out of range"),
+                ));
+                broken = true;
+            }
+            Some(None) => {
+                out.push(Violation::new(
+                    "RULE-BINDING",
+                    artifact,
+                    loc,
+                    format!("datapath node {dpn} is inactive in the template"),
+                ));
+                broken = true;
+            }
+            Some(Some(nc)) => {
+                if std::mem::discriminant(&nc.op) != std::mem::discriminant(&pop) {
+                    out.push(Violation::new(
+                        "RULE-BINDING",
+                        artifact,
+                        loc,
+                        format!("payload kind {pop:?} != bound register op {:?}", nc.op),
+                    ));
+                    broken = true;
+                }
+            }
+        }
+    }
+
+    // --- bounded equivalence ----------------------------------------
+    if !broken && !verify_rule(dp, rule) {
+        out.push(Violation::new(
+            "RULE-EQUIV",
+            artifact,
+            "equivalence",
+            format!(
+                "configured datapath diverges from the pattern on the \
+                 {VERIFY_TRIALS}-vector witness battery"
+            ),
+        ));
     }
     out
 }
@@ -190,7 +207,7 @@ mod tests {
     #[test]
     fn honest_rule_is_clean() {
         let (dp, rules) = scale();
-        let vs = verify_ruleset(&dp, &rules, 32);
+        let vs = verify_ruleset(&dp, &rules);
         assert!(vs.is_empty(), "{}", crate::render(&vs));
     }
 
@@ -198,8 +215,7 @@ mod tests {
     fn synthesis_battery_flags_a_corner_agreeing_lie() {
         // the PE computes umax(a >> b, b); the rule claims umax(a, b).
         // The two agree on every corner vector, so a corners-only
-        // battery (up to 36 trials) accepts the lie; synthesis's battery
-        // adds random vectors, which reject it
+        // battery accepts the lie; the battery's random vectors reject it
         let mut pe = Graph::new("umax_lshr");
         let (a, b) = (pe.input(), pe.input());
         let s = pe.add(Op::Lshr, &[a, b]);
@@ -217,8 +233,7 @@ mod tests {
             payload_bindings: Vec::new(),
             ops_covered: 1,
         }];
-        assert!(verify_ruleset(&dp, &lie, 36).is_empty());
-        let vs = verify_ruleset(&dp, &lie, apex_rewrite::VERIFY_TRIALS);
+        let vs = verify_ruleset(&dp, &lie);
         assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
         assert_eq!(vs[0].rule, "RULE-EQUIV");
         assert!(vs[0].message.contains("64-vector"), "{}", vs[0].message);
@@ -228,8 +243,17 @@ mod tests {
     fn interface_mismatch_is_caught() {
         let (dp, mut rules) = scale();
         rules[0].config.word_input_map.push(0);
-        let vs = verify_ruleset(&dp, &rules, 0);
+        let vs = verify_ruleset(&dp, &rules);
         assert!(vs.iter().any(|v| v.rule == "RULE-IFACE"), "{}", crate::render(&vs));
+    }
+
+    #[test]
+    fn input_map_port_out_of_range_is_caught_not_simulated() {
+        let (dp, mut rules) = scale();
+        rules[0].config.word_input_map[0] = dp.word_inputs as u16;
+        let vs = verify_ruleset(&dp, &rules);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "RULE-IFACE");
     }
 
     #[test]
@@ -244,7 +268,7 @@ mod tests {
         let dpn = rules[0].payload_bindings[0].1;
         rules[0].pattern = g;
         rules[0].payload_bindings = vec![(c, dpn)];
-        let vs = verify_ruleset(&dp, &rules, 32);
+        let vs = verify_ruleset(&dp, &rules);
         assert!(vs.iter().any(|v| v.rule == "RULE-EQUIV"), "{}", crate::render(&vs));
     }
 
@@ -257,7 +281,7 @@ mod tests {
             .find(|&i| rules[0].pattern.op(i) == Op::Input)
             .expect("input exists");
         rules[0].payload_bindings[0].0 = input_node;
-        let vs = verify_ruleset(&dp, &rules, 0);
+        let vs = verify_ruleset(&dp, &rules);
         assert!(vs.iter().any(|v| v.rule == "RULE-BINDING"), "{}", crate::render(&vs));
     }
 }

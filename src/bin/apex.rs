@@ -618,16 +618,12 @@ fn verify_app(
     report(
         "merge",
         &format!("({} configs)", variant.spec.datapath.configs.len()),
-        v::verify_datapath_with(&variant.spec.datapath, &variant.sources, 16),
+        v::verify_datapath(&variant.spec.datapath, &variant.sources),
     );
     report(
         "rewrite",
         &format!("({} rules)", variant.rules.rules.len()),
-        v::verify_ruleset(
-            &variant.spec.datapath,
-            &variant.rules.rules,
-            apex::rewrite::VERIFY_TRIALS,
-        ),
+        v::verify_ruleset(&variant.spec.datapath, &variant.rules.rules),
     );
     let mut spec = variant.spec.clone();
     apex::pipeline::auto_pipeline(&mut spec, tech, &apex::pipeline::PePipelineOptions::default())?;

@@ -7,6 +7,8 @@
 //! deterministic proptest shim, so failures replay identically.
 
 use apex::ir::{Graph, NodeId, Op};
+use apex::merge::{DatapathConfig, MergedDatapath};
+use apex::rewrite::rules_from_configs;
 use apex::verify as v;
 use proptest::prelude::*;
 
@@ -163,7 +165,7 @@ fn spec_variant() -> apex::core::PeVariant {
 fn merge_rejects_swapped_inputs_and_duplicate_mux_legs() {
     let variant = spec_variant();
     let dp = &variant.spec.datapath;
-    let vs = v::verify_datapath_with(dp, &variant.sources, 16);
+    let vs = v::verify_datapath(dp, &variant.sources);
     assert!(vs.is_empty(), "{}", v::render(&vs));
 
     // swapping a config's first two word inputs breaks the witness for
@@ -175,7 +177,7 @@ fn merge_rejects_swapped_inputs_and_duplicate_mux_legs() {
         .position(|c| c.word_input_map.len() >= 2)
         .expect("a multi-input config exists");
     bad.configs[swapped].word_input_map.swap(0, 1);
-    let vs = v::verify_datapath_with(&bad, &variant.sources, 16);
+    let vs = v::verify_datapath(&bad, &variant.sources);
     assert!(
         has_rule(&vs, "MERGE-WITNESS") || has_rule(&vs, "MERGE-CONFIG"),
         "{}",
@@ -196,8 +198,102 @@ fn merge_rejects_swapped_inputs_and_duplicate_mux_legs() {
         .expect("port");
     let dup = bad.nodes[node].port_candidates[port][0];
     bad.nodes[node].port_candidates[port].push(dup);
-    let vs = v::verify_datapath_with(&bad, &variant.sources, 0);
+    let vs = v::verify_datapath(&bad, &variant.sources);
     assert!(has_rule(&vs, "MERGE-MUX"), "{}", v::render(&vs));
+}
+
+/// Mutants of `dp.configs[ci]`: each input map with its first two
+/// entries swapped, each selected port moved to the port's next
+/// candidate, and each configured op flipped to another op of its unit
+/// with the same signature.
+fn config_mutants(dp: &MergedDatapath, ci: usize) -> Vec<DatapathConfig> {
+    let cfg = &dp.configs[ci];
+    let mut out = Vec::new();
+    for bit in [false, true] {
+        let mut m = cfg.clone();
+        let map = if bit {
+            &mut m.bit_input_map
+        } else {
+            &mut m.word_input_map
+        };
+        if map.len() >= 2 {
+            map.swap(0, 1);
+            out.push(m);
+        }
+    }
+    for (i, nc) in cfg.node_cfg.iter().enumerate() {
+        let Some(nc) = nc else { continue };
+        for (port, &sel) in nc.port_sel.iter().enumerate() {
+            let legs = dp.nodes[i].port_candidates[port].len() as u32;
+            if legs > 1 {
+                let mut m = cfg.clone();
+                m.node_cfg[i].as_mut().expect("active").port_sel[port] = (sel + 1) % legs;
+                out.push(m);
+            }
+        }
+        let flip = dp.nodes[i].ops.iter().find(|&&op| {
+            op != nc.op
+                && op.is_compute()
+                && !matches!(op, Op::Const(_) | Op::BitConst(_) | Op::Lut(_))
+                && op.input_types() == nc.op.input_types()
+                && op.output_type() == nc.op.output_type()
+        });
+        if let Some(&op) = flip {
+            let mut m = cfg.clone();
+            m.node_cfg[i].as_mut().expect("active").op = op;
+            out.push(m);
+        }
+    }
+    out
+}
+
+#[test]
+fn merge_witness_fires_exactly_when_synthesis_drops_the_configuration() {
+    let apps: Vec<apex::apps::Application> = apex::apps::analyzed_apps()
+        .into_iter()
+        .chain(apex::apps::unseen_apps())
+        .collect();
+    assert_eq!(apps.len(), 9);
+    let (mut kept, mut dropped) = (0, 0);
+    for app in &apps {
+        let variant = apex::core::specialized_variant(
+            &format!("pe_spec_{}", app.info.name),
+            &[app],
+            &[app],
+            &apex::mining::MinerConfig::default(),
+            &apex::core::SubgraphSelection::default(),
+            &apex::merge::MergeOptions::default(),
+            &apex::tech::TechModel::default(),
+            &std::collections::BTreeSet::new(),
+        )
+        .expect("suite variant builds");
+        let (dp, sources) = (&variant.spec.datapath, &variant.sources);
+        let vs = v::verify_datapath(dp, sources);
+        assert!(vs.is_empty(), "{}", v::render(&vs));
+        assert_eq!(rules_from_configs(dp, sources).len(), sources.len());
+        for ci in 0..dp.configs.len() {
+            for cfg in config_mutants(dp, ci) {
+                let mut bad = dp.clone();
+                bad.configs[ci] = cfg;
+                let drops = rules_from_configs(&bad, sources).len() < sources.len();
+                let vs = v::verify_datapath(&bad, sources);
+                assert_eq!(
+                    has_rule(&vs, "MERGE-WITNESS"),
+                    drops,
+                    "{} config[{ci}] {:?}: {}",
+                    app.info.name,
+                    bad.configs[ci],
+                    v::render(&vs)
+                );
+                if drops {
+                    dropped += 1;
+                } else {
+                    kept += 1;
+                }
+            }
+        }
+    }
+    assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
 }
 
 #[test]
@@ -205,13 +301,13 @@ fn rewrite_rejects_interface_and_equivalence_lies() {
     let variant = spec_variant();
     let dp = &variant.spec.datapath;
     let rules = &variant.rules.rules;
-    let vs = v::verify_ruleset(dp, rules, 8);
+    let vs = v::verify_ruleset(dp, rules);
     assert!(vs.is_empty(), "{}", v::render(&vs));
 
     // an extra claimed word input desynchronizes pattern and config
     let mut bad = rules.to_vec();
     bad[0].config.word_input_map.push(0);
-    let vs = v::verify_ruleset(dp, &bad, 0);
+    let vs = v::verify_ruleset(dp, &bad);
     assert!(has_rule(&vs, "RULE-IFACE"), "{}", v::render(&vs));
 
     // flip an Add to a Sub inside one rule's pattern: the config still
@@ -230,7 +326,7 @@ fn rewrite_rejects_interface_and_equivalence_lies() {
         })
         .collect();
     bad[lie].pattern = Graph::from_raw_parts(bad[lie].pattern.name(), flipped);
-    let vs = v::verify_ruleset(dp, &bad, 32);
+    let vs = v::verify_ruleset(dp, &bad);
     assert!(has_rule(&vs, "RULE-EQUIV"), "{}", v::render(&vs));
 }
 

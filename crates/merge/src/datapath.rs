@@ -243,7 +243,8 @@ impl MergedDatapath {
     ///
     /// # Errors
     /// Returns [`DatapathError::Cyclic`] if the candidate edges contain a
-    /// cycle (merging must prevent this).
+    /// cycle (merging must prevent this), `TypeMismatch` if a candidate
+    /// names a node out of range.
     pub fn topo_order(&self) -> Result<Vec<u32>, DatapathError> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
@@ -252,7 +253,8 @@ impl MergedDatapath {
             for port in &node.port_candidates {
                 for src in port {
                     if let DpSource::Node(j) = src {
-                        succ[*j as usize].push(i as u32);
+                        let succ = succ.get_mut(*j as usize).ok_or(DatapathError::TypeMismatch)?;
+                        succ.push(i as u32);
                         indeg[i] += 1;
                     }
                 }
@@ -310,8 +312,10 @@ impl MergedDatapath {
         Ok(())
     }
 
-    /// Validates one configuration (op availability, selection ranges,
-    /// active-source discipline).
+    /// Validates one configuration: op availability (a primary-input op
+    /// has no evaluation), selection ranges, active-source discipline,
+    /// and that every selected port and output source produces the type
+    /// its configured reader takes.
     ///
     /// # Errors
     /// Returns the first inconsistency found.
@@ -319,17 +323,20 @@ impl MergedDatapath {
         if cfg.node_cfg.len() != self.nodes.len() {
             return Err(DatapathError::TypeMismatch);
         }
-        let active = |src: &DpSource| -> Result<(), DatapathError> {
-            if let DpSource::Node(j) = src {
-                // sources may come from decoded (possibly corrupted)
-                // bitstreams — bounds-check before indexing
-                match cfg.node_cfg.get(*j as usize) {
-                    None => return Err(DatapathError::TypeMismatch),
-                    Some(None) => return Err(DatapathError::InactiveSource { node: *j }),
-                    Some(Some(_)) => {}
-                }
+        // the type a source produces under `cfg`; sources may come from
+        // decoded (possibly corrupted) bitstreams — bounds-check before
+        // indexing
+        let source_type = |src: &DpSource| -> Result<ValueType, DatapathError> {
+            match *src {
+                DpSource::WordInput(k) if (k as usize) < self.word_inputs => Ok(ValueType::Word),
+                DpSource::BitInput(k) if (k as usize) < self.bit_inputs => Ok(ValueType::Bit),
+                DpSource::Node(j) => match cfg.node_cfg.get(j as usize) {
+                    Some(None) => Err(DatapathError::InactiveSource { node: j }),
+                    Some(Some(nc)) => Ok(nc.op.output_type()),
+                    None => Err(DatapathError::TypeMismatch),
+                },
+                _ => Err(DatapathError::TypeMismatch),
             }
-            Ok(())
         };
         for (i, nc) in cfg.node_cfg.iter().enumerate() {
             let Some(nc) = nc else { continue };
@@ -341,33 +348,23 @@ impl MergedDatapath {
                 (Op::Lut(_), Op::Lut(_)) => true,
                 (a, b) => a == b,
             });
-            if !supported {
+            if !supported || matches!(nc.op, Op::Input | Op::BitInput) {
                 return Err(DatapathError::UnsupportedOp { node: i as u32 });
             }
             if nc.port_sel.len() != nc.op.arity() {
                 return Err(DatapathError::BadPortSelection { node: i as u32, port: 0 });
             }
-            for (p, &sel) in nc.port_sel.iter().enumerate() {
-                let cands = &node.port_candidates[p];
-                let Some(src) = cands.get(sel as usize) else {
-                    return Err(DatapathError::BadPortSelection {
-                        node: i as u32,
-                        port: p,
-                    });
-                };
-                active(src)?;
+            for (p, (&sel, &want)) in nc.port_sel.iter().zip(nc.op.input_types()).enumerate() {
+                let src = node.port_candidates.get(p).and_then(|c| c.get(sel as usize));
+                let src = src.ok_or(DatapathError::BadPortSelection { node: i as u32, port: p })?;
+                if source_type(src)? != want {
+                    return Err(DatapathError::TypeMismatch);
+                }
             }
         }
-        for src in cfg.word_out_sel.iter().chain(&cfg.bit_out_sel) {
-            active(src)?;
-        }
-        for src in &cfg.word_out_sel {
-            if self.try_source_type(*src) != Some(ValueType::Word) {
-                return Err(DatapathError::TypeMismatch);
-            }
-        }
-        for src in &cfg.bit_out_sel {
-            if self.try_source_type(*src) != Some(ValueType::Bit) {
+        let word_outs = cfg.word_out_sel.iter().map(|s| (s, ValueType::Word));
+        for (src, want) in word_outs.chain(cfg.bit_out_sel.iter().map(|s| (s, ValueType::Bit))) {
+            if source_type(src)? != want {
                 return Err(DatapathError::TypeMismatch);
             }
         }

@@ -9,7 +9,8 @@
 //!   scoped threads:
 //!   * **bounded** — never one thread per item (the pre-pool synthesis
 //!     code spawned a thread per template and oversubscribed the machine
-//!     on large applications);
+//!     on large applications), and at one level: a `par_map` inside a
+//!     `par_map` worker runs inline on that worker;
 //!   * **balanced** — every worker claims the next unclaimed index from
 //!     one shared atomic cursor, so a few slow items cannot strand the
 //!     rest of the batch behind one worker;
@@ -35,6 +36,7 @@
 
 use apex_fault::{ApexError, Stage};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,15 +118,20 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+thread_local! {
+    /// Set on the threads [`par_map`] spawns: a nested map runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Maps `f` over `items` on at most `jobs` worker threads, returning the
 /// results **in input order**. `f` receives `(index, &item)`.
 ///
 /// A job that panics yields `Err(JobPanic)` for its slot; every other item
-/// still completes. With `jobs <= 1` (or one item) everything runs inline
-/// on the caller's thread with identical semantics — the serial and
-/// parallel paths are the same code, which is what makes "parallel output
-/// is bit-identical to serial" a structural property rather than a test
-/// hope.
+/// still completes. With `jobs <= 1`, one item, or a call from inside
+/// another `par_map`'s worker, everything runs inline on the caller's
+/// thread with identical semantics — the serial and parallel paths are
+/// the same code, which is what makes "parallel output is bit-identical
+/// to serial" a structural property rather than a test hope.
 pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, JobPanic>>
 where
     T: Sync,
@@ -136,7 +143,7 @@ where
         catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|p| JobPanic::caught(i, p))
     };
     let workers = jobs.max(1).min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    if workers <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
         return (0..n).map(run_one).collect();
     }
 
@@ -150,6 +157,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     std::iter::from_fn(claim)
                         .map(|i| (i, run_one(i)))
                         .collect::<Vec<_>>()
@@ -446,15 +454,20 @@ mod tests {
 
     #[test]
     fn nested_pools_are_bounded() {
-        // an outer sweep whose jobs themselves par_map (like rule
-        // synthesis inside a variant build) must still complete
+        // an outer sweep whose jobs themselves par_map (like mining
+        // inside a variant build) completes, and each inner map runs
+        // inline on its outer worker's thread: no thread is spawned
         let outer: Vec<usize> = (0..4).collect();
         let out = par_map(2, &outer, |_, &x| {
+            let worker = std::thread::current().id();
             let inner: Vec<usize> = (0..8).collect();
-            par_map(2, &inner, |_, &y| x * 100 + y)
-                .into_iter()
-                .map(|r| r.unwrap())
-                .sum::<usize>()
+            par_map(2, &inner, |_, &y| {
+                assert_eq!(std::thread::current().id(), worker);
+                x * 100 + y
+            })
+            .into_iter()
+            .map(|r| r.unwrap())
+            .sum::<usize>()
         });
         for (i, r) in out.into_iter().enumerate() {
             assert_eq!(r.unwrap(), i * 800 + 28);

@@ -9,8 +9,9 @@
 //! configurations are built by structural search over the PE's finite
 //! configuration space — and every rule is then validated against the IR
 //! golden model over a fixed battery of corner and random input vectors
-//! ([`verify_rule`]), our bounded-equivalence substitute for Boolector
-//! (DESIGN.md §3); it proves nothing beyond that battery.
+//! ([`verdict`]), our bounded-equivalence substitute for Boolector
+//! (DESIGN.md §3); it proves nothing beyond that battery. It never
+//! panics: its [`RuleVerdict`] names a counterexample or a defect.
 //!
 //! # Examples
 //!
@@ -37,7 +38,9 @@ use std::fmt;
 mod rule;
 mod synth;
 
-pub use rule::{verify_rule, RewriteRule, VERIFY_TRIALS};
+pub use rule::{
+    verdict, verify_rule, DefectKind, RewriteRule, RuleDefect, RuleVerdict, VERIFY_TRIALS,
+};
 pub use synth::{
     config_rules, const_passthrough_rule, lut_rule_for_bit_op, needed_templates,
     rules_from_configs, standard_ruleset, synthesize_op_rule, RuleSet, SynthesisReport,

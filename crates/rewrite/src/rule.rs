@@ -7,8 +7,9 @@
 //! constant is loaded into the bound constant register.
 
 use apex_ir::{Graph, NodeId, Op, Value, ValueType};
-use apex_merge::{DatapathConfig, DpSource, MergedDatapath};
+use apex_merge::{DatapathConfig, DatapathError, DpSource, MergedDatapath};
 use serde::{Deserialize, Serialize};
+use std::mem::discriminant;
 
 /// A mapper rewrite rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,8 +47,8 @@ impl RewriteRule {
                 .as_mut()
                 .expect("payload binding targets an active node");
             assert_eq!(
-                std::mem::discriminant(&nc.op),
-                std::mem::discriminant(payload),
+                discriminant(&nc.op),
+                discriminant(payload),
                 "payload kind mismatch on node {dp_node}"
             );
             nc.op = *payload;
@@ -70,10 +71,64 @@ const CORNERS: [u16; 6] = [0, 1, 2, 0x7FFF, 0x8000, 0xFFFF];
 /// Vectors in the equivalence battery: the 36 corner vectors, then 28
 /// random ones. Every check that a configured PE computes a graph
 /// (synthesis, `apex verify`'s `MERGE-WITNESS` and `RULE-EQUIV`, the
-/// chaos campaign) runs this one battery through [`verify_rule`].
+/// chaos campaign) runs this one battery through [`verdict`].
 pub const VERIFY_TRIALS: usize = 64;
 
-/// Verifies a rule against the IR golden model: for every vector of a
+/// What checking a rule on the equivalence battery found (see [`verdict`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuleVerdict {
+    /// The configured PE computes the pattern on every vector.
+    Holds {
+        /// Vectors checked.
+        vectors: usize,
+    },
+    /// The configured PE and the pattern disagree: a counterexample.
+    Diverges {
+        /// The first battery vector on which an output differs.
+        vector: usize,
+        /// The pattern's primary inputs on that vector, in
+        /// [`Graph::primary_inputs`] order.
+        inputs: Vec<Value>,
+        /// The payloads on that vector, in binding order (the argument
+        /// [`RewriteRule::instantiate`] takes).
+        payloads: Vec<Op>,
+        /// The first differing output, in [`Graph::primary_outputs`] order.
+        output: usize,
+        /// The pattern's value of that output.
+        want: Value,
+        /// The configured datapath's value of that output.
+        got: Value,
+    },
+    /// The rule cannot be simulated: the first condition it breaks.
+    Malformed(RuleDefect),
+}
+
+/// The first precondition of [`verdict`] a rule breaks: its kind, and
+/// what the check found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleDefect {
+    /// The precondition.
+    pub kind: DefectKind,
+    /// What is wrong, as one diagnostic line.
+    pub message: String,
+}
+
+/// The kinds of precondition [`verdict`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefectKind {
+    /// The pattern fails [`Graph::try_validate`].
+    Pattern,
+    /// An input or output count, or an input map's port, disagrees.
+    Interface,
+    /// The template fails [`MergedDatapath::validate_config`] (operand
+    /// and output types included), or the datapath is cyclic.
+    Config,
+    /// Payload binding `.0` names an out-of-range or non-payload pattern
+    /// node, or no active register of its payload kind.
+    Binding(usize),
+}
+
+/// Checks a rule against the IR golden model: for every vector of a
 /// fixed test battery, the configured PE must produce exactly the
 /// pattern's outputs.
 ///
@@ -92,33 +147,85 @@ pub const VERIFY_TRIALS: usize = 64;
 /// payload, are drawn from the same generator, within a vector in the
 /// order payloads, words, bits.
 ///
-/// The parts that depend only on the rule (instantiating and validating
-/// the configuration, the datapath's topological order, the pattern's
-/// and the configuration's typing) are checked once. Each node of both
-/// sides is then evaluated over the whole battery in one
-/// [`Op::eval_lane`] pass on flat `u16` lanes, a bound payload taking
-/// its per-vector value.
-///
-/// # Panics
-/// Panics where configuring the PE or evaluating either side for one
-/// vector would: payloads that do not fit [`RewriteRule::instantiate`],
-/// a malformed pattern, input maps that disagree with the pattern's
-/// inputs, or a datapath whose selected sources do not fit their ports.
-pub fn verify_rule(dp: &MergedDatapath, rule: &RewriteRule) -> bool {
-    verify_lanes(dp, rule, VERIFY_TRIALS)
+/// The preconditions that depend only on the rule ([`DefectKind`]) are
+/// checked once; the first that fails makes the rule
+/// [`RuleVerdict::Malformed`]. Each node of both sides is then evaluated
+/// over the whole battery in one [`Op::eval_lane`] pass on flat `u16`
+/// lanes, a bound payload taking its per-vector value, and the first
+/// vector on which an output differs is the [`RuleVerdict::Diverges`]
+/// counterexample. The check is total: no rule makes it panic.
+pub fn verdict(dp: &MergedDatapath, rule: &RewriteRule) -> RuleVerdict {
+    battery(dp, rule, VERIFY_TRIALS).unwrap_or_else(RuleVerdict::Malformed)
 }
 
-/// The lane engine behind [`verify_rule`], on `max(trials, 36)` vectors:
+/// Whether the rule [`RuleVerdict::Holds`] on the battery of [`verdict`].
+pub fn verify_rule(dp: &MergedDatapath, rule: &RewriteRule) -> bool {
+    matches!(verdict(dp, rule), RuleVerdict::Holds { .. })
+}
+
+/// The checks of [`verdict`] that depend only on the rule, in order; on
+/// success, the datapath's topological order.
+fn check_static(dp: &MergedDatapath, rule: &RewriteRule) -> Result<Vec<u32>, RuleDefect> {
+    let (pattern, cfg) = (&rule.pattern, &rule.config);
+    let defect = |kind, message: String| RuleDefect { kind, message };
+    let invalid = |e| defect(DefectKind::Pattern, format!("pattern graph is invalid: {e}"));
+    pattern.try_validate().map_err(invalid)?;
+    let count = |op: Op| pattern.node_ids().filter(|&i| pattern.op(i) == op).count();
+    let iface = [
+        (Op::Input, cfg.word_input_map.len(), "word inputs"),
+        (Op::BitInput, cfg.bit_input_map.len(), "bit inputs"),
+        (Op::Output, cfg.word_out_sel.len(), "word outputs"),
+        (Op::BitOutput, cfg.bit_out_sel.len(), "bit outputs"),
+    ];
+    for (op, config, what) in iface {
+        if count(op) != config {
+            let message = format!("pattern has {} {what}, configuration maps {config}", count(op));
+            return Err(defect(DefectKind::Interface, message));
+        }
+    }
+    let maps = [
+        (&cfg.word_input_map, dp.word_inputs, "word"),
+        (&cfg.bit_input_map, dp.bit_inputs, "bit"),
+    ];
+    for (map, ports, what) in maps {
+        if let Some(&port) = map.iter().find(|&&p| p as usize >= ports) {
+            let message = format!("{what} input mapped to PE port {port} of {ports}");
+            return Err(defect(DefectKind::Interface, message));
+        }
+    }
+    let config = |e: DatapathError| defect(DefectKind::Config, e.to_string());
+    dp.validate_config(cfg).map_err(config)?;
+    for (index, &(pn, dn)) in rule.payload_bindings.iter().enumerate() {
+        let payload = (pn.index() < pattern.len()).then(|| pattern.op(pn));
+        let message = match (payload, cfg.node_cfg.get(dn as usize)) {
+            (None, _) => format!("pattern node {pn} out of range"),
+            (Some(op), _) if !matches!(op, Op::Const(_) | Op::BitConst(_) | Op::Lut(_)) => {
+                format!("pattern node {pn} is {op:?}, not a payload op")
+            }
+            (_, None) => format!("datapath node {dn} out of range"),
+            (_, Some(None)) => format!("datapath node {dn} is inactive in the template"),
+            (Some(op), Some(Some(nc))) if discriminant(&op) != discriminant(&nc.op) => {
+                format!("payload kind {op:?} != bound register op {:?}", nc.op)
+            }
+            _ => continue,
+        };
+        return Err(defect(DefectKind::Binding(index), message));
+    }
+    dp.topo_order().map_err(config)
+}
+
+/// The lane engine behind [`verdict`], on `max(trials, 36)` vectors:
 /// the 36 corner vectors, then `trials - 36` random ones. Only the
 /// reference comparison in `spec.rs` runs it at another size.
-// invariant: `validate_config` passed, so every node source the loops
-// resolve is an active node
-#[allow(clippy::expect_used)]
-fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool {
-    let pattern = &rule.pattern;
+fn battery(
+    dp: &MergedDatapath,
+    rule: &RewriteRule,
+    trials: usize,
+) -> Result<RuleVerdict, RuleDefect> {
+    let order = check_static(dp, rule)?;
+    let (pattern, cfg) = (&rule.pattern, &rule.config);
     let payloads = rule.pattern_payloads();
-    let count = |op: Op| pattern.node_ids().filter(|&i| pattern.op(i) == op).count();
-    let (word_n, bit_n) = (count(Op::Input), count(Op::BitInput));
+    let (word_n, bit_n) = (cfg.word_input_map.len(), cfg.bit_input_map.len());
     let n = trials.max(CORNERS.len() * CORNERS.len());
 
     // one arena of `n`-vector lanes: the battery (payloads, words, bits),
@@ -160,19 +267,9 @@ fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool 
         }
     }
 
-    // payload kinds do not vary by vector: configure once, on vector 0's
-    let first: Vec<Op> = payloads
-        .iter()
-        .enumerate()
-        .map(|(b, &op)| with_payload(op, lanes[b * n]))
-        .collect();
-    let cfg = rule.instantiate(&first);
-
-    // the pattern: inputs read the battery in input order; a bound node
-    // takes its payload from the last binding naming it
-    if let Err(e) = pattern.try_validate() {
-        panic!("graph '{}': {e}", pattern.name());
-    }
+    // the pattern: inputs read the battery in input order (the interface
+    // check sized it); a bound node takes its payload from the last
+    // binding naming it
     let mut pattern_payload = vec![None; pattern.len()];
     for (b, (pn, _)) in rule.payload_bindings.iter().enumerate() {
         pattern_payload[pn.index()] = Some(b);
@@ -182,8 +279,8 @@ fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool 
     for (id, node) in pattern.iter() {
         let i = id.index();
         lane_of[i] = match node.op() {
-            Op::Input => words.next().expect("one lane per word input"),
-            Op::BitInput => bits.next().expect("one lane per bit input"),
+            Op::Input => words.next().unwrap_or(zero),
+            Op::BitInput => bits.next().unwrap_or(zero),
             op => {
                 let mut ins = [zero; 3];
                 for (port, src) in node.inputs().iter().enumerate() {
@@ -197,8 +294,6 @@ fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool 
 
     // the datapath: each PE input port reads the battery lane scattered
     // onto it, or zero
-    assert_eq!(word_n, cfg.word_input_map.len());
-    assert_eq!(bit_n, cfg.bit_input_map.len());
     let mut word_port = vec![zero; dp.word_inputs];
     for (k, &port) in cfg.word_input_map.iter().enumerate() {
         word_port[port as usize] = word_at + k;
@@ -207,70 +302,71 @@ fn verify_lanes(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> bool 
     for (k, &port) in cfg.bit_input_map.iter().enumerate() {
         bit_port[port as usize] = bit_at + k;
     }
-    if dp.validate_config(&cfg).is_err() {
-        return false;
-    }
-    let Ok(order) = dp.topo_order() else {
-        return false;
-    };
     let mut dp_payload = vec![None; dp.nodes.len()];
     for (b, (_, dn)) in rule.payload_bindings.iter().enumerate() {
         dp_payload[*dn as usize] = Some(b);
     }
+    // `validate_config` checked every selection, its range and its type
     let source = |src: DpSource| match src {
-        DpSource::WordInput(k) => (word_port[k as usize], ValueType::Word),
-        DpSource::BitInput(k) => (bit_port[k as usize], ValueType::Bit),
-        DpSource::Node(j) => {
-            let nc = cfg.node_cfg[j as usize].as_ref().expect("active source");
-            (dp_at + j as usize, nc.op.output_type())
-        }
+        DpSource::WordInput(k) => word_port[k as usize],
+        DpSource::BitInput(k) => bit_port[k as usize],
+        DpSource::Node(j) => dp_at + j as usize,
     };
-    let mut typed: Vec<Value> = Vec::with_capacity(3);
     for &i in &order {
         let i = i as usize;
         let Some(nc) = &cfg.node_cfg[i] else {
             continue;
         };
         let mut ins = [zero; 3];
-        typed.clear();
         for (port, &sel) in nc.port_sel.iter().enumerate() {
-            let (lane, ty) = source(dp.nodes[i].port_candidates[port][sel as usize]);
-            ins[port] = lane;
-            typed.push(Value::zero(ty));
+            ins[port] = source(dp.nodes[i].port_candidates[port][sel as usize]);
         }
-        // a typed dry run raises `Op::eval`'s operand checks once per
-        // node instead of once per vector
-        nc.op.eval(&typed);
         eval_lanes(&mut lanes, n, nc.op, dp_payload[i], ins, dp_at + i);
     }
-    let outs = |sel: &[DpSource], ty: ValueType| -> Vec<usize> {
-        sel.iter()
-            .map(|&src| {
-                // the panic a typed `Value::word`/`Value::bit` read raises
-                let (lane, got) = source(src);
-                if ty == ValueType::Word {
-                    Value::zero(got).word();
-                } else {
-                    Value::zero(got).bit();
-                }
-                lane
-            })
-            .collect()
-    };
-    let word_outs = outs(&cfg.word_out_sel, ValueType::Word);
-    let bit_outs = outs(&cfg.bit_out_sel, ValueType::Bit);
+    let mut word_outs = cfg.word_out_sel.iter().map(|&s| source(s));
+    let mut bit_outs = cfg.bit_out_sel.iter().map(|&s| source(s));
 
     // pattern output `k` of a type against the datapath's output `k` of
-    // that type; a missing datapath output fails the rule
+    // that type (the interface check matched the counts); the earliest
+    // differing vector, then output, is the counterexample
     let lane = |l: usize| &lanes[l * n..][..n];
-    let (mut wo, mut bo) = (word_outs.iter(), bit_outs.iter());
-    pattern.primary_outputs().iter().all(|po| {
-        let got = match pattern.op(*po) {
-            Op::Output => wo.next(),
-            Op::BitOutput => bo.next(),
-            _ => unreachable!(),
-        };
-        got.is_some_and(|&g| lane(g) == lane(lane_of[po.index()]))
+    let first = pattern
+        .primary_outputs()
+        .iter()
+        .enumerate()
+        .filter_map(|(output, po)| {
+            let (got, ty) = if pattern.op(*po) == Op::Output {
+                (word_outs.next()?, ValueType::Word)
+            } else {
+                (bit_outs.next()?, ValueType::Bit)
+            };
+            let want = lane_of[po.index()];
+            let vector = lane(want).iter().zip(lane(got)).position(|(w, g)| w != g)?;
+            Some((vector, output, ty, want, got))
+        })
+        .min_by_key(|&(vector, output, ..)| (vector, output));
+    let Some((vector, output, ty, want, got)) = first else {
+        return Ok(RuleVerdict::Holds { vectors: n });
+    };
+    let value = |ty: ValueType, l: usize| match ty {
+        ValueType::Word => Value::Word(lanes[l * n + vector]),
+        ValueType::Bit => Value::Bit(lanes[l * n + vector] != 0),
+    };
+    Ok(RuleVerdict::Diverges {
+        vector,
+        inputs: pattern
+            .primary_inputs()
+            .iter()
+            .map(|pi| value(pattern.op(*pi).output_type(), lane_of[pi.index()]))
+            .collect(),
+        payloads: payloads
+            .iter()
+            .enumerate()
+            .map(|(b, &op)| with_payload(op, lanes[b * n + vector]))
+            .collect(),
+        output,
+        want: value(ty, want),
+        got: value(ty, got),
     })
 }
 

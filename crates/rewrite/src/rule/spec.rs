@@ -4,9 +4,12 @@
 //! configuration, rebuilds the pattern with the vector's payloads,
 //! evaluates it with the IR interpreter and the datapath with
 //! [`MergedDatapath::evaluate`], so it shares no evaluation code with
-//! the lane engine. The properties below require both to give the same
-//! verdict (or both to panic) on every candidate rule synthesis checks
-//! and on mutated rules.
+//! the lane engine. Where a rule is malformed the reference rejects it
+//! or panics; the lane engine returns a verdict. The properties below
+//! require the two to agree on every candidate rule synthesis checks
+//! and on mutated rules: the verdict holds exactly where the reference
+//! accepts, a divergence is a rejection whose counterexample both
+//! interpreters replay, and a reference panic is a malformed rule.
 
 use super::{verify_rule, RewriteRule};
 use apex_ir::{evaluate as ir_eval, Graph, NodeId, Op, Value};
@@ -122,15 +125,15 @@ fn substitute_payloads(pattern: &Graph, bindings: &[(NodeId, u32)], payloads: &[
 }
 
 mod properties {
-    use super::{verify_rule, verify_rule_reference, RewriteRule};
-    use crate::rule::{verify_lanes, VERIFY_TRIALS};
+    use super::{substitute_payloads, verify_rule, verify_rule_reference, RewriteRule};
+    use crate::rule::{battery, RuleVerdict, VERIFY_TRIALS};
     use crate::synth::{
         config_rules, const_passthrough_candidate, lut_rule_candidates, needed_templates,
         op_rule_candidates,
     };
     use apex_apps::{analyzed_apps, unseen_apps, Application};
     use apex_core::specialization_ladder;
-    use apex_ir::{Graph, NodeId, Op};
+    use apex_ir::{evaluate as ir_eval, Graph, NodeId, Op, Value};
     use apex_merge::{DpSource, MergeOptions, MergedDatapath, NodeConfig};
     use apex_mining::MinerConfig;
     use apex_pe::baseline_pe;
@@ -142,27 +145,83 @@ mod properties {
     /// at and beyond the 36 corner vectors, and synthesis's 64.
     const TRIALS: [usize; 6] = [0, 8, 36, 48, 64, 100];
 
-    /// Verdicts seen: accepted, rejected, panicked.
+    /// The lane engine's verdict on a battery of `trials` vectors.
+    fn verdict_at(dp: &MergedDatapath, rule: &RewriteRule, trials: usize) -> RuleVerdict {
+        battery(dp, rule, trials).unwrap_or_else(RuleVerdict::Malformed)
+    }
+
+    /// Verdicts seen: holds, diverges, malformed, and of the malformed
+    /// those the reference panics on.
     #[derive(Default)]
-    struct Tally(usize, usize, usize);
+    struct Tally(usize, usize, usize, usize);
 
     impl Tally {
-        /// Requires both verifiers to accept, reject or panic alike.
+        /// Requires the verdict to fit the reference's: `Holds` exactly
+        /// where it accepts, `Diverges` only where it rejects, and
+        /// `Malformed` wherever it panics.
         fn check(&mut self, dp: &MergedDatapath, rule: &RewriteRule, trials: usize) {
-            let lanes = catch_unwind(AssertUnwindSafe(|| verify_lanes(dp, rule, trials))).ok();
+            let verdict = verdict_at(dp, rule, trials);
             let reference =
                 catch_unwind(AssertUnwindSafe(|| verify_rule_reference(dp, rule, trials))).ok();
-            assert_eq!(
-                lanes, reference,
-                "rule '{}' at {trials} trials: lane verdict vs reference ({rule:?})",
-                rule.name
-            );
-            match lanes {
-                Some(true) => self.0 += 1,
-                Some(false) => self.1 += 1,
-                None => self.2 += 1,
+            match (&verdict, reference) {
+                (RuleVerdict::Holds { .. }, Some(true)) => self.0 += 1,
+                (RuleVerdict::Diverges { .. }, Some(false)) => {
+                    replay(dp, rule, &verdict);
+                    self.1 += 1;
+                }
+                (RuleVerdict::Malformed(_), Some(false)) => self.2 += 1,
+                (RuleVerdict::Malformed(_), None) => {
+                    self.2 += 1;
+                    self.3 += 1;
+                }
+                (_, reference) => panic!(
+                    "rule '{}' at {trials} trials: {verdict:?} vs reference {reference:?} \
+                     ({rule:?})",
+                    rule.name
+                ),
             }
         }
+    }
+
+    /// A `Diverges` counterexample replays on both interpreters: the IR
+    /// interpreter gives `want` and the datapath interpreter `got`.
+    fn replay(dp: &MergedDatapath, rule: &RewriteRule, verdict: &RuleVerdict) {
+        let RuleVerdict::Diverges {
+            inputs,
+            payloads,
+            output,
+            want,
+            got,
+            ..
+        } = verdict
+        else {
+            return;
+        };
+        let pattern = substitute_payloads(&rule.pattern, &rule.payload_bindings, payloads);
+        assert_eq!(ir_eval(&pattern, inputs)[*output], *want, "{verdict:?}");
+        let words: Vec<u16> = inputs
+            .iter()
+            .filter_map(|v| matches!(v, Value::Word(_)).then(|| v.word()))
+            .collect();
+        let bits: Vec<bool> = inputs
+            .iter()
+            .filter_map(|v| matches!(v, Value::Bit(_)).then(|| v.bit()))
+            .collect();
+        let (w, b) = dp
+            .evaluate_as_source(&rule.instantiate(payloads), &words, &bits)
+            .unwrap();
+        let outputs = pattern.primary_outputs();
+        let kind = pattern.op(outputs[*output]);
+        let k = outputs[..*output]
+            .iter()
+            .filter(|&&o| pattern.op(o) == kind)
+            .count();
+        let replayed = if kind == Op::Output {
+            Value::Word(w[k])
+        } else {
+            Value::Bit(b[k])
+        };
+        assert_eq!(replayed, *got, "{verdict:?}");
     }
 
     fn suite() -> Vec<Application> {
@@ -438,9 +497,9 @@ mod properties {
         }
         // the structural search proposes only sound candidates on the
         // suite, so rejections come from the mutants below
-        let Tally(accepted, rejected, panicked) = tally;
-        assert!(accepted > 1000, "{accepted} accepted");
-        assert_eq!((rejected, panicked), (0, 0));
+        let Tally(holds, diverges, malformed, _) = tally;
+        assert!(holds > 1000, "{holds} hold");
+        assert_eq!((diverges, malformed), (0, 0));
     }
 
     #[test]
@@ -493,10 +552,10 @@ mod properties {
                 }
             }
         }
-        let Tally(accepted, rejected, panicked) = tally;
+        let Tally(holds, diverges, malformed, panicked) = tally;
         assert!(
-            accepted > 0 && rejected > 0 && panicked > 0,
-            "{accepted} accepted, {rejected} rejected, {panicked} panicked"
+            holds > 0 && diverges > 0 && panicked > 0,
+            "{holds} hold, {diverges} diverge, {malformed} malformed ({panicked} panicked)"
         );
     }
 
@@ -525,7 +584,7 @@ mod properties {
         for trials in TRIALS {
             tally.check(&dp, &lie, trials);
             assert_eq!(
-                verify_lanes(&dp, &lie, trials),
+                matches!(verdict_at(&dp, &lie, trials), RuleVerdict::Holds { .. }),
                 trials <= 36,
                 "{trials} trials"
             );
@@ -558,14 +617,17 @@ mod properties {
         let mut tally = Tally::default();
         for trials in TRIALS {
             tally.check(&dp, &lie, trials);
-            assert!(!verify_lanes(&dp, &lie, trials), "{trials} trials");
+            assert!(
+                matches!(verdict_at(&dp, &lie, trials), RuleVerdict::Diverges { vector: 5, .. }),
+                "{trials} trials"
+            );
         }
     }
 
     #[test]
-    fn ill_typed_datapaths_panic_like_the_reference() {
-        // a word port re-pointed at a bit input: `Op::eval` rejects the
-        // operand type on the first vector
+    fn ill_typed_datapaths_are_malformed() {
+        // a word port re-pointed at a bit input: `validate_config`
+        // rejects the operand type, in the reference too
         let mut g = Graph::new("add");
         let (a, b) = (g.input(), g.input());
         let s = g.add(Op::Add, &[a, b]);
@@ -579,7 +641,7 @@ mod properties {
         dp.nodes[0].port_candidates[0].push(DpSource::BitInput(0));
         rule.config.node_cfg[0].as_mut().unwrap().port_sel[0] = 1;
         // a node mixing word and bit ops, configured as its bit op but
-        // read as a word output: `Value::word` rejects the value
+        // read as a word output: the interface check rejects it first
         let mut c = Graph::new("ult");
         let (a, b) = (c.input(), c.input());
         let lt = c.add(Op::Ult, &[a, b]);
@@ -597,5 +659,10 @@ mod properties {
             tally.check(&mixed, &read_as_word, trials);
         }
         assert_eq!(tally.2, 2 * TRIALS.len());
+        let RuleVerdict::Malformed(defect) = verdict_at(&dp, &rule, VERIFY_TRIALS) else {
+            panic!("a bit source on a word port is malformed");
+        };
+        assert_eq!(defect.kind, crate::DefectKind::Config);
+        assert_eq!(defect.message, apex_merge::DatapathError::TypeMismatch.to_string());
     }
 }

@@ -10,13 +10,9 @@
 //! 3. **LUT fallback** — bit operations lower onto a 3-input LUT when no
 //!    dedicated gate exists (how the baseline PE executes bit logic).
 //!
-//! Every candidate rule, the constant passthrough included, is validated
-//! by [`verify_rule`] before being admitted — the bounded-equivalence
-//! substitute for the paper's SMT check — on its one 64-vector battery
-//! ([`crate::VERIFY_TRIALS`]): the 36 corner vectors (word input `k` of
-//! vector `t` gets `CORNERS[(t + k) % 6]`; `Const` payloads cycle the
-//! corners for `t < 6`) and 28 random ones from a fixed seed. Nothing is
-//! enumerated exhaustively.
+//! Every candidate rule, the constant passthrough included, is admitted
+//! only if its [`crate::verdict`] holds on the one 64-vector battery —
+//! the bounded-equivalence substitute for the paper's SMT check.
 
 use crate::rule::{verify_rule, RewriteRule};
 use apex_fault::{ApexError, Stage};
@@ -56,7 +52,8 @@ pub struct SynthesisReport {
 }
 
 /// Builds rules from the datapath's stored configurations, dropping any
-/// whose payloads are unmapped or that fails verification.
+/// whose payloads are unmapped or whose [`crate::verdict`] does not hold
+/// (a malformed configuration included).
 ///
 /// `sources[i]` must be the subgraph that produced `dp.configs[i]`.
 ///
@@ -463,15 +460,15 @@ fn normalize(op: Op) -> Op {
 /// configurations (`sources` aligned with `dp.configs`) plus single-op and
 /// LUT-fallback rules for everything `apps` need.
 ///
-/// Template synthesis fans out over the bounded [`apex_par`] pool (at most
-/// [`apex_par::default_jobs`] workers, instead of one thread per template)
-/// and results are consumed in template order, so the ruleset is
-/// deterministic regardless of scheduling.
+/// Templates are synthesized serially, in template order: the whole call
+/// is microseconds of work, which a thread spawn would cost more than.
+/// They still run through [`apex_par::par_map`] (with one job) for its
+/// panic capture.
 ///
 /// # Errors
-/// A panicking synthesis worker (only reachable through fault injection
-/// today) is caught by the pool and surfaces as a [`Stage::Rewrite`] error
-/// with the panic payload on the cause chain — it never unwinds the caller.
+/// A panicking template synthesis (only reachable through fault injection
+/// today) is caught and surfaces as a [`Stage::Rewrite`] error with the
+/// panic payload on the cause chain — it never unwinds the caller.
 pub fn standard_ruleset(
     dp: &MergedDatapath,
     sources: &[Graph],
@@ -480,31 +477,24 @@ pub fn standard_ruleset(
     let mut rules = rules_from_configs(dp, sources);
     let rejected = sources.len() - rules.len();
     let mut missing = Vec::new();
-    // template synthesis (search + verification) is independent per
-    // template: fan out across the pool, keeping deterministic order
     let templates: Vec<(Op, Vec<u8>)> = needed_templates(apps).into_iter().collect();
-    let synthesized = apex_par::par_map(
-        apex_par::default_jobs(),
-        &templates,
-        |_, (op, const_ports)| {
-            #[cfg(feature = "fault-injection")]
-            {
-                if apex_fault::failpoints::should_fire("rewrite::synth_panic") {
-                    panic!("injected panic at rewrite::synth_panic");
-                }
+    let synthesized = apex_par::par_map(1, &templates, |_, (op, const_ports)| {
+        #[cfg(feature = "fault-injection")]
+        {
+            if apex_fault::failpoints::should_fire("rewrite::synth_panic") {
+                panic!("injected panic at rewrite::synth_panic");
             }
-            synthesize_op_rule(dp, *op, const_ports).or_else(|| {
-                if const_ports.is_empty() {
-                    lut_rule_for_bit_op(dp, *op)
-                } else {
-                    // fall back to the const-free variant; the
-                    // constant is then covered by the passthrough
-                    // rule on another PE
-                    None
-                }
-            })
-        },
-    );
+        }
+        synthesize_op_rule(dp, *op, const_ports).or_else(|| {
+            if const_ports.is_empty() {
+                lut_rule_for_bit_op(dp, *op)
+            } else {
+                // fall back to the const-free variant; the constant is
+                // then covered by the passthrough rule on another PE
+                None
+            }
+        })
+    });
     for ((op, const_ports), rule) in templates.iter().zip(synthesized) {
         match rule.map_err(|p| p.into_apex(Stage::Rewrite))? {
             Some(r) => rules.push(r),

@@ -27,15 +27,17 @@ use apex_rewrite::config_rules;
 ///   or the rule synthesis builds from a stored configuration
 ///   ([`config_rules`]) cannot be built (a payload node without a
 ///   `node_map` entry) or fails a `RULE-*` check of
-///   [`crate::verify_ruleset`], the 64-vector equivalence battery
-///   included. Synthesis (`apex_rewrite::rules_from_configs`) drops a
-///   well-formed configuration exactly when this fires.
+///   [`crate::verify_ruleset`]: its pattern fails the IR pass, or the
+///   rule engine's verdict (the 64-vector equivalence battery included)
+///   is not `Holds`. Synthesis (`apex_rewrite::rules_from_configs`)
+///   keeps exactly the rules whose verdict holds, so it drops a
+///   configuration whose source passes the IR pass exactly when this
+///   fires.
 pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation> {
     let mut out = Vec::new();
     let artifact = format!("datapath '{}'", dp.name);
 
     // --- structure: DAG, node op sets, mux candidates ------------------
-    let mut structural = false;
     if let Err(e) = dp.topo_order() {
         out.push(Violation::new(
             "MERGE-STRUCT",
@@ -43,7 +45,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
             "nodes",
             e.to_string(),
         ));
-        structural = true;
     }
     for (i, node) in dp.nodes.iter().enumerate() {
         if node.ops.is_empty() {
@@ -53,7 +54,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                 format!("node n{i}"),
                 "functional unit with no operations".to_owned(),
             ));
-            structural = true;
             continue;
         }
         let ty = node.output_type();
@@ -65,7 +65,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                     format!("node n{i}"),
                     format!("{op:?} output type differs from the unit's {ty:?}"),
                 ));
-                structural = true;
             }
             if op.arity() > node.arity() {
                 out.push(Violation::new(
@@ -74,7 +73,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                     format!("node n{i}"),
                     format!("{op:?} needs {} port(s), unit has {}", op.arity(), node.arity()),
                 ));
-                structural = true;
             }
         }
         let max_arity = node.ops.iter().map(|op| op.arity()).max().unwrap_or(0);
@@ -87,7 +85,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                     loc.clone(),
                     "used port has no candidate sources (dangling)".to_owned(),
                 ));
-                structural = true;
             }
             for (leg, &c) in cands.iter().enumerate() {
                 let in_range = match c {
@@ -102,7 +99,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                         format!("{loc} leg {leg}"),
                         format!("candidate {c:?} out of range (or self-loop)"),
                     ));
-                    structural = true;
                     continue;
                 }
                 let src_ty = dp.try_source_type(c);
@@ -114,7 +110,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                             format!("{loc} leg {leg}"),
                             format!("{c:?} produces {src_ty:?}, {op:?} expects {:?}", op.input_types()[p]),
                         ));
-                        structural = true;
                     }
                 }
             }
@@ -143,23 +138,17 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
                 e.to_string(),
             ));
         }
-        for (i, &port) in cfg.word_input_map.iter().enumerate() {
-            if port as usize >= dp.word_inputs {
+        let maps = [
+            (&cfg.word_input_map, dp.word_inputs, "word"),
+            (&cfg.bit_input_map, dp.bit_inputs, "bit"),
+        ];
+        for (map, ports, what) in maps {
+            for (i, &port) in map.iter().enumerate().filter(|&(_, &p)| p as usize >= ports) {
                 out.push(Violation::new(
                     "MERGE-IFACE",
                     &artifact,
-                    format!("config[{ci}] word_input_map[{i}]"),
-                    format!("PE word port {port} out of range ({} ports)", dp.word_inputs),
-                ));
-            }
-        }
-        for (i, &port) in cfg.bit_input_map.iter().enumerate() {
-            if port as usize >= dp.bit_inputs {
-                out.push(Violation::new(
-                    "MERGE-IFACE",
-                    &artifact,
-                    format!("config[{ci}] bit_input_map[{i}]"),
-                    format!("PE bit port {port} out of range ({} ports)", dp.bit_inputs),
+                    format!("config[{ci}] {what}_input_map[{i}]"),
+                    format!("PE {what} port {port} out of range ({ports} ports)"),
                 ));
             }
         }
@@ -181,9 +170,6 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
             ),
         ));
         return out;
-    }
-    if structural {
-        return out; // simulating a configuration needs a well-formed datapath
     }
     for (ci, rule) in config_rules(dp, sources).enumerate() {
         let loc = format!("config[{ci}] '{}'", dp.configs[ci].name);

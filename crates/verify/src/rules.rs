@@ -1,11 +1,10 @@
-//! Rewrite-rule checker pass: pattern/configuration interface equality,
-//! payload-binding discipline, and bounded equivalence against the IR
-//! golden model.
+//! Rewrite-rule checker pass: the pattern's IR pass, then the rule
+//! engine's verdict (interface, configuration, payload bindings, and
+//! bounded equivalence against the IR golden model).
 
 use crate::Violation;
-use apex_ir::Op;
 use apex_merge::MergedDatapath;
-use apex_rewrite::{verify_rule, RewriteRule, VERIFY_TRIALS};
+use apex_rewrite::{verdict, DefectKind, RewriteRule, RuleVerdict, VERIFY_TRIALS};
 
 /// Verifies a ruleset against the datapath its rules configure.
 ///
@@ -15,15 +14,18 @@ use apex_rewrite::{verify_rule, RewriteRule, VERIFY_TRIALS};
 ///   or an input map names a port the PE lacks,
 /// * `RULE-PATTERN` — the pattern graph itself fails the IR pass,
 /// * `RULE-CONFIG` — the configuration template fails
-///   [`MergedDatapath::validate_config`],
+///   [`MergedDatapath::validate_config`], the datapath is cyclic, or a
+///   selected source has the wrong type for its port or output,
 /// * `RULE-BINDING` — a payload binding references a non-payload pattern
 ///   node, an out-of-range/inactive datapath node, or mismatched payload
 ///   kinds,
 /// * `RULE-EQUIV` — the configured datapath is not observationally
-///   equivalent to the pattern on [`verify_rule`]'s 64-vector battery.
+///   equivalent to the pattern on [`verdict`]'s
+///   64-vector battery; the message gives the counterexample.
 ///
-/// The static rules gate `RULE-EQUIV`: a rule that breaks one is not
-/// simulated, since [`verify_rule`] may panic on it.
+/// Besides `RULE-PATTERN`, a rule gets one violation: the
+/// [`RuleVerdict`] of [`verdict`], whose malformed case names the first
+/// condition the rule breaks.
 pub fn verify_ruleset(dp: &MergedDatapath, rules: &[RewriteRule]) -> Vec<Violation> {
     rules
         .iter()
@@ -39,147 +41,57 @@ pub(crate) fn check_rule(
     artifact: &str,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut broken = false;
-
-    // --- pattern well-formedness ------------------------------------
     let pattern_violations = crate::ir::verify_graph(&rule.pattern);
-    if !pattern_violations.is_empty() {
+    if let Some(first) = pattern_violations.first() {
         out.push(Violation::new(
             "RULE-PATTERN",
             artifact,
             "pattern",
             format!(
-                "pattern graph fails the IR pass ({}; first: {})",
-                pattern_violations.len(),
-                pattern_violations[0]
+                "pattern graph fails the IR pass ({}; first: {first})",
+                pattern_violations.len()
             ),
         ));
-        broken = true;
     }
-
-    // --- interface equality: LHS (pattern) vs RHS (config) ----------
-    let count = |op: Op| rule.pattern.node_ids().filter(|&i| rule.pattern.op(i) == op).count();
-    let iface = [
-        (count(Op::Input), rule.config.word_input_map.len(), "word inputs"),
-        (count(Op::BitInput), rule.config.bit_input_map.len(), "bit inputs"),
-        (count(Op::Output), rule.config.word_out_sel.len(), "word outputs"),
-        (count(Op::BitOutput), rule.config.bit_out_sel.len(), "bit outputs"),
-    ];
-    for (lhs, rhs, what) in iface {
-        if lhs != rhs {
-            out.push(Violation::new(
-                "RULE-IFACE",
-                artifact,
-                "interface",
-                format!("pattern has {lhs} {what}, configuration maps {rhs}"),
-            ));
-            broken = true;
-        }
-    }
-    let maps = [
-        (&rule.config.word_input_map, dp.word_inputs, "word"),
-        (&rule.config.bit_input_map, dp.bit_inputs, "bit"),
-    ];
-    for (map, ports, what) in maps {
-        if let Some(&port) = map.iter().find(|&&p| p as usize >= ports) {
-            out.push(Violation::new(
-                "RULE-IFACE",
-                artifact,
-                "interface",
-                format!("{what} input mapped to PE port {port} of {ports}"),
-            ));
-            broken = true;
-        }
-    }
-
-    // --- configuration template -------------------------------------
-    if let Err(e) = dp.validate_config(&rule.config) {
-        out.push(Violation::new(
-            "RULE-CONFIG",
-            artifact,
-            "config",
-            e.to_string(),
-        ));
-        broken = true;
-    }
-
-    // --- payload bindings -------------------------------------------
-    for (bi, &(pn, dpn)) in rule.payload_bindings.iter().enumerate() {
-        let loc = format!("binding[{bi}]");
-        if pn.index() >= rule.pattern.len() {
-            out.push(Violation::new(
-                "RULE-BINDING",
-                artifact,
-                loc,
-                format!("pattern node {pn} out of range"),
-            ));
-            broken = true;
-            continue;
-        }
-        let pop = rule.pattern.op(pn);
-        if !matches!(pop, Op::Const(_) | Op::BitConst(_) | Op::Lut(_)) {
-            out.push(Violation::new(
-                "RULE-BINDING",
-                artifact,
-                loc,
-                format!("pattern node {pn} is {pop:?}, not a payload op"),
-            ));
-            broken = true;
-            continue;
-        }
-        match rule.config.node_cfg.get(dpn as usize) {
-            None => {
-                out.push(Violation::new(
-                    "RULE-BINDING",
-                    artifact,
-                    loc,
-                    format!("datapath node {dpn} out of range"),
-                ));
-                broken = true;
-            }
-            Some(None) => {
-                out.push(Violation::new(
-                    "RULE-BINDING",
-                    artifact,
-                    loc,
-                    format!("datapath node {dpn} is inactive in the template"),
-                ));
-                broken = true;
-            }
-            Some(Some(nc)) => {
-                if std::mem::discriminant(&nc.op) != std::mem::discriminant(&pop) {
-                    out.push(Violation::new(
-                        "RULE-BINDING",
-                        artifact,
-                        loc,
-                        format!("payload kind {pop:?} != bound register op {:?}", nc.op),
-                    ));
-                    broken = true;
-                }
-            }
-        }
-    }
-
-    // --- bounded equivalence ----------------------------------------
-    if !broken && !verify_rule(dp, rule) {
-        out.push(Violation::new(
+    let (rule_id, location, message) = match verdict(dp, rule) {
+        RuleVerdict::Holds { .. } => return out,
+        RuleVerdict::Diverges {
+            vector,
+            inputs,
+            payloads,
+            output,
+            want,
+            got,
+        } => (
             "RULE-EQUIV",
-            artifact,
-            "equivalence",
+            "equivalence".to_owned(),
             format!(
                 "configured datapath diverges from the pattern on the \
-                 {VERIFY_TRIALS}-vector witness battery"
+                 {VERIFY_TRIALS}-vector witness battery: vector {vector} \
+                 (inputs {inputs:?}, payloads {payloads:?}) gives output \
+                 {output} {got:?}, the pattern {want:?}"
             ),
-        ));
-    }
+        ),
+        RuleVerdict::Malformed(defect) => {
+            let (rule_id, location) = match defect.kind {
+                // the IR pass above has reported it
+                DefectKind::Pattern if !out.is_empty() => return out,
+                DefectKind::Pattern => ("RULE-PATTERN", "pattern".to_owned()),
+                DefectKind::Interface => ("RULE-IFACE", "interface".to_owned()),
+                DefectKind::Binding(index) => ("RULE-BINDING", format!("binding[{index}]")),
+                DefectKind::Config => ("RULE-CONFIG", "config".to_owned()),
+            };
+            (rule_id, location, defect.message)
+        }
+    };
+    out.push(Violation::new(rule_id, artifact, location, message));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex_ir::Graph;
-    use apex_merge::MergedDatapath;
+    use apex_ir::{Graph, Op};
 
     fn scale() -> (MergedDatapath, Vec<RewriteRule>) {
         let mut g = Graph::new("scale");
@@ -237,6 +149,24 @@ mod tests {
         assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
         assert_eq!(vs[0].rule, "RULE-EQUIV");
         assert!(vs[0].message.contains("64-vector"), "{}", vs[0].message);
+        // the counterexample is a random vector, and the IR interpreter
+        // reproduces the pattern's side of it
+        let RuleVerdict::Diverges {
+            vector,
+            inputs,
+            payloads,
+            output,
+            want,
+            got,
+        } = verdict(&dp, &lie[0])
+        else {
+            panic!("the lie must diverge");
+        };
+        assert!(vector >= 36, "vector {vector}");
+        assert_ne!(got, want);
+        assert!(payloads.is_empty());
+        assert_eq!(apex_ir::evaluate(&lie[0].pattern, &inputs)[output], want);
+        assert!(vs[0].message.contains(&format!("vector {vector} ")), "{}", vs[0].message);
     }
 
     #[test]

@@ -203,22 +203,31 @@ fn merge_rejects_swapped_inputs_and_duplicate_mux_legs() {
 }
 
 /// Mutants of `dp.configs[ci]`: each input map with its first two
-/// entries swapped, each selected port moved to the port's next
-/// candidate, and each configured op flipped to another op of its unit
-/// with the same signature.
+/// entries swapped, and shortened by one; each selected port moved to
+/// the port's next candidate; and each configured op flipped to another
+/// op of its unit with the same signature.
 fn config_mutants(dp: &MergedDatapath, ci: usize) -> Vec<DatapathConfig> {
     let cfg = &dp.configs[ci];
     let mut out = Vec::new();
     for bit in [false, true] {
-        let mut m = cfg.clone();
-        let map = if bit {
-            &mut m.bit_input_map
-        } else {
-            &mut m.word_input_map
-        };
-        if map.len() >= 2 {
-            map.swap(0, 1);
-            out.push(m);
+        for shorten in [false, true] {
+            let mut m = cfg.clone();
+            let map = if bit {
+                &mut m.bit_input_map
+            } else {
+                &mut m.word_input_map
+            };
+            let mutated = if shorten {
+                map.pop().is_some()
+            } else {
+                map.len() >= 2 && {
+                    map.swap(0, 1);
+                    true
+                }
+            };
+            if mutated {
+                out.push(m);
+            }
         }
     }
     for (i, nc) in cfg.node_cfg.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! Micro-benchmarks of every algorithmic stage of the APEX flow:
 //! subgraph mining, MIS analysis, datapath merging, max-weight clique,
 //! rewrite-rule synthesis, instruction selection, pipelining, placement,
-//! routing, bitstream generation, and Verilog emission.
+//! routing and its verification, bitstream generation, Verilog emission,
+//! and fabric simulation (from the netlist and from the bitstream).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -199,6 +200,12 @@ fn bench_algorithms(c: &mut Criterion) {
         &apex_cgra::RouteOptions::default(),
     )
     .unwrap();
+    g.bench_function("verify_routed_gaussian", |b| {
+        b.iter(|| {
+            apex_cgra::verify_routed(&design.netlist, &rules, &fabric, &placement, &routing)
+                .unwrap()
+        })
+    });
     g.bench_function("bitstream_generation", |b| {
         b.iter(|| {
             apex_cgra::generate_bitstream(
@@ -211,6 +218,14 @@ fn bench_algorithms(c: &mut Criterion) {
             )
         })
     });
+    let bitstream = apex_cgra::generate_bitstream(
+        &design.netlist,
+        &rules,
+        &base.datapath,
+        &fabric,
+        &placement,
+        &routing,
+    );
     g.bench_function("emit_verilog_baseline_pe", |b| {
         b.iter(|| apex_pe::emit_verilog(&base))
     });
@@ -225,6 +240,23 @@ fn bench_algorithms(c: &mut Criterion) {
     let streams: Vec<Vec<u16>> = (0..n_in).map(|i| vec![i as u16; 8]).collect();
     g.bench_function("simulate_gaussian_8_cycles", |b| {
         b.iter(|| design.netlist.simulate(&base.datapath, &rules, &streams, &[], 1))
+    });
+    // the same run from the bitstream: decode every PE configuration
+    // first, as signoff does
+    g.bench_function("simulate_from_bitstream_gaussian", |b| {
+        b.iter(|| {
+            apex_cgra::simulate_from_bitstream(
+                &design.netlist,
+                &rules,
+                &base.datapath,
+                &placement,
+                &bitstream,
+                &streams,
+                &[],
+                1,
+            )
+            .unwrap()
+        })
     });
 
     g.finish();

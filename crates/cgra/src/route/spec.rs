@@ -201,7 +201,7 @@ mod properties {
     use super::*;
     use crate::fabric::FabricConfig;
     use crate::place::{place, PlaceOptions};
-    use crate::route::{route, verify_routed, RouteGraph, RouterState};
+    use crate::route::{route, verify_routed, RouteGraph, RouterState, NO_TILE};
     use apex_ir::{Graph, Op};
     use apex_map::map_application;
     use apex_pe::baseline_pe;
@@ -246,8 +246,9 @@ mod properties {
 
         /// The stamp-array Dijkstra is arithmetic-identical to the spec's:
         /// one randomized congested state — usage sets and history on
-        /// random `(edge, word)` slots — is mirrored into the dense
-        /// `RouterState` slots and the spec's sparse maps, then a run of
+        /// random real `(edge, word)` slots of the padded link layout —
+        /// is mirrored into the dense `RouterState` slots (their counts
+        /// included, through `add_usage`) and the spec's sparse maps, then a run of
         /// queries (random endpoints, signal kinds, producers and
         /// capacities) must return the same path from both, each path
         /// claiming its wires in both states before the next query, as
@@ -264,25 +265,28 @@ mod properties {
         ) {
             let fabric = Fabric::new(FabricConfig { width, height, ..FabricConfig::default() });
             let graph = RouteGraph::new(&fabric);
-            let mut st = RouterState::new(&graph, fabric.len());
-            // the spec's sparse key of every dense (edge, word) slot
-            let mut key_of: Vec<(usize, bool)> = Vec::with_capacity(graph.n_edges() * 2);
-            for u in 0..fabric.len() {
-                for e in graph.off[u] as usize..graph.off[u + 1] as usize {
-                    let link = fabric.link(TileId(u as u32), TileId(graph.to[e]));
-                    key_of.push((link, false));
-                    key_of.push((link, true));
+            let mut st = RouterState::new(&fabric);
+            // every real (edge, word) slot of the padded layout, with the
+            // spec's sparse key for it; border ids lead nowhere and have
+            // no slot
+            let mut key_of: Vec<(usize, (usize, bool))> = Vec::with_capacity(fabric.edge_ids() * 2);
+            for e in 0..fabric.edge_ids() {
+                if graph.to[e] == NO_TILE {
+                    continue;
                 }
+                let link = fabric.link(TileId((e / 4) as u32), TileId(graph.to[e]));
+                key_of.push((e * 2, (link, false)));
+                key_of.push((e * 2 + 1, (link, true)));
             }
             let mut usage: BTreeMap<(usize, bool), BTreeSet<u32>> = BTreeMap::new();
             let mut history: BTreeMap<(usize, bool), f64> = BTreeMap::new();
             for (sel, producer, quanta) in slots {
-                let idx = sel as usize % key_of.len();
+                let (idx, key) = key_of[sel as usize % key_of.len()];
                 st.add_usage(idx, producer);
-                usage.entry(key_of[idx]).or_default().insert(producer);
+                usage.entry(key).or_default().insert(producer);
                 let h = f64::from(quanta) * 0.75;
                 st.history[idx] += h;
-                *history.entry(key_of[idx]).or_insert(0.0) += h;
+                *history.entry(key).or_insert(0.0) += h;
             }
             for (a, b, word, producer, capacity) in queries {
                 let src = TileId(a % fabric.len() as u32);
@@ -293,7 +297,7 @@ mod properties {
                 );
                 prop_assert_eq!(&fast, &reference);
                 for w in fast.windows(2) {
-                    let e = graph.edge_of(w[0], w[1]);
+                    let e = fabric.edge(w[0], w[1]);
                     prop_assert!(e.is_some(), "path hops between non-adjacent tiles");
                     if let Some(e) = e {
                         st.add_usage(e * 2 + usize::from(word), producer);

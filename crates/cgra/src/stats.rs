@@ -9,7 +9,6 @@ use apex_pe::PeSpec;
 use apex_rewrite::RuleSet;
 use apex_tech::TechModel;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Resource utilization after place-and-route (the paper's Table 3 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,11 +38,22 @@ pub fn gather_stats(
     placement: &Placement,
     routing: &Routing,
 ) -> PnrStats {
+    // per-tile marks, grown on demand: an honest placement and routing
+    // stay on the fabric, whose size the table starts at
+    const FUNCTIONAL: u8 = 1;
+    const MEM: u8 = 2;
+    const IO: u8 = 4;
+    const TRAVERSED: u8 = 8;
+    let mut marks = vec![0u8; fabric.len()];
+    let mut mark = |tile: TileId, bit: u8| {
+        let t = tile.0 as usize;
+        if t >= marks.len() {
+            marks.resize(t + 1, 0);
+        }
+        marks[t] |= bit;
+    };
     let mut pe_tiles = 0;
     let mut rf_tiles = 0;
-    let mut mem_used: BTreeSet<TileId> = BTreeSet::new();
-    let mut io_used: BTreeSet<TileId> = BTreeSet::new();
-    let mut functional: BTreeSet<TileId> = BTreeSet::new();
     for (i, node) in netlist.nodes.iter().enumerate() {
         let Some(class) = place_class(&node.kind) else {
             continue;
@@ -53,32 +63,30 @@ pub fn gather_stats(
         let Some(tile) = placement.tile_of_node[i] else {
             continue;
         };
-        functional.insert(tile);
         match class {
             PlaceClass::PeSlot => pe_tiles += 1,
             PlaceClass::RfSlot => rf_tiles += 1,
-            PlaceClass::MemSlot => {
-                mem_used.insert(tile);
-            }
-            PlaceClass::IoSlot => {
-                io_used.insert(tile);
-            }
+            PlaceClass::MemSlot => mark(tile, MEM),
+            PlaceClass::IoSlot => mark(tile, IO),
         }
+        mark(tile, FUNCTIONAL);
     }
-    let mut traversed: BTreeSet<TileId> = BTreeSet::new();
     for r in &routing.routes {
         for &t in &r.path {
-            traversed.insert(t);
+            mark(t, TRAVERSED);
         }
     }
-    let routing_tiles = traversed.difference(&functional).count();
+    let count = |bit: u8| marks.iter().filter(|&&m| m & bit != 0).count();
     PnrStats {
         pe_tiles,
         rf_tiles,
-        mem_tiles: mem_used.len(),
-        io_tiles: io_used.len(),
+        mem_tiles: count(MEM),
+        io_tiles: count(IO),
         sb_regs: routing.sb_regs(),
-        routing_tiles,
+        routing_tiles: marks
+            .iter()
+            .filter(|&&m| m & (TRAVERSED | FUNCTIONAL) == TRAVERSED)
+            .count(),
         total_hops: routing.signal_hops(fabric),
         wirelength: placement.wirelength,
     }

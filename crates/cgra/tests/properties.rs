@@ -10,7 +10,6 @@ use apex_map::map_application;
 use apex_pe::baseline_pe;
 use apex_rewrite::standard_ruleset;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 fn arb_app() -> impl Strategy<Value = Graph> {
     let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 4..40);
@@ -162,7 +161,7 @@ proptest! {
         );
         let templates = design
             .netlist
-            .simulate_with(&pe.datapath, &rules, &streams, &[], pe_latency, &BTreeMap::new())
+            .simulate_with(&pe.datapath, &rules, &streams, &[], pe_latency, &[])
             .map_err(FabricSimError::from);
         prop_assert!(decoded.is_ok());
         prop_assert_eq!(decoded, templates);

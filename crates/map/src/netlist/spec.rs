@@ -26,7 +26,7 @@ impl Netlist {
         word_streams: &[Vec<u16>],
         bit_streams: &[Vec<bool>],
         pe_latency: u32,
-        config_overrides: &std::collections::BTreeMap<u32, apex_merge::DatapathConfig>,
+        config_overrides: &[Option<apex_merge::DatapathConfig>],
     ) -> Result<SimStreams, NetlistError> {
         let order = self.topo_order()?;
         let n_cycles = word_streams
@@ -117,7 +117,8 @@ impl Netlist {
                     NetKind::Pe(inst) => {
                         let rule = &rules.rules[inst.rule as usize];
                         let cfg = config_overrides
-                            .get(&u)
+                            .get(u as usize)
+                            .and_then(Option::as_ref)
                             .cloned()
                             .unwrap_or_else(|| rule.instantiate(&inst.payloads));
                         let n_word = rule.config.word_input_map.len();
@@ -264,7 +265,7 @@ mod properties {
                 })
                 .collect();
 
-            let overrides = std::collections::BTreeMap::new();
+            let overrides: Vec<Option<apex_merge::DatapathConfig>> = Vec::new();
             let compiled = netlist.simulate_with(
                 &pe.datapath, &rules, &streams, &[], pe_latency, &overrides,
             );
@@ -283,19 +284,18 @@ mod properties {
                 Op::Lut(t) => Op::Lut(!t),
                 other => other,
             };
-            let overrides: std::collections::BTreeMap<u32, apex_merge::DatapathConfig> = netlist
+            let overrides: Vec<Option<apex_merge::DatapathConfig>> = netlist
                 .nodes
                 .iter()
-                .enumerate()
-                .filter_map(|(i, n)| match &n.kind {
+                .map(|n| match &n.kind {
                     NetKind::Pe(inst) => {
                         let payloads: Vec<Op> = inst.payloads.iter().map(perturb).collect();
-                        Some((i as u32, rules.rules[inst.rule as usize].instantiate(&payloads)))
+                        Some(rules.rules[inst.rule as usize].instantiate(&payloads))
                     }
                     _ => None,
                 })
                 .collect();
-            prop_assert!(!overrides.is_empty());
+            prop_assert!(overrides.iter().any(Option::is_some));
             let compiled = netlist.simulate_with(
                 &pe.datapath, &rules, &streams, &[], pe_latency, &overrides,
             );
@@ -326,7 +326,7 @@ mod properties {
                 return Ok(());
             }
             let streams: Vec<Vec<u16>> = (0..n_in - drop).map(|i| vec![i as u16; 2]).collect();
-            let overrides = std::collections::BTreeMap::new();
+            let overrides: Vec<Option<apex_merge::DatapathConfig>> = Vec::new();
             let compiled = design.netlist.simulate_with(
                 &pe.datapath, &rules, &streams, &[], pe_latency, &overrides,
             );

@@ -25,7 +25,6 @@ use crate::netlist::{NetKind, NetNode, Netlist, NetlistError};
 use apex_ir::{Op, ValueType};
 use apex_merge::{DatapathConfig, DpSource, MergedDatapath};
 use apex_rewrite::RuleSet;
-use std::collections::BTreeMap;
 
 /// A pre-resolved operand source for a compiled PE step.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +106,8 @@ pub(crate) struct CompiledSim {
 impl CompiledSim {
     /// Compiles a netlist against a datapath/ruleset, resolving each PE's
     /// configuration (override or instantiated template) exactly once.
+    /// `config_overrides[u]`, where present, replaces node `u`'s
+    /// template; an empty slice overrides nothing.
     ///
     /// # Errors
     /// Returns [`NetlistError::Cyclic`] on a cyclic netlist (matching the
@@ -119,18 +120,20 @@ impl CompiledSim {
         dp: &MergedDatapath,
         rules: &RuleSet,
         pe_latency: u32,
-        config_overrides: &BTreeMap<u32, DatapathConfig>,
+        config_overrides: &[Option<DatapathConfig>],
     ) -> Result<CompiledSim, NetlistError> {
         let order = netlist.topo_order()?;
         let n = netlist.nodes.len();
 
-        // flat value layout: one slot per node output port
-        let mut val_base = vec![0u32; n];
+        // flat value layout: one slot per node output port; node `i`'s
+        // ports are the slots from `val_base[i]` to `val_base[i + 1]`
+        let mut val_base = vec![0u32; n + 1];
         let mut slot_types: Vec<ValueType> = Vec::new();
         for i in 0..n as u32 {
             val_base[i as usize] = slot_types.len() as u32;
             slot_types.extend(netlist.output_types(i, rules));
         }
+        val_base[n] = slot_types.len() as u32;
 
         let drain: u32 = (0..n as u32).map(|i| netlist.latency(i, pe_latency)).sum();
 
@@ -196,7 +199,7 @@ impl CompiledSim {
                 NetKind::Pe(inst) => {
                     let rule = &rules.rules[inst.rule as usize];
                     let instantiated;
-                    let cfg = match config_overrides.get(&u) {
+                    let cfg = match config_overrides.get(u as usize).and_then(Option::as_ref) {
                         Some(cfg) => cfg,
                         None => {
                             instantiated = rule.instantiate(&inst.payloads);
@@ -204,7 +207,7 @@ impl CompiledSim {
                         }
                     };
                     let n_word = rule.config.word_input_map.len();
-                    let width = netlist.output_types(u, rules).len();
+                    let width = (val_base[u as usize + 1] - val_base[u as usize]) as usize;
                     let compiled =
                         compile_pe(dp, &dp_order, node, cfg, n_word, &val_base, &slot_types)
                             .and_then(|(steps, outs)| {

@@ -386,8 +386,7 @@ pub fn verify_bitstream(
             }
             Some(_) => {}
         }
-        let decoded = unpack_config(dp, &packed, &cfg);
-        if decoded != cfg {
+        if unpack_config(dp, &packed, &cfg).as_ref() != Some(&cfg) {
             out.push(Violation::new(
                 "BITS-ROUNDTRIP",
                 &artifact,

@@ -20,9 +20,11 @@ use apex_rewrite::config_rules;
 /// * `MERGE-MUX` — duplicate candidates on one mux (selection would be
 ///   ambiguous rather than exclusive),
 /// * `MERGE-CONFIG` — a stored configuration fails
-///   [`MergedDatapath::validate_config`],
+///   [`MergedDatapath::validate_config`] (checked here only when
+///   `sources` is empty or misaligned; otherwise `MERGE-WITNESS`
+///   reports it as `RULE-CONFIG`),
 /// * `MERGE-IFACE` — a configuration's input map names a port the PE
-///   lacks,
+///   lacks (likewise, otherwise reported as `RULE-IFACE`),
 /// * `MERGE-WITNESS` — `sources` is not aligned with the configurations,
 ///   or the rule synthesis builds from a stored configuration
 ///   ([`config_rules`]) cannot be built (a payload node without a
@@ -129,27 +131,33 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
     }
 
     // --- configurations -------------------------------------------------
-    for (ci, cfg) in dp.configs.iter().enumerate() {
-        if let Err(e) = dp.validate_config(cfg) {
-            out.push(Violation::new(
-                "MERGE-CONFIG",
-                &artifact,
-                format!("config[{ci}] '{}'", cfg.name),
-                e.to_string(),
-            ));
-        }
-        let maps = [
-            (&cfg.word_input_map, dp.word_inputs, "word"),
-            (&cfg.bit_input_map, dp.bit_inputs, "bit"),
-        ];
-        for (map, ports, what) in maps {
-            for (i, &port) in map.iter().enumerate().filter(|&(_, &p)| p as usize >= ports) {
+    // with aligned sources, each configuration's rule check below runs
+    // the same `validate_config` and port-range checks (as `RULE-CONFIG`
+    // and `RULE-IFACE` under `MERGE-WITNESS`), so these run only when it
+    // cannot, and each defect is reported once
+    if sources.is_empty() || sources.len() != dp.configs.len() {
+        for (ci, cfg) in dp.configs.iter().enumerate() {
+            if let Err(e) = dp.validate_config(cfg) {
                 out.push(Violation::new(
-                    "MERGE-IFACE",
+                    "MERGE-CONFIG",
                     &artifact,
-                    format!("config[{ci}] {what}_input_map[{i}]"),
-                    format!("PE {what} port {port} out of range ({ports} ports)"),
+                    format!("config[{ci}] '{}'", cfg.name),
+                    e.to_string(),
                 ));
+            }
+            let maps = [
+                (&cfg.word_input_map, dp.word_inputs, "word"),
+                (&cfg.bit_input_map, dp.bit_inputs, "bit"),
+            ];
+            for (map, ports, what) in maps {
+                for (i, &port) in map.iter().enumerate().filter(|&(_, &p)| p as usize >= ports) {
+                    out.push(Violation::new(
+                        "MERGE-IFACE",
+                        &artifact,
+                        format!("config[{ci}] {what}_input_map[{i}]"),
+                        format!("PE {what} port {port} out of range ({ports} ports)"),
+                    ));
+                }
             }
         }
     }
@@ -272,6 +280,27 @@ mod tests {
         assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
         assert_eq!(vs[0].rule, "MERGE-WITNESS");
         assert!(vs[0].message.starts_with("RULE-IFACE"), "{}", vs[0].message);
+    }
+
+    /// An out-of-range input-map port is one defect, reported once:
+    /// under `MERGE-WITNESS` when sources are given, as `MERGE-IFACE`
+    /// when they are not.
+    #[test]
+    fn out_of_range_port_is_reported_once() {
+        let mut g = Graph::new("sub");
+        let (a, b) = (g.input(), g.input());
+        let d = g.add(Op::Sub, &[a, b]);
+        g.output(d);
+        let sources = [g];
+        let mut dp = MergedDatapath::from_graph(&sources[0]);
+        dp.configs[0].word_input_map[0] = 9;
+        let vs = verify_datapath(&dp, &sources);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "MERGE-WITNESS");
+        assert!(vs[0].message.starts_with("RULE-IFACE"), "{}", vs[0].message);
+        let vs = verify_datapath(&dp, &[]);
+        assert_eq!(vs.len(), 1, "{}", crate::render(&vs));
+        assert_eq!(vs[0].rule, "MERGE-IFACE");
     }
 
     #[test]

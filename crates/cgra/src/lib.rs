@@ -31,7 +31,7 @@ pub use place::{
     PlaceError, PlaceOptions, Placement,
 };
 pub use route::{
-    connections, route, verify_routed, RouteError, RouteGraph, RouteOptions, RoutedEdge, Routing,
+    connections, route, verify_routed, RouteError, RouteOptions, RoutedEdge, Routing,
 };
 pub use verilog::emit_cgra_verilog;
 pub use stats::{

@@ -1,29 +1,12 @@
-//! The paper-results benchmark harness.
-//!
-//! Running `cargo bench -p apex-bench --bench paper_results` first
-//! regenerates **every table and figure** of the paper's Section 5
-//! (printed to stdout — this is the reproduction artifact), then
-//! benchmarks a representative slice of the flow behind each one so
-//! regressions in any stage show up as timing changes.
+//! The paper-results benchmark harness: times a representative slice
+//! of the flow behind each table and figure of the paper's Section 5, so
+//! regressions in any stage show up as timing changes. The tables
+//! themselves come from `apex report`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-fn regenerate_all_tables() {
-    eprintln!("\n######## regenerating all paper tables and figures ########");
-    for (name, gen) in apex_eval::all_experiments() {
-        let t0 = std::time::Instant::now();
-        let table = gen().expect("experiment regenerates");
-        println!("{table}");
-        eprintln!("[{name} regenerated in {:.1?}]", t0.elapsed());
-    }
-    eprintln!("######## regeneration complete ########\n");
-}
-
 fn bench_paper(c: &mut Criterion) {
-    // the reproduction itself: print every table/figure once
-    regenerate_all_tables();
-
     let mut g = c.benchmark_group("paper");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
 

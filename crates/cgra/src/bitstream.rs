@@ -332,9 +332,8 @@ pub fn generate_bitstream(
     // assigned deterministically in routing order. Dense per-(edge, word)
     // arrays over the fabric's link ids carry the assignment state (a
     // link holds at most a few distinct signals, so a linear scan beats a
-    // map probe); hops between non-adjacent tiles — impossible in an
-    // honest routing — keep a sparse fallback with identical assignment
-    // rules
+    // map probe). A hop between non-adjacent tiles, which
+    // `verify_routed` rejects, gets no crossing
     let slots = fabric.edge_ids() * 2;
     // per (edge, word) slot: the signals holding a track on it, chained
     // newest first through `held` (producer, track, next older), and the
@@ -343,8 +342,6 @@ pub fn generate_bitstream(
     let mut newest: Vec<u32> = vec![NO_SIGNAL; slots];
     let mut held: Vec<(u32, u8, u32)> = Vec::new();
     let mut next_track: Vec<u8> = vec![0; slots];
-    let mut sparse_track_of: BTreeMap<(usize, bool, u32), u8> = BTreeMap::new();
-    let mut sparse_next: BTreeMap<(usize, bool), u8> = BTreeMap::new();
     let mut sb: Vec<Vec<(TileId, TileId, u8)>> = vec![Vec::new(); fabric.len()];
     for r in &routing.routes {
         // tracks wrap within the capacity of the signal's own kind: bit
@@ -356,40 +353,25 @@ pub fn generate_bitstream(
         }
         .max(1) as u8;
         for w in r.path.windows(2) {
-            let t = match fabric.edge(w[0], w[1]) {
-                Some(e) => {
-                    let idx = e * 2 + usize::from(r.word);
-                    let mut k = newest[idx];
-                    while k != NO_SIGNAL && held[k as usize].0 != r.producer {
-                        k = held[k as usize].2;
-                    }
-                    if k != NO_SIGNAL {
-                        held[k as usize].1
-                    } else {
-                        let t = next_track[idx];
-                        next_track[idx] = t.wrapping_add(1) % cap;
-                        held.push((r.producer, t, newest[idx]));
-                        newest[idx] = (held.len() - 1) as u32;
-                        t
-                    }
-                }
-                None => {
-                    let link = fabric.link(w[0], w[1]);
-                    *sparse_track_of
-                        .entry((link, r.word, r.producer))
-                        .or_insert_with(|| {
-                            let n = sparse_next.entry((link, r.word)).or_insert(0);
-                            let t = *n;
-                            *n = n.wrapping_add(1) % cap;
-                            t
-                        })
-                }
+            let Some(e) = fabric.edge(w[0], w[1]) else {
+                continue;
             };
-            at_tile(&mut sb, w[0]).push((w[0], w[1], t));
+            let idx = e * 2 + usize::from(r.word);
+            let mut k = newest[idx];
+            while k != NO_SIGNAL && held[k as usize].0 != r.producer {
+                k = held[k as usize].2;
+            }
+            let t = if k != NO_SIGNAL {
+                held[k as usize].1
+            } else {
+                let t = next_track[idx];
+                next_track[idx] = t.wrapping_add(1) % cap;
+                held.push((r.producer, t, newest[idx]));
+                newest[idx] = (held.len() - 1) as u32;
+                t
+            };
+            sb[w[0].0 as usize].push((w[0], w[1], t));
         }
-    }
-    if sb.len() > configs.len() {
-        configs.resize_with(sb.len(), Vec::new);
     }
     for (list, crossings) in configs.iter_mut().zip(sb) {
         if !crossings.is_empty() {

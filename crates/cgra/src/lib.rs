@@ -31,7 +31,8 @@ pub use place::{
     PlaceError, PlaceOptions, Placement,
 };
 pub use route::{
-    connections, route, verify_routed, RouteError, RouteOptions, RoutedEdge, Routing,
+    connections, route, verify_routed, RouteDefect, RouteError, RouteFault, RouteOptions,
+    RoutedEdge, Routing,
 };
 pub use verilog::emit_cgra_verilog;
 pub use stats::{

@@ -645,13 +645,150 @@ pub fn route(
     })
 }
 
+/// One defect of a [`Routing`] (see [`Routing::defects`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteDefect {
+    /// The routing has the first number of routes for the second number
+    /// of required connections ([`connections`]).
+    Count(usize, usize),
+    /// A defect of the route at this index of [`Routing::routes`].
+    Route(usize, RouteFault),
+    /// More distinct signals on a link than it has tracks of their kind.
+    OverCapacity {
+        /// The link's source and target tiles.
+        link: (TileId, TileId),
+        /// Whether the signals are 16-bit.
+        word: bool,
+        /// Distinct signals on the link.
+        signals: usize,
+        /// The link's tracks of that kind.
+        tracks: usize,
+    },
+}
+
+/// What a [`RouteDefect::Route`] finds wrong with its route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteFault {
+    /// The route matches no required connection (endpoints, slot,
+    /// register count and signal kind).
+    Unrequired,
+    /// The route's producer (if `true`, else its consumer) is not a
+    /// placed node.
+    Unplaced(bool),
+    /// The path does not run from the producer's tile to the consumer's
+    /// (given).
+    Endpoints(TileId, TileId),
+    /// The path's tiles at this index and the next are not fabric
+    /// neighbours (the hop uses tracks that do not exist).
+    Hop(usize),
+    /// The path's tile at this index was visited before (a route is a
+    /// simple path).
+    Revisit(usize),
+}
+
+impl Routing {
+    /// Every defect of the routing against the netlist's connections and
+    /// the placement: the route count first, then per route in order
+    /// whether it matches a required connection, whether it connects its
+    /// placed endpoints, whether each hop joins fabric neighbours and
+    /// whether the path is simple (only the first revisit), then every
+    /// over-capacity link in `(link, word)` order, counting the hops of
+    /// routes with placed endpoints. Empty exactly when the routing is
+    /// sound; never panics on a netlist that passes `Netlist::validate`
+    /// with `rules`.
+    pub fn defects(
+        &self,
+        netlist: &Netlist,
+        rules: &RuleSet,
+        fabric: &Fabric,
+        placement: &Placement,
+    ) -> Vec<RouteDefect> {
+        let mut out = Vec::new();
+        let conns = connections(netlist, rules);
+        if conns.len() != self.routes.len() {
+            out.push(RouteDefect::Count(self.routes.len(), conns.len()));
+        }
+        let tile = |node: u32| placement.tile_of_node.get(node as usize).copied().flatten();
+        // the routes with placed endpoints, whose hops count towards
+        // link capacity
+        let mut by_producer: Vec<&RoutedEdge> = Vec::with_capacity(self.routes.len());
+        // the route that last visited each tile
+        let mut visited = vec![u32::MAX; fabric.len()];
+        for (i, r) in self.routes.iter().enumerate() {
+            let at = |fault| RouteDefect::Route(i, fault);
+            let conn = (r.consumer, r.slot, r.producer, r.regs, r.word);
+            // `route` keeps connection order; any other order is searched
+            if conns.get(i) != Some(&conn) && !conns.contains(&conn) {
+                out.push(at(RouteFault::Unrequired));
+            }
+            let (Some(src), Some(dst)) = (tile(r.producer), tile(r.consumer)) else {
+                out.push(at(RouteFault::Unplaced(tile(r.producer).is_none())));
+                continue;
+            };
+            by_producer.push(r);
+            if r.path.first() != Some(&src) || r.path.last() != Some(&dst) {
+                out.push(at(RouteFault::Endpoints(src, dst)));
+            }
+            let mut revisit = None;
+            for (hop, &t) in r.path.iter().enumerate() {
+                if hop > 0 && fabric.edge(r.path[hop - 1], t).is_none() {
+                    out.push(at(RouteFault::Hop(hop - 1)));
+                }
+                let seen = match visited.get_mut(t.0 as usize) {
+                    Some(last) => std::mem::replace(last, i as u32) == i as u32,
+                    None => r.path[..hop].contains(&t),
+                };
+                if seen && revisit.is_none() {
+                    revisit = Some(at(RouteFault::Revisit(hop)));
+                }
+            }
+            out.extend(revisit);
+        }
+        // distinct signals per (edge, word) slot: visiting the routes
+        // grouped by producer, a slot counts a producer when its group
+        // first reaches the slot
+        by_producer.sort_unstable_by_key(|r| r.producer);
+        let tracks = |word| [fabric.config.bit_tracks, fabric.config.word_tracks][usize::from(word)];
+        let slots = fabric.edge_ids() * 2;
+        let mut count = vec![0u32; slots];
+        let mut last = vec![u32::MAX; slots];
+        let mut over = Vec::new();
+        for r in by_producer {
+            for w in r.path.windows(2) {
+                let Some(e) = fabric.edge(w[0], w[1]) else {
+                    continue;
+                };
+                let idx = e * 2 + usize::from(r.word);
+                if last[idx] == r.producer {
+                    continue;
+                }
+                last[idx] = r.producer;
+                count[idx] += 1;
+                if count[idx] as usize == tracks(r.word) + 1 {
+                    over.push(((fabric.link(w[0], w[1]), r.word), idx, (w[0], w[1])));
+                }
+            }
+        }
+        over.sort_unstable_by_key(|o| o.0);
+        out.extend(over.into_iter().map(|((_, word), idx, link)| RouteDefect::OverCapacity {
+            link,
+            word,
+            signals: count[idx] as usize,
+            tracks: tracks(word),
+        }));
+        out
+    }
+}
+
 /// Post-route verification — our substitute for simulating the configured
-/// CGRA Verilog with VCS (paper Section 4, step 3c): checks that every
-/// netlist connection has a contiguous route between the placed endpoint
-/// tiles and that no link exceeds its track capacity.
+/// CGRA Verilog with VCS (paper Section 4, step 3c): runs
+/// [`Routing::defects`], so it checks that the routes are exactly as many
+/// as the netlist's connections and each matches one of them, that each
+/// route is a simple path of fabric-neighbour hops between the placed
+/// endpoint tiles, and that no link exceeds its track capacity.
 ///
 /// # Errors
-/// Returns a description of the first inconsistency: the first bad route
+/// Describes the first defect: the route count, else the first bad route
 /// in routing order, else the first over-capacity link in `(link, word)`
 /// order.
 pub fn verify_routed(
@@ -661,67 +798,27 @@ pub fn verify_routed(
     placement: &Placement,
     routing: &Routing,
 ) -> Result<(), String> {
-    let conns = connections(netlist, rules);
-    if conns.len() != routing.routes.len() {
-        return Err(format!(
-            "expected {} routes, found {}",
-            conns.len(),
-            routing.routes.len()
-        ));
-    }
-    for r in &routing.routes {
-        let src = placement.tile_of_node[r.producer as usize]
-            .ok_or_else(|| format!("producer {} unplaced", r.producer))?;
-        let dst = placement.tile_of_node[r.consumer as usize]
-            .ok_or_else(|| format!("consumer {} unplaced", r.consumer))?;
-        if r.path.first() != Some(&src) || r.path.last() != Some(&dst) {
-            return Err(format!(
-                "route {}→{} does not connect its endpoints",
-                r.producer, r.consumer
-            ));
-        }
-        if r.path.windows(2).any(|w| fabric.edge(w[0], w[1]).is_none()) {
-            return Err("route hops between non-adjacent tiles".into());
-        }
-    }
-    // distinct signals per (edge, word) slot: visiting the routes grouped
-    // by producer, a slot counts a producer when its group first reaches
-    // the slot
-    let mut by_producer: Vec<&RoutedEdge> = routing.routes.iter().collect();
-    by_producer.sort_unstable_by_key(|r| r.producer);
-    let slots = fabric.edge_ids() * 2;
-    let mut count = vec![0u32; slots];
-    let mut last = vec![u32::MAX; slots];
-    // the smallest over-capacity (link, word) key and its slot
-    let mut first_over: Option<((usize, bool), usize, usize)> = None;
-    for r in by_producer {
-        let cap = if r.word {
-            fabric.config.word_tracks
-        } else {
-            fabric.config.bit_tracks
-        };
-        for w in r.path.windows(2) {
-            let Some(e) = fabric.edge(w[0], w[1]) else {
-                continue;
-            };
-            let idx = e * 2 + usize::from(r.word);
-            if last[idx] == r.producer {
-                continue;
-            }
-            last[idx] = r.producer;
-            count[idx] += 1;
-            if count[idx] as usize == cap + 1 {
-                let key = (fabric.link(w[0], w[1]), r.word);
-                if first_over.is_none_or(|(k, _, _)| key < k) {
-                    first_over = Some((key, idx, cap));
-                }
+    let Some(&defect) = routing.defects(netlist, rules, fabric, placement).first() else {
+        return Ok(());
+    };
+    Err(match defect {
+        RouteDefect::Count(routes, conns) => format!("expected {conns} routes, found {routes}"),
+        RouteDefect::OverCapacity {
+            signals, tracks, ..
+        } => format!("link over capacity: {signals} > {tracks}"),
+        RouteDefect::Route(i, fault) => {
+            let r = &routing.routes[i];
+            let route = format!("route {}→{}", r.producer, r.consumer);
+            match fault {
+                RouteFault::Unrequired => format!("{route} matches no required connection"),
+                RouteFault::Unplaced(true) => format!("producer {} unplaced", r.producer),
+                RouteFault::Unplaced(false) => format!("consumer {} unplaced", r.consumer),
+                RouteFault::Endpoints(..) => format!("{route} does not connect its endpoints"),
+                RouteFault::Hop(_) => "route hops between non-adjacent tiles".into(),
+                RouteFault::Revisit(_) => format!("{route} revisits a tile"),
             }
         }
-    }
-    match first_over {
-        Some((_, idx, cap)) => Err(format!("link over capacity: {} > {cap}", count[idx])),
-        None => Ok(()),
-    }
+    })
 }
 
 #[cfg(test)]

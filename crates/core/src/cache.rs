@@ -1081,6 +1081,26 @@ mod tests {
         assert_variants_equal(&v, &decoded);
     }
 
+    /// A unit stripped of its ops while it still feeds another unit
+    /// fails the structure check instead of panicking in it.
+    #[test]
+    fn unit_without_ops_decodes_as_none() {
+        let app = gaussian();
+        let mut v = baseline_variant(&[&app]).unwrap();
+        let dp = &mut v.spec.datapath;
+        let fed = dp
+            .nodes
+            .iter()
+            .flat_map(|n| n.port_candidates.iter().flatten())
+            .find_map(|c| match *c {
+                DpSource::Node(j) => Some(j as usize),
+                _ => None,
+            })
+            .expect("a unit feeds another");
+        dp.nodes[fed].ops.clear();
+        assert!(decode_variant(&encode_variant(&v)).is_none());
+    }
+
     #[test]
     fn corrupt_entries_decode_as_none() {
         let v = spec_variant();

@@ -3,11 +3,12 @@
 //! One generator per table and figure of Section 5 (see
 //! [`experiments::all_experiments`]), built on the shared, cached PE
 //! variants of [`context`] and the analytic FPGA/ASIC/Simba comparators of
-//! [`baselines`]. The `report` binary prints everything:
+//! [`baselines`]. `apex report` prints everything:
 //!
 //! ```bash
-//! cargo run --release -p apex-eval --bin report            # all experiments
-//! cargo run --release -p apex-eval --bin report -- fig11   # one experiment
+//! cargo run --release --bin apex -- report                # all experiments
+//! cargo run --release --bin apex -- report fig11          # one experiment
+//! cargo run --release --bin apex -- report --csv fig11    # as CSV
 //! ```
 
 #![warn(missing_docs)]

@@ -47,11 +47,6 @@ impl Table {
     pub fn cell_f64(&self, row: usize, header: &str) -> Option<f64> {
         self.cell(row, header)?.trim_end_matches('x').parse().ok()
     }
-
-    /// Finds the first row whose first column equals `key`.
-    pub fn row_by_key(&self, key: &str) -> Option<usize> {
-        self.rows.iter().position(|r| r[0] == key)
-    }
 }
 
 impl Table {
@@ -124,8 +119,6 @@ mod tests {
         t.push(vec!["a".into(), "0.78x".into()]);
         assert_eq!(t.cell(0, "name"), Some("a"));
         assert_eq!(t.cell_f64(0, "ratio"), Some(0.78));
-        assert_eq!(t.row_by_key("a"), Some(0));
-        assert_eq!(t.row_by_key("zzz"), None);
     }
 
     #[test]

@@ -194,21 +194,6 @@ impl Expr {
     pub fn gt(&self, rhs: &Expr) -> BitExpr {
         self.compare(Op::Sgt, rhs)
     }
-
-    /// Signed less-than.
-    pub fn lt(&self, rhs: &Expr) -> BitExpr {
-        self.compare(Op::Slt, rhs)
-    }
-
-    /// Unsigned less-than.
-    pub fn lt_u(&self, rhs: &Expr) -> BitExpr {
-        self.compare(Op::Ult, rhs)
-    }
-
-    /// Unsigned greater-than.
-    pub fn gt_u(&self, rhs: &Expr) -> BitExpr {
-        self.compare(Op::Ugt, rhs)
-    }
 }
 
 impl BitExpr {

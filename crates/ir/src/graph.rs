@@ -8,6 +8,7 @@ use crate::op::{Op, OpKind, ValueType};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Identifier of a node within one [`Graph`].
 ///
@@ -100,6 +101,18 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// One structural defect of a [`Graph`] (see [`Graph::defects`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphDefect {
+    /// The node it is at.
+    pub node: NodeId,
+    /// The operand port it is at (`None` for the node's arity).
+    pub port: Option<usize>,
+    /// What is wrong; an operand not defined before the node is an
+    /// [`GraphError::UnknownNode`].
+    pub error: GraphError,
+}
+
 /// A named dataflow graph.
 ///
 /// # Examples
@@ -158,30 +171,10 @@ impl Graph {
     /// Returns a [`GraphError`] if an input id is foreign, the arity is
     /// wrong, or a port type mismatches.
     pub fn try_add(&mut self, op: Op, inputs: &[NodeId]) -> Result<NodeId, GraphError> {
-        let tys = op.input_types();
-        if inputs.len() != tys.len() {
-            return Err(GraphError::PortCountMismatch {
-                op,
-                expected: tys.len(),
-                got: inputs.len(),
-            });
-        }
-        for (port, (&src, &ty)) in inputs.iter().zip(tys).enumerate() {
-            let src_node = self
-                .nodes
-                .get(src.index())
-                .ok_or(GraphError::UnknownNode { id: src })?;
-            let got = src_node.op.output_type();
-            if got != ty {
-                return Err(GraphError::PortTypeMismatch {
-                    op,
-                    port,
-                    expected: ty,
-                    got,
-                });
-            }
-        }
         let id = NodeId(self.nodes.len() as u32);
+        if let ControlFlow::Break(d) = self.node_defects(id, op, inputs, &mut ControlFlow::Break) {
+            return Err(d.error);
+        }
         self.nodes.push(Node {
             op,
             inputs: inputs.to_vec(),
@@ -297,31 +290,13 @@ impl Graph {
             .count()
     }
 
-    /// Longest path length counted in compute nodes (unit-delay depth).
-    pub fn logic_depth(&self) -> usize {
-        let mut depth = vec![0usize; self.nodes.len()];
-        let mut max = 0;
-        for (id, node) in self.iter() {
-            let in_depth = node
-                .inputs()
-                .iter()
-                .map(|s| depth[s.index()])
-                .max()
-                .unwrap_or(0);
-            let own = usize::from(node.op.is_compute() && !matches!(node.op, Op::Const(_) | Op::BitConst(_)));
-            depth[id.index()] = in_depth + own;
-            max = max.max(depth[id.index()]);
-        }
-        max
-    }
-
     /// Assembles a graph from raw `(op, inputs)` rows **without any
     /// validation** — the ingestion point for untrusted graph data
     /// (hand-assembled tests, foreign serialization) that is expected to
-    /// go through [`Graph::try_validate`] or the `apex-verify` IR pass
-    /// before entering the flow. Everything else in this crate assumes
-    /// validated graphs; feeding an unchecked corrupt graph to other
-    /// APIs may panic.
+    /// go through [`Graph::defects`] (or [`Graph::try_validate`], which
+    /// reports the first) before entering the flow. Everything else in
+    /// this crate assumes validated graphs; feeding an unchecked corrupt
+    /// graph to other APIs may panic.
     pub fn from_raw_parts(name: &str, rows: Vec<(Op, Vec<NodeId>)>) -> Graph {
         Graph {
             name: name.to_owned(),
@@ -332,41 +307,80 @@ impl Graph {
         }
     }
 
+    /// Every structural defect of the graph, in node and port order:
+    /// arity, operand order (a self, forward or foreign reference, which
+    /// is how a cycle shows in this sequential-id representation) and
+    /// operand types. Never panics; empty exactly when the graph is
+    /// well formed. Allocates nothing for a well-formed graph.
+    pub fn defects(&self) -> Vec<GraphDefect> {
+        let mut out = Vec::new();
+        let _ = self.scan(|d| {
+            out.push(d);
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
     /// Validates every edge (arity, types, topological ordering) without
     /// panicking — the entry point for untrusted graphs (deserialized,
     /// parsed from text, or assembled by hand) before they enter the DSE
-    /// flow. A forward or self reference surfaces as
-    /// [`GraphError::UnknownNode`], which is how a cycle manifests in this
-    /// sequential-id representation.
+    /// flow.
     ///
     /// # Errors
-    /// Returns the first violation found.
+    /// Returns the first of [`Graph::defects`]; an operand that is not
+    /// defined before its reader surfaces as [`GraphError::UnknownNode`].
     pub fn try_validate(&self) -> Result<(), GraphError> {
-        for (id, node) in self.iter() {
-            let tys = node.op.input_types();
-            if node.inputs.len() != tys.len() {
-                return Err(GraphError::PortCountMismatch {
-                    op: node.op,
-                    expected: tys.len(),
-                    got: node.inputs.len(),
-                });
-            }
-            for (port, (&src, &ty)) in node.inputs.iter().zip(tys).enumerate() {
-                if src.index() >= id.index() {
-                    return Err(GraphError::UnknownNode { id: src });
+        match self.scan(ControlFlow::Break) {
+            ControlFlow::Break(d) => Err(d.error),
+            ControlFlow::Continue(()) => Ok(()),
+        }
+    }
+
+    /// Hands the graph's defects to `sink` in [`Graph::defects`] order
+    /// until it breaks.
+    fn scan<B>(&self, mut sink: impl FnMut(GraphDefect) -> ControlFlow<B>) -> ControlFlow<B> {
+        for (i, node) in self.nodes.iter().enumerate() {
+            self.node_defects(NodeId(i as u32), node.op, &node.inputs, &mut sink)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Hands the defects of node `id`, computing `op` over `inputs`, to
+    /// `sink` until it breaks, given the nodes before `id`.
+    #[inline(always)]
+    fn node_defects<B>(
+        &self,
+        id: NodeId,
+        op: Op,
+        inputs: &[NodeId],
+        sink: &mut impl FnMut(GraphDefect) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let at = |port, error| GraphDefect {
+            node: id,
+            port,
+            error,
+        };
+        let tys = op.input_types();
+        if inputs.len() != tys.len() {
+            let (expected, got) = (tys.len(), inputs.len());
+            sink(at(None, GraphError::PortCountMismatch { op, expected, got }))?;
+        }
+        let before = &self.nodes[..id.index()];
+        for (port, &src) in inputs.iter().enumerate() {
+            let Some(src_node) = before.get(src.index()) else {
+                sink(at(Some(port), GraphError::UnknownNode { id: src }))?;
+                continue;
+            };
+            let got = src_node.op.output_type();
+            match tys.get(port) {
+                Some(&expected) if got != expected => {
+                    let error = GraphError::PortTypeMismatch { op, port, expected, got };
+                    sink(at(Some(port), error))?;
                 }
-                let got = self.nodes[src.index()].op.output_type();
-                if got != ty {
-                    return Err(GraphError::PortTypeMismatch {
-                        op: node.op,
-                        port,
-                        expected: ty,
-                        got,
-                    });
-                }
+                _ => {}
             }
         }
-        Ok(())
+        ControlFlow::Continue(())
     }
 
     /// Extracts the subgraph induced by `keep` as a standalone graph.
@@ -482,7 +496,6 @@ mod tests {
         assert_eq!(g.primary_inputs().len(), 3);
         assert_eq!(g.primary_outputs().len(), 1);
         assert_eq!(g.compute_op_count(), 2);
-        assert_eq!(g.logic_depth(), 2);
         assert!(g.try_validate().is_ok());
     }
 

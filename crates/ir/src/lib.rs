@@ -49,7 +49,7 @@ mod op;
 mod text;
 
 pub use expr::{BitExpr, Expr, ExprGraph};
-pub use graph::{Graph, GraphError, Node, NodeId};
+pub use graph::{Graph, GraphDefect, GraphError, Node, NodeId};
 pub use interp::evaluate;
 pub use op::{Op, OpKind, Value, ValueType, ALL_OP_KINDS};
 pub use text::{from_text, op_from_token, op_to_token, to_text, ParseError};

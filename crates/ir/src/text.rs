@@ -96,7 +96,7 @@ pub fn from_text(text: &str) -> Result<Graph, ParseError> {
             .next()
             .ok_or_else(|| err("missing operation".into()))?;
         let rest: Vec<&str> = toks.collect();
-        let (op, input_toks) = parse_op(opname, &rest).map_err(|m| err(m))?;
+        let (op, input_toks) = parse_op(opname, &rest).map_err(err)?;
         let mut inputs = Vec::with_capacity(input_toks.len());
         for t in input_toks {
             let src = parse_node_id(t).ok_or_else(|| err(format!("bad input id '{t}'")))?;

@@ -253,9 +253,4 @@ proptest! {
         prop_assert!(sub.try_validate().is_ok());
         prop_assert_eq!(map.len(), keep.len());
     }
-
-    #[test]
-    fn logic_depth_bounded_by_compute_count(g in arb_word_graph()) {
-        prop_assert!(g.logic_depth() <= g.compute_op_count());
-    }
 }

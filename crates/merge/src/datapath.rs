@@ -121,6 +121,9 @@ pub enum DatapathError {
     },
     /// A source's type does not match where it is used.
     TypeMismatch,
+    /// A structural defect other than a cycle (see
+    /// [`MergedDatapath::defects`]).
+    Malformed(DatapathDefect),
 }
 
 impl fmt::Display for DatapathError {
@@ -137,11 +140,51 @@ impl fmt::Display for DatapathError {
                 write!(f, "configuration selects unsupported op on node {node}")
             }
             DatapathError::TypeMismatch => write!(f, "source/port type mismatch"),
+            DatapathError::Malformed(d) => write!(f, "malformed datapath: {d:?}"),
         }
     }
 }
 
 impl std::error::Error for DatapathError {}
+
+/// One structural defect of a [`MergedDatapath`] (see
+/// [`MergedDatapath::defects`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatapathDefect {
+    /// The unit it is at (`None` for a cycle).
+    pub node: Option<u32>,
+    /// The unit's port it is at.
+    pub port: Option<usize>,
+    /// The candidate on the port's mux it is about.
+    pub leg: Option<usize>,
+    /// What is wrong.
+    pub kind: DatapathDefectKind,
+}
+
+/// What a [`DatapathDefect`] finds wrong.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatapathDefectKind {
+    /// The candidate edges form a cycle.
+    Cyclic,
+    /// The unit has no operations.
+    NoOps,
+    /// The operation produces another type than the unit's (its first
+    /// operation's type, given).
+    OpType(Op, ValueType),
+    /// The operation needs more ports than the unit's count (given).
+    OpArity(Op, usize),
+    /// The port, which an operation reads, has no candidate.
+    Dangling,
+    /// The candidate names a missing PE input or unit, or the unit
+    /// itself.
+    OutOfRange(DpSource),
+    /// The candidate produces the first type (`None`: a unit without
+    /// operations), where the operation reads the second.
+    PortType(DpSource, Option<ValueType>, Op, ValueType),
+    /// The port lists one candidate twice (its selection is not
+    /// exclusive).
+    Duplicate,
+}
 
 /// A PE datapath merged from one or more subgraphs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -278,38 +321,92 @@ impl MergedDatapath {
         }
     }
 
-    /// Validates structure and all stored configurations.
-    ///
-    /// # Errors
-    /// Returns the first inconsistency found.
-    pub fn validate(&self) -> Result<(), DatapathError> {
-        self.topo_order()?;
-        for node in &self.nodes {
-            for op in &node.ops {
-                if op.output_type() != node.output_type() {
-                    return Err(DatapathError::TypeMismatch);
+    /// Every structural defect of the datapath: a cycle first, then in
+    /// unit, port and leg order units without operations, operations
+    /// that disagree with their unit, dangling ports, candidates out of
+    /// range or of the wrong type, and duplicate mux legs. Never panics;
+    /// empty exactly when the structure is well formed. A datapath whose
+    /// candidates read only earlier units (the order merging builds) is
+    /// checked without allocating.
+    pub fn defects(&self) -> Vec<DatapathDefect> {
+        let n = self.nodes.len();
+        let mut out = Vec::new();
+        let back_edge = self.nodes.iter().enumerate().any(|(i, unit)| {
+            let back = |c: &DpSource| matches!(*c, DpSource::Node(j) if j as usize >= i);
+            unit.port_candidates.iter().flatten().any(back)
+        });
+        // a candidate naming a missing unit is reported below instead
+        if back_edge && self.topo_order() == Err(DatapathError::Cyclic) {
+            let (node, port, leg) = (None, None, None);
+            out.push(DatapathDefect { node, port, leg, kind: DatapathDefectKind::Cyclic });
+        }
+        for (i, unit) in self.nodes.iter().enumerate() {
+            let at = |port, leg, kind| DatapathDefect { node: Some(i as u32), port, leg, kind };
+            let Some(ty) = unit.ops.first().map(|op| op.output_type()) else {
+                out.push(at(None, None, DatapathDefectKind::NoOps));
+                continue;
+            };
+            for &op in &unit.ops {
+                if op.output_type() != ty {
+                    out.push(at(None, None, DatapathDefectKind::OpType(op, ty)));
                 }
-                if op.arity() > node.arity() {
-                    return Err(DatapathError::TypeMismatch);
+                if op.arity() > unit.arity() {
+                    out.push(at(None, None, DatapathDefectKind::OpArity(op, unit.arity())));
                 }
             }
-            for (p, cands) in node.port_candidates.iter().enumerate() {
-                // all candidates of one port must share a type; the type
-                // is dictated by the widest op that uses the port
-                for c in cands {
-                    let ty = self.source_type(*c);
-                    for op in &node.ops {
-                        if p < op.arity() && op.input_types()[p] != ty {
-                            return Err(DatapathError::TypeMismatch);
+            let max_arity = unit.ops.iter().map(|op| op.arity()).max().unwrap_or(0);
+            for (p, cands) in unit.port_candidates.iter().enumerate() {
+                if cands.is_empty() && p < max_arity {
+                    out.push(at(Some(p), None, DatapathDefectKind::Dangling));
+                }
+                for (leg, &src) in cands.iter().enumerate() {
+                    let got = match src {
+                        DpSource::WordInput(k) if (k as usize) < self.word_inputs => {
+                            Some(ValueType::Word)
+                        }
+                        DpSource::BitInput(k) if (k as usize) < self.bit_inputs => {
+                            Some(ValueType::Bit)
+                        }
+                        DpSource::Node(j) if (j as usize) < n && j as usize != i => {
+                            self.nodes[j as usize].ops.first().map(|op| op.output_type())
+                        }
+                        _ => {
+                            out.push(at(Some(p), Some(leg), DatapathDefectKind::OutOfRange(src)));
+                            continue;
+                        }
+                    };
+                    for &op in &unit.ops {
+                        match op.input_types().get(p) {
+                            Some(&want) if got != Some(want) => {
+                                let kind = DatapathDefectKind::PortType(src, got, op, want);
+                                out.push(at(Some(p), Some(leg), kind));
+                            }
+                            _ => {}
                         }
                     }
                 }
+                if (1..cands.len()).any(|k| cands[..k].contains(&cands[k])) {
+                    out.push(at(Some(p), None, DatapathDefectKind::Duplicate));
+                }
             }
         }
-        for cfg in &self.configs {
-            self.validate_config(cfg)?;
+        out
+    }
+
+    /// Validates structure and all stored configurations.
+    ///
+    /// # Errors
+    /// Returns the first of [`MergedDatapath::defects`] (a cycle as
+    /// [`DatapathError::Cyclic`]), else the first configuration's
+    /// [`MergedDatapath::validate_config`] error.
+    pub fn validate(&self) -> Result<(), DatapathError> {
+        if let Some(&d) = self.defects().first() {
+            return Err(match d.kind {
+                DatapathDefectKind::Cyclic => DatapathError::Cyclic,
+                _ => DatapathError::Malformed(d),
+            });
         }
-        Ok(())
+        self.configs.iter().try_for_each(|cfg| self.validate_config(cfg))
     }
 
     /// Validates one configuration: op availability (a primary-input op
@@ -374,22 +471,14 @@ impl MergedDatapath {
     /// The value type a source produces.
     ///
     /// # Panics
-    /// Panics if a node source is out of range (see
-    /// [`MergedDatapath::try_source_type`] for a checked variant).
-    #[allow(clippy::expect_used)]
+    /// Panics if a node source is out of range or has no operations
+    /// (untrusted datapaths go through [`MergedDatapath::defects`]
+    /// first).
     pub fn source_type(&self, src: DpSource) -> ValueType {
-        // invariant: documented panic; untrusted sources (decoded
-        // bitstreams) must go through try_source_type instead
-        self.try_source_type(src).expect("source in range")
-    }
-
-    /// The value type a source produces, or `None` for an out-of-range
-    /// node reference (possible when inspecting decoded bitstreams).
-    pub fn try_source_type(&self, src: DpSource) -> Option<ValueType> {
         match src {
-            DpSource::WordInput(_) => Some(ValueType::Word),
-            DpSource::BitInput(_) => Some(ValueType::Bit),
-            DpSource::Node(j) => self.nodes.get(j as usize).map(DpNode::output_type),
+            DpSource::WordInput(_) => ValueType::Word,
+            DpSource::BitInput(_) => ValueType::Bit,
+            DpSource::Node(j) => self.nodes[j as usize].output_type(),
         }
     }
 

@@ -51,6 +51,7 @@ mod merge;
 
 pub use clique::{max_weight_clique, CliqueProblem, CliqueSolution};
 pub use datapath::{
-    DatapathConfig, DatapathError, DpNode, DpSource, MergedDatapath, NodeConfig,
+    DatapathConfig, DatapathDefect, DatapathDefectKind, DatapathError, DpNode, DpSource,
+    MergedDatapath, NodeConfig,
 };
 pub use merge::{merge_all, merge_graph, MergeError, MergeOptions, MergeReport};

@@ -183,6 +183,7 @@ fn push(nodes: &mut Vec<DpNode>, node: DpNode) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_merge::{DatapathDefect, DatapathDefectKind, DatapathError};
     use apex_tech::TechModel;
 
     #[test]
@@ -203,6 +204,31 @@ mod tests {
         assert!(pe.datapath.validate().is_ok());
         assert_eq!(pe.datapath.word_inputs, 2);
         assert_eq!(pe.datapath.bit_inputs, 3);
+    }
+
+    #[test]
+    fn validate_rejects_a_candidate_port_the_pe_lacks() {
+        let mut dp = baseline_pe().datapath;
+        let (node, port) = dp
+            .nodes
+            .iter()
+            .enumerate()
+            .find_map(|(i, n)| {
+                n.port_candidates
+                    .iter()
+                    .position(|c| c.contains(&DpSource::WordInput(0)))
+                    .map(|p| (i, p))
+            })
+            .expect("a port reads word input 0");
+        dp.nodes[node].port_candidates[port].push(DpSource::WordInput(99));
+        let leg = dp.nodes[node].port_candidates[port].len() - 1;
+        let defect = DatapathDefect {
+            node: Some(node as u32),
+            port: Some(port),
+            leg: Some(leg),
+            kind: DatapathDefectKind::OutOfRange(DpSource::WordInput(99)),
+        };
+        assert_eq!(dp.validate(), Err(DatapathError::Malformed(defect)));
     }
 
     #[test]

@@ -305,19 +305,6 @@ impl TechModel {
         }
     }
 
-    /// Area saved by merging two nodes of the given kinds onto one
-    /// functional unit (the merge weight `w` of Fig. 5d): the smaller
-    /// standalone area, since one of the two units disappears.
-    ///
-    /// Returns 0.0 for kinds in different [`FuClass`]es.
-    pub fn merge_saving(&self, a: OpKind, b: OpKind) -> f64 {
-        if fu_class(a) == fu_class(b) && fu_class(a).shareable() {
-            self.area(a).min(self.area(b))
-        } else {
-            0.0
-        }
-    }
-
     /// Per-op decode/configuration area increment when a shared unit gains
     /// one more selectable operation, µm².
     pub fn decode_area_per_op(&self) -> f64 {
@@ -370,15 +357,6 @@ mod tests {
                 assert!(t.delay(OpKind::Mul) >= t.delay(k), "{k:?}");
             }
         }
-    }
-
-    #[test]
-    fn merge_saving_requires_shared_class() {
-        let t = TechModel::default();
-        assert!(t.merge_saving(OpKind::Add, OpKind::Sub) > 0.0);
-        assert!(t.merge_saving(OpKind::Add, OpKind::Add) > 0.0);
-        assert_eq!(t.merge_saving(OpKind::Add, OpKind::Mul), 0.0);
-        assert_eq!(t.merge_saving(OpKind::Input, OpKind::Input), 0.0);
     }
 
     #[test]

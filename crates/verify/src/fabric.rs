@@ -5,13 +5,13 @@
 
 use crate::Violation;
 use apex_cgra::{
-    connections, pack_config, place_class, unpack_config, Bitstream, Fabric, PlaceClass,
-    Placement, Routing, TileConfig, TileId, TileKind,
+    pack_config, place_class, unpack_config, Bitstream, Fabric, PlaceClass, Placement,
+    RouteDefect, RouteFault, Routing, TileConfig, TileId, TileKind,
 };
 use apex_map::{NetKind, Netlist};
 use apex_merge::MergedDatapath;
 use apex_rewrite::RuleSet;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::mem::discriminant;
 
 fn tile_str(fabric: &Fabric, t: TileId) -> String {
@@ -135,7 +135,9 @@ pub fn verify_placement(
     out
 }
 
-/// Verifies a routing solution against the placement it serves.
+/// Verifies a routing solution against the placement it serves: reports
+/// [`Routing::defects`], the check `apex_cgra::verify_routed` runs, as
+/// violations.
 ///
 /// Rules:
 /// * `ROUTE-COUNT` — the number of routes disagrees with the netlist's
@@ -158,136 +160,82 @@ pub fn verify_routing(
     placement: &Placement,
     routing: &Routing,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
     let artifact = format!("routing of '{}'", netlist.name);
-    let conns = connections(netlist, rules);
-    if routing.routes.len() != conns.len() {
-        out.push(Violation::new(
+    let violation = |d| match d {
+        RouteDefect::Count(routes, conns) => Violation::new(
             "ROUTE-COUNT",
             &artifact,
             "routes",
+            format!("{routes} route(s) for {conns} required connection(s)"),
+        ),
+        RouteDefect::OverCapacity {
+            link: (from, to),
+            word,
+            signals,
+            tracks,
+        } => Violation::new(
+            "ROUTE-CAP",
+            &artifact,
+            format!("link {} -> {}", tile_str(fabric, from), tile_str(fabric, to)),
             format!(
-                "{} route(s) for {} required connection(s)",
-                routing.routes.len(),
-                conns.len()
+                "{signals} distinct {} signal(s) on {tracks} track(s)",
+                if word { "word" } else { "bit" }
             ),
-        ));
-    }
-    let required: std::collections::BTreeSet<_> = conns
-        .iter()
-        .map(|&(c, s, p, regs, w)| (c, s, p, regs, w))
-        .collect();
-    let mut usage: BTreeMap<(usize, bool), std::collections::BTreeSet<u32>> = BTreeMap::new();
-    for (ri, r) in routing.routes.iter().enumerate() {
-        let loc = format!("route[{ri}] node {} slot {}", r.consumer, r.slot);
-        if !required.contains(&(r.consumer, r.slot, r.producer, r.regs, r.word)) {
-            out.push(Violation::new(
-                "ROUTE-CONN",
-                &artifact,
-                loc.clone(),
-                format!(
-                    "no required connection ({} -> {} slot {}, {} reg(s), word={})",
-                    r.producer, r.consumer, r.slot, r.regs, r.word
+        ),
+        RouteDefect::Route(i, fault) => {
+            let r = &routing.routes[i];
+            let at = format!("route[{i}] node {} slot {}", r.consumer, r.slot);
+            let (rule, at, message) = match fault {
+                RouteFault::Unrequired => (
+                    "ROUTE-CONN",
+                    at,
+                    format!(
+                        "no required connection ({} -> {} slot {}, {} reg(s), word={})",
+                        r.producer, r.consumer, r.slot, r.regs, r.word
+                    ),
                 ),
-            ));
-        }
-        let src = placement
-            .tile_of_node
-            .get(r.producer as usize)
-            .copied()
-            .flatten();
-        let dst = placement
-            .tile_of_node
-            .get(r.consumer as usize)
-            .copied()
-            .flatten();
-        match (src, dst) {
-            (Some(src), Some(dst)) => {
-                if r.path.first() != Some(&src) || r.path.last() != Some(&dst) {
-                    out.push(Violation::new(
-                        "ROUTE-ENDPOINT",
-                        &artifact,
-                        loc.clone(),
-                        format!(
-                            "path {:?}..{:?} does not span {} -> {}",
-                            r.path.first(),
-                            r.path.last(),
-                            tile_str(fabric, src),
-                            tile_str(fabric, dst)
-                        ),
-                    ));
-                }
-            }
-            _ => {
-                out.push(Violation::new(
+                RouteFault::Unplaced(_) => (
                     "ROUTE-ENDPOINT",
-                    &artifact,
-                    loc.clone(),
+                    at,
                     "route endpoint is not a placed node".to_owned(),
-                ));
-                continue;
-            }
-        }
-        for (h, w) in r.path.windows(2).enumerate() {
-            if (w[0].0 as usize) >= fabric.len()
-                || (w[1].0 as usize) >= fabric.len()
-                || fabric.distance(w[0], w[1]) != 1
-            {
-                out.push(Violation::new(
+                ),
+                RouteFault::Endpoints(src, dst) => (
+                    "ROUTE-ENDPOINT",
+                    at,
+                    format!(
+                        "path {:?}..{:?} does not span {} -> {}",
+                        r.path.first(),
+                        r.path.last(),
+                        tile_str(fabric, src),
+                        tile_str(fabric, dst)
+                    ),
+                ),
+                RouteFault::Hop(h) => (
                     "ROUTE-PATH",
-                    &artifact,
-                    format!("{loc} hop {h}"),
+                    format!("{at} hop {h}"),
                     format!(
                         "{} and {} are not fabric neighbours",
-                        tile_str(fabric, w[0]),
-                        tile_str(fabric, w[1])
+                        tile_str(fabric, r.path[h]),
+                        tile_str(fabric, r.path[h + 1])
                     ),
-                ));
-            } else {
-                usage
-                    .entry((fabric.link(w[0], w[1]), r.word))
-                    .or_default()
-                    .insert(r.producer);
-            }
-        }
-        let mut seen: BTreeSet<TileId> = BTreeSet::new();
-        for (h, t) in r.path.iter().enumerate() {
-            if !seen.insert(*t) {
-                out.push(Violation::new(
+                ),
+                RouteFault::Revisit(h) => (
                     "ROUTE-INC",
-                    &artifact,
-                    format!("{loc} hop {h}"),
-                    format!("path revisits {} (routes must be simple)", tile_str(fabric, *t)),
-                ));
-                break;
-            }
-        }
-    }
-    for ((link, word), signals) in usage {
-        let cap = if word {
-            fabric.config.word_tracks
-        } else {
-            fabric.config.bit_tracks
-        };
-        if signals.len() > cap {
-            let (from, to) = (link / fabric.len(), link % fabric.len());
-            out.push(Violation::new(
-                "ROUTE-CAP",
-                &artifact,
-                format!(
-                    "link {} -> {}",
-                    tile_str(fabric, TileId(from as u32)),
-                    tile_str(fabric, TileId(to as u32))
+                    format!("{at} hop {h}"),
+                    format!(
+                        "path revisits {} (routes must be simple)",
+                        tile_str(fabric, r.path[h])
+                    ),
                 ),
-                format!(
-                    "{} distinct {} signal(s) on {cap} track(s)",
-                    signals.len(),
-                    if word { "word" } else { "bit" }
-                ),
-            ));
+            };
+            Violation::new(rule, &artifact, at, message)
         }
-    }
-    out
+    };
+    routing
+        .defects(netlist, rules, fabric, placement)
+        .into_iter()
+        .map(violation)
+        .collect()
 }
 
 /// Verifies a generated bitstream against the design it encodes.
@@ -480,7 +428,8 @@ pub fn verify_bitstream(
 mod tests {
     use super::*;
     use apex_cgra::{
-        generate_bitstream, place, route, FabricConfig, PlaceOptions, RouteOptions,
+        generate_bitstream, place, route, verify_routed, FabricConfig, PlaceOptions,
+        RouteOptions,
     };
     use apex_map::map_application;
     use apex_pe::baseline_pe;
@@ -564,6 +513,16 @@ mod tests {
         assert!(vs.iter().any(|v| v.rule == "PLACE-CAP"), "{}", crate::render(&vs));
     }
 
+    /// The routing violations of `d`, after checking that the flow's
+    /// `verify_routed` rejects the routing too (both run
+    /// `Routing::defects`).
+    fn rejected_routing(d: &Design) -> Vec<Violation> {
+        let vs = verify_routing(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
+        let verdict = verify_routed(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
+        assert!(verdict.is_err(), "verify_routed accepts:\n{}", crate::render(&vs));
+        vs
+    }
+
     #[test]
     fn teleporting_route_is_caught() {
         let mut d = small_design();
@@ -574,7 +533,7 @@ mod tests {
             .find(|r| r.path.len() >= 3)
             .expect("a multi-hop route exists");
         r.path.remove(1); // skip a tile: adjacent hops now distance 2
-        let vs = verify_routing(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
+        let vs = rejected_routing(&d);
         assert!(vs.iter().any(|v| v.rule == "ROUTE-PATH"), "{}", crate::render(&vs));
     }
 
@@ -598,7 +557,7 @@ mod tests {
             .expect("tile has a spare neighbour");
         r.path.insert(1, a);
         r.path.insert(1, n);
-        let vs = verify_routing(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
+        let vs = rejected_routing(&d);
         assert!(vs.iter().any(|v| v.rule == "ROUTE-INC"), "{}", crate::render(&vs));
         assert!(
             !vs.iter().any(|v| v.rule == "ROUTE-PATH"),
@@ -611,8 +570,32 @@ mod tests {
     fn dropped_route_is_caught() {
         let mut d = small_design();
         d.routing.routes.pop();
-        let vs = verify_routing(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
+        let vs = rejected_routing(&d);
         assert!(vs.iter().any(|v| v.rule == "ROUTE-COUNT"), "{}", crate::render(&vs));
+    }
+
+    /// A route whose slot or register count matches no connection keeps
+    /// its path, so only `ROUTE-CONN` fires.
+    #[test]
+    fn route_for_no_required_connection_is_caught() {
+        for corrupt in [
+            (|r: &mut apex_cgra::RoutedEdge| r.slot += 7) as fn(&mut apex_cgra::RoutedEdge),
+            |r| r.regs += 1,
+        ] {
+            let mut d = small_design();
+            corrupt(&mut d.routing.routes[0]);
+            let vs = rejected_routing(&d);
+            let rules: Vec<_> = vs.iter().map(|v| v.rule).collect();
+            assert_eq!(rules, ["ROUTE-CONN"], "{}", crate::render(&vs));
+        }
+    }
+
+    #[test]
+    fn producer_beyond_the_placement_is_caught() {
+        let mut d = small_design();
+        d.routing.routes[0].producer = d.placement.tile_of_node.len() as u32 + 5;
+        let vs = rejected_routing(&d);
+        assert!(vs.iter().any(|v| v.rule == "ROUTE-ENDPOINT"), "{}", crate::render(&vs));
     }
 
     #[test]

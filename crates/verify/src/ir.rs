@@ -1,13 +1,9 @@
-//! IR checker pass: DAG/SSA discipline, port arity, operand type
-//! agreement, dead-node and unreachable-output detection.
-//!
-//! Subsumes and extends [`apex_ir::Graph::try_validate`]: where
-//! `try_validate` stops at the first error, this pass collects every
-//! violation, and it additionally performs the liveness checks
+//! IR checker pass: reports [`Graph::defects`] (port arity, operand
+//! order, operand types) as violations, and adds the liveness checks
 //! (`IR-DEAD`, `IR-OUTPUT`) that only make sense as diagnostics.
 
 use crate::Violation;
-use apex_ir::{Graph, Op};
+use apex_ir::{Graph, GraphError, Op};
 
 /// Verifies a dataflow graph. Never panics, even on wildly corrupt
 /// inputs (out-of-range operand ids, wrong arities).
@@ -22,48 +18,41 @@ use apex_ir::{Graph, Op};
 /// * `IR-OUTPUT` — a primary output not reachable from any primary
 ///   input, in a graph that has primary inputs (the output can only
 ///   ever produce a constant).
+///
+/// The first three are [`Graph::defects`], the check
+/// [`Graph::try_validate`] runs; liveness is checked only on a graph
+/// without them.
 pub fn verify_graph(g: &Graph) -> Vec<Violation> {
-    let mut out = Vec::new();
     let artifact = format!("graph '{}'", g.name());
-
-    // --- structural: arity, SSA order, operand types -------------------
-    for (id, node) in g.iter() {
-        let tys = node.op().input_types();
-        if node.inputs().len() != tys.len() {
-            out.push(Violation::new(
-                "IR-ARITY",
-                &artifact,
-                format!("node {id}"),
-                format!(
-                    "{:?} takes {} input(s), found {}",
-                    node.op(),
-                    tys.len(),
-                    node.inputs().len()
-                ),
-            ));
-        }
-        for (port, &src) in node.inputs().iter().enumerate() {
-            if src.index() >= id.index() {
-                out.push(Violation::new(
-                    "IR-SSA",
-                    &artifact,
-                    format!("node {id} port {port}"),
-                    format!("operand {src} is not defined before {id}"),
-                ));
-                continue; // no type to check against
-            }
-            let Some(&ty) = tys.get(port) else { continue };
-            let got = g.op(src).output_type();
-            if got != ty {
-                out.push(Violation::new(
-                    "IR-TYPE",
-                    &artifact,
-                    format!("node {id} port {port}"),
-                    format!("expected {ty:?} operand, {src} produces {got:?}"),
-                ));
-            }
-        }
-    }
+    let mut out: Vec<Violation> = g
+        .defects()
+        .into_iter()
+        .map(|d| {
+            let node = d.node;
+            let location = match d.port {
+                Some(port) => format!("node {node} port {port}"),
+                None => format!("node {node}"),
+            };
+            let (rule, message) = match d.error {
+                GraphError::PortCountMismatch { op, expected, got } => {
+                    ("IR-ARITY", format!("{op:?} takes {expected} input(s), found {got}"))
+                }
+                GraphError::UnknownNode { id } => {
+                    ("IR-SSA", format!("operand {id} is not defined before {node}"))
+                }
+                GraphError::PortTypeMismatch {
+                    port,
+                    expected,
+                    got,
+                    ..
+                } => {
+                    let src = g.node(node).inputs()[port];
+                    ("IR-TYPE", format!("expected {expected:?} operand, {src} produces {got:?}"))
+                }
+            };
+            Violation::new(rule, &artifact, location, message)
+        })
+        .collect();
     if !out.is_empty() {
         // liveness is meaningless on structurally broken graphs
         return out;

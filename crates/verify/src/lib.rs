@@ -3,7 +3,13 @@
 //! The LLVM-verifier pattern applied to the APEX pipeline: one checker
 //! pass per stage, each returning structured [`Violation`] diagnostics
 //! instead of panicking. The passes re-derive every structural claim the
-//! downstream flow trusts blindly:
+//! downstream flow trusts blindly. Where a stage crate owns the total
+//! check of its artifact — [`apex_ir::Graph::defects`],
+//! [`apex_merge::MergedDatapath::defects`] and
+//! [`apex_cgra::Routing::defects`], the checks behind the flow's
+//! `try_validate`, `validate` and `verify_routed` gates — the pass only
+//! maps each typed defect to its rule id, location and message, so the
+//! flow and `apex verify` run one check:
 //!
 //! | pass | artifact | claims checked |
 //! |---|---|---|
@@ -12,7 +18,7 @@
 //! | [`verify_datapath`] | [`apex_merge::MergedDatapath`] | mux selects exhaustive/exclusive, no dangling ports, each stored configuration computes its source (the rule checks below) |
 //! | [`verify_ruleset`] | [`apex_rewrite::RewriteRule`] | LHS/RHS interface equality, payload bindings, bounded equivalence |
 //! | [`verify_pe`] | [`apex_pe::PeSpec`] | pipeline stage assignment well-formed and monotone |
-//! | [`verify_netlist`] / [`verify_placement`] / [`verify_routing`] / [`verify_bitstream`] | map/cgra artifacts | tile-type compatibility, connected routes, track capacity, encodable bitstream fields |
+//! | [`verify_netlist`] / [`verify_placement`] / [`verify_routing`] / [`verify_bitstream`] | map/cgra artifacts | tile-type compatibility, routes matching the connections as simple paths, track capacity, encodable bitstream fields |
 //!
 //! # Rule catalog
 //!
@@ -29,7 +35,7 @@
 //! * `PE-PIPE-LEN`, `PE-PIPE-RANGE`, `PE-PIPE-ORDER`
 //! * `MAP-NETLIST`, `PLACE-LEN`, `PLACE-MISSING`, `PLACE-SPURIOUS`,
 //!   `PLACE-CLASS`, `PLACE-CAP`, `ROUTE-COUNT`, `ROUTE-CONN`,
-//!   `ROUTE-ENDPOINT`, `ROUTE-PATH`, `ROUTE-CAP`, `BITS-PE`,
+//!   `ROUTE-ENDPOINT`, `ROUTE-PATH`, `ROUTE-INC`, `ROUTE-CAP`, `BITS-PE`,
 //!   `BITS-PAYLOAD`, `BITS-ROUNDTRIP`, `BITS-SB`, `BITS-TRACK`
 //!
 //! # Examples

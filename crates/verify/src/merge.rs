@@ -1,10 +1,11 @@
-//! Merge checker pass: the merged datapath structurally covers every
-//! constituent subgraph, and the rule synthesis builds from each stored
-//! configuration passes the rewrite-rule checks.
+//! Merge checker pass: reports [`MergedDatapath::defects`] (the
+//! structural check [`MergedDatapath::validate`] runs) as violations, and
+//! checks that the rule synthesis builds from each stored configuration
+//! passes the rewrite-rule checks.
 
 use crate::Violation;
 use apex_ir::Graph;
-use apex_merge::{DpSource, MergedDatapath};
+use apex_merge::{DatapathDefectKind as Kind, DatapathError, MergedDatapath};
 use apex_rewrite::config_rules;
 
 /// Verifies a merged datapath against its constituent source subgraphs.
@@ -13,8 +14,8 @@ use apex_rewrite::config_rules;
 /// implement; pass `&[]` to run the structural checks only.
 ///
 /// Rules:
-/// * `MERGE-STRUCT` — the candidate-edge union is cyclic, or a node's
-///   ops disagree on output type / exceed the port count,
+/// * `MERGE-STRUCT` — the candidate-edge union is cyclic, or a node has
+///   no ops, or its ops disagree on output type / exceed the port count,
 /// * `MERGE-PORT` — a dangling or out-of-range mux candidate (port with
 ///   no candidates, self-loop, unknown node/input, type mismatch),
 /// * `MERGE-MUX` — duplicate candidates on one mux (selection would be
@@ -40,94 +41,42 @@ pub fn verify_datapath(dp: &MergedDatapath, sources: &[Graph]) -> Vec<Violation>
     let artifact = format!("datapath '{}'", dp.name);
 
     // --- structure: DAG, node op sets, mux candidates ------------------
-    if let Err(e) = dp.topo_order() {
-        out.push(Violation::new(
-            "MERGE-STRUCT",
-            &artifact,
-            "nodes",
-            e.to_string(),
-        ));
-    }
-    for (i, node) in dp.nodes.iter().enumerate() {
-        if node.ops.is_empty() {
-            out.push(Violation::new(
+    for d in dp.defects() {
+        let location = match (d.node, d.port, d.leg) {
+            (None, ..) => "nodes".to_owned(),
+            (Some(i), None, _) => format!("node n{i}"),
+            (Some(i), Some(p), None) => format!("node n{i} port {p}"),
+            (Some(i), Some(p), Some(leg)) => format!("node n{i} port {p} leg {leg}"),
+        };
+        let (rule, message) = match d.kind {
+            Kind::Cyclic => ("MERGE-STRUCT", DatapathError::Cyclic.to_string()),
+            Kind::NoOps => ("MERGE-STRUCT", "functional unit with no operations".to_owned()),
+            Kind::OpType(op, ty) => (
                 "MERGE-STRUCT",
-                &artifact,
-                format!("node n{i}"),
-                "functional unit with no operations".to_owned(),
-            ));
-            continue;
-        }
-        let ty = node.output_type();
-        for op in &node.ops {
-            if op.output_type() != ty {
-                out.push(Violation::new(
-                    "MERGE-STRUCT",
-                    &artifact,
-                    format!("node n{i}"),
-                    format!("{op:?} output type differs from the unit's {ty:?}"),
-                ));
-            }
-            if op.arity() > node.arity() {
-                out.push(Violation::new(
-                    "MERGE-STRUCT",
-                    &artifact,
-                    format!("node n{i}"),
-                    format!("{op:?} needs {} port(s), unit has {}", op.arity(), node.arity()),
-                ));
-            }
-        }
-        let max_arity = node.ops.iter().map(|op| op.arity()).max().unwrap_or(0);
-        for (p, cands) in node.port_candidates.iter().enumerate() {
-            let loc = format!("node n{i} port {p}");
-            if cands.is_empty() && p < max_arity {
-                out.push(Violation::new(
-                    "MERGE-PORT",
-                    &artifact,
-                    loc.clone(),
-                    "used port has no candidate sources (dangling)".to_owned(),
-                ));
-            }
-            for (leg, &c) in cands.iter().enumerate() {
-                let in_range = match c {
-                    DpSource::WordInput(k) => (k as usize) < dp.word_inputs,
-                    DpSource::BitInput(k) => (k as usize) < dp.bit_inputs,
-                    DpSource::Node(u) => (u as usize) < dp.nodes.len() && u as usize != i,
-                };
-                if !in_range {
-                    out.push(Violation::new(
-                        "MERGE-PORT",
-                        &artifact,
-                        format!("{loc} leg {leg}"),
-                        format!("candidate {c:?} out of range (or self-loop)"),
-                    ));
-                    continue;
-                }
-                let src_ty = dp.try_source_type(c);
-                for op in &node.ops {
-                    if p < op.arity() && src_ty != Some(op.input_types()[p]) {
-                        out.push(Violation::new(
-                            "MERGE-PORT",
-                            &artifact,
-                            format!("{loc} leg {leg}"),
-                            format!("{c:?} produces {src_ty:?}, {op:?} expects {:?}", op.input_types()[p]),
-                        ));
-                    }
-                }
-            }
-            let mut seen = cands.clone();
-            seen.sort();
-            let before = seen.len();
-            seen.dedup();
-            if seen.len() != before {
-                out.push(Violation::new(
-                    "MERGE-MUX",
-                    &artifact,
-                    loc,
-                    "duplicate mux candidates (selection not exclusive)".to_owned(),
-                ));
-            }
-        }
+                format!("{op:?} output type differs from the unit's {ty:?}"),
+            ),
+            Kind::OpArity(op, ports) => (
+                "MERGE-STRUCT",
+                format!("{op:?} needs {} port(s), unit has {ports}", op.arity()),
+            ),
+            Kind::Dangling => (
+                "MERGE-PORT",
+                "used port has no candidate sources (dangling)".to_owned(),
+            ),
+            Kind::OutOfRange(c) => (
+                "MERGE-PORT",
+                format!("candidate {c:?} out of range (or self-loop)"),
+            ),
+            Kind::PortType(c, got, op, want) => (
+                "MERGE-PORT",
+                format!("{c:?} produces {got:?}, {op:?} expects {want:?}"),
+            ),
+            Kind::Duplicate => (
+                "MERGE-MUX",
+                "duplicate mux candidates (selection not exclusive)".to_owned(),
+            ),
+        };
+        out.push(Violation::new(rule, &artifact, location, message));
     }
 
     // --- configurations -------------------------------------------------

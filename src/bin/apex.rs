@@ -9,7 +9,7 @@
 //!                                   specialize a PE for one application
 //! apex verilog <variant> [file]     PE RTL (variant: base | ip | ml | spec:<app>)
 //! apex array <variant> [file]       full 32x16 CGRA RTL for a variant
-//! apex report [--jobs N] [--resume] [ids...]
+//! apex report [--csv] [--jobs N] [--resume] [ids...]
 //!                                   regenerate the paper's tables/figures
 //! apex save <app> [file]            dump an application in the text graph format
 //! apex verify <app> | --suite       static invariant verifier over every stage artifact
@@ -38,6 +38,8 @@ const EXIT_INTERRUPTED: i32 = 3;
 
 fn usage() {
     eprintln!("usage: apex <list|dot|mine|dse|verilog|array|report|save|dse-file|describe|verify|serve|submit|chaos> [...]");
+    eprintln!("  report [ids]   regenerate the paper's tables/figures; --csv prints `# <id>`");
+    eprintln!("                 then each table as CSV");
     eprintln!("  verify <app>   run the cross-stage invariant verifier on one application");
     eprintln!("  verify --suite ... on the full benchmark suite (exit 1 on any violation)");
     eprintln!("  serve          run the DSE daemon (see DESIGN.md §7 for the wire protocol):");
@@ -875,9 +877,11 @@ fn chaos(args: &[String]) -> Result<(), ApexError> {
     Ok(())
 }
 
-fn report(filter: &[String], resume: bool) -> Result<Status, ApexError> {
+fn report(args: &[String], resume: bool) -> Result<Status, ApexError> {
+    let csv = args.iter().any(|a| a == "--csv");
+    let filter: Vec<&String> = args.iter().filter(|a| *a != "--csv").collect();
     let experiments = apex::eval::all_experiments();
-    for id in filter {
+    for id in &filter {
         if !experiments.iter().any(|(name, _)| name == id) {
             let known: Vec<&str> = experiments.iter().map(|(name, _)| *name).collect();
             return Err(ApexError::new(
@@ -890,9 +894,13 @@ fn report(filter: &[String], resume: bool) -> Result<Status, ApexError> {
         .into_iter()
         .filter(|(name, _)| filter.is_empty() || filter.iter().any(|f| f == name))
         .collect();
-    // the sweep key covers the selected experiment set so that e.g.
-    // `apex report table1` and `apex report` journal independently
+    // the sweep key covers the output format and the selected experiment
+    // set so that e.g. `apex report table1`, `apex report --csv table1`
+    // and `apex report` journal independently
     let mut key_parts: Vec<&str> = vec![apex::core::JOURNAL_FORMAT, "report"];
+    if csv {
+        key_parts.push("csv");
+    }
     key_parts.extend(selected.iter().map(|(name, _)| *name));
     let sweep_key = apex::core::fnv1a(&key_parts);
     let journal = SweepJournal::for_sweep(sweep_key);
@@ -905,9 +913,15 @@ fn report(filter: &[String], resume: bool) -> Result<Status, ApexError> {
         .collect();
     let flag = apex::fault::interrupt::flag();
     let run = apex::core::run_checkpointed(&journal, &jobs, resume, Some(&flag), |i| {
-        let table = (selected[i].1)()?;
+        let (name, gen) = &selected[i];
+        let table = gen()?;
+        let payload = if csv {
+            format!("# {name}\n{}", table.to_csv())
+        } else {
+            format!("{table}\n")
+        };
         Ok(JobReport {
-            payload: format!("{table}\n"),
+            payload,
             provenance: Provenance::Completed,
             degradations: "-".to_owned(),
         })

@@ -200,6 +200,29 @@ fn merge_rejects_swapped_inputs_and_duplicate_mux_legs() {
     bad.nodes[node].port_candidates[port].push(dup);
     let vs = v::verify_datapath(&bad, &variant.sources);
     assert!(has_rule(&vs, "MERGE-MUX"), "{}", v::render(&vs));
+
+    // a candidate naming a word input the PE lacks
+    let mut bad = dp.clone();
+    bad.nodes[node].port_candidates[port].push(apex::merge::DpSource::WordInput(99));
+    let vs = v::verify_datapath(&bad, &variant.sources);
+    assert!(has_rule(&vs, "MERGE-PORT"), "{}", v::render(&vs));
+    assert!(bad.validate().is_err());
+
+    // a unit without ops that feeds another unit
+    let mut bad = dp.clone();
+    let fed = dp
+        .nodes
+        .iter()
+        .flat_map(|n| n.port_candidates.iter().flatten())
+        .find_map(|c| match *c {
+            apex::merge::DpSource::Node(j) => Some(j as usize),
+            _ => None,
+        })
+        .expect("a unit feeds another");
+    bad.nodes[fed].ops.clear();
+    let vs = v::verify_datapath(&bad, &variant.sources);
+    assert!(has_rule(&vs, "MERGE-STRUCT"), "{}", v::render(&vs));
+    assert!(bad.validate().is_err());
 }
 
 /// Mutants of `dp.configs[ci]`: each input map with its first two

@@ -19,7 +19,7 @@ use crate::route::Routing;
 use apex_ir::Op;
 use apex_map::{NetKind, Netlist};
 use apex_merge::{DatapathConfig, MergedDatapath};
-use apex_rewrite::RuleSet;
+use apex_rewrite::{RewriteRule, RuleSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -116,16 +116,41 @@ impl BitReader<'_> {
 /// Packs a datapath configuration into bits, mirroring the layout of
 /// `apex_pe::config_bits` / the Verilog emitter.
 pub fn pack_config(dp: &MergedDatapath, cfg: &DatapathConfig) -> Vec<u8> {
+    pack(dp, cfg, |_| None)
+}
+
+/// Packs the configuration of a PE instance: the bits
+/// `pack_config(dp, &rule.instantiate(payloads))` gives, read from the
+/// rule's configuration and its payload bindings without building the
+/// instantiated copy.
+fn pack_instance(dp: &MergedDatapath, rule: &RewriteRule, payloads: &[Op]) -> Vec<u8> {
+    debug_assert_eq!(payloads.len(), rule.payload_bindings.len());
+    pack(dp, &rule.config, |node| {
+        // a later binding of the same node overrides an earlier one, as
+        // in `instantiate`
+        let mut bound = rule.payload_bindings.iter().zip(payloads).rev();
+        bound.find_map(|(&(_, dp_node), &op)| (dp_node as usize == node).then_some(op))
+    })
+}
+
+/// [`pack_config`] with `payload(node)`, where it is some, in place of
+/// that active node's op.
+fn pack(
+    dp: &MergedDatapath,
+    cfg: &DatapathConfig,
+    payload: impl Fn(usize) -> Option<Op>,
+) -> Vec<u8> {
     let mut bits = BitWriter {
         bytes: Vec::new(),
         len: 0,
     };
     for (i, node) in dp.nodes.iter().enumerate() {
         let nc = cfg.node_cfg.get(i).and_then(Option::as_ref);
+        let configured = nc.map(|nc| payload(i).unwrap_or(nc.op));
         // op select
-        let op_idx = nc
-            .and_then(|nc| {
-                node.ops.iter().position(|o| match (o, &nc.op) {
+        let op_idx = configured
+            .and_then(|op| {
+                node.ops.iter().position(|o| match (o, &op) {
                     (Op::Const(_), Op::Const(_)) => true,
                     (Op::BitConst(_), Op::BitConst(_)) => true,
                     (Op::Lut(_), Op::Lut(_)) => true,
@@ -136,7 +161,7 @@ pub fn pack_config(dp: &MergedDatapath, cfg: &DatapathConfig) -> Vec<u8> {
         bits.put(op_idx as u64, width_for(node.ops.len()));
         // payloads
         for (k, op) in node.ops.iter().enumerate() {
-            let active = nc.filter(|_| k == op_idx).map(|nc| nc.op);
+            let active = configured.filter(|_| k == op_idx);
             match op {
                 Op::Const(_) => {
                     let v = match active {
@@ -309,8 +334,7 @@ pub fn generate_bitstream(
         };
         let config = match &node.kind {
             NetKind::Pe(inst) => {
-                let rule = &rules.rules[inst.rule as usize];
-                let bits = pack_config(dp, &rule.instantiate(&inst.payloads));
+                let bits = pack_instance(dp, &rules.rules[inst.rule as usize], &inst.payloads);
                 total_bits += bits.len() * 8;
                 TileConfig::Pe { bits }
             }

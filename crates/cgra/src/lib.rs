@@ -31,11 +31,11 @@ pub use place::{
     PlaceError, PlaceOptions, Placement,
 };
 pub use route::{
-    connections, route, verify_routed, RouteDefect, RouteError, RouteFault, RouteOptions,
-    RoutedEdge, Routing,
+    connections, route, verify_routed, Connection, NetDefect, RouteDefect, RouteError,
+    RouteFault, RouteOptions, RoutedEdge, Routing,
 };
 pub use verilog::emit_cgra_verilog;
 pub use stats::{
-    achieved_period, cgra_area, cgra_energy_per_cycle, gather_stats, runtime_cycles,
-    AreaBreakdown, EnergyBreakdown, OutputTiming, PnrStats,
+    achieved_period, cgra_area, cgra_energy_per_cycle, gather_stats, pe_energy_per_cycle,
+    runtime_cycles, AreaBreakdown, EnergyBreakdown, OutputTiming, PnrStats,
 };

@@ -112,21 +112,27 @@ impl Default for PlaceOptions {
 }
 
 /// Follows an input reference through interconnect registers back to the
-/// placeable producer, counting the registers traversed.
-pub fn trace_through_regs(netlist: &Netlist, mut node: u32) -> (u32, u32) {
+/// placeable producer, counting the registers traversed. `None` when the
+/// walk leaves the netlist (a reference past its end, a register without
+/// an input) or passes more registers than the netlist has nodes, which
+/// only a register cycle can make it do.
+pub fn trace_through_regs(netlist: &Netlist, mut node: u32) -> Option<(u32, u32)> {
     let mut regs = 0;
     loop {
-        match &netlist.nodes[node as usize].kind {
-            NetKind::Reg | NetKind::BitReg => {
+        let n = netlist.nodes.get(node as usize)?;
+        match &n.kind {
+            NetKind::Reg | NetKind::BitReg if (regs as usize) < netlist.nodes.len() => {
                 regs += 1;
-                node = netlist.nodes[node as usize].inputs[0].node;
+                node = n.inputs.first()?.node;
             }
-            _ => return (node, regs),
+            NetKind::Reg | NetKind::BitReg => return None,
+            _ => return Some((node, regs)),
         }
     }
 }
 
-/// Edges of the collapsed netlist (registers folded into the wire).
+/// Edges of the collapsed netlist (registers folded into the wire). An
+/// input that traces to no producer ([`trace_through_regs`]) adds none.
 pub fn placement_edges(netlist: &Netlist) -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for (i, node) in netlist.nodes.iter().enumerate() {
@@ -134,8 +140,9 @@ pub fn placement_edges(netlist: &Netlist) -> Vec<(u32, u32)> {
             continue;
         }
         for r in &node.inputs {
-            let (src, _regs) = trace_through_regs(netlist, r.node);
-            edges.push((src, i as u32));
+            if let Some((src, _regs)) = trace_through_regs(netlist, r.node) {
+                edges.push((src, i as u32));
+            }
         }
     }
     edges

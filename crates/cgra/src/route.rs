@@ -159,6 +159,8 @@ pub enum RouteError {
         /// The offending consumer.
         node: u32,
     },
+    /// The netlist leaves a connection undefined.
+    Netlist(NetDefect),
     /// The stage budget expired before a capacity-clean routing existed.
     Exhausted {
         /// How the budget tripped (timeout / step budget / cancellation).
@@ -175,6 +177,7 @@ impl std::fmt::Display for RouteError {
                 write!(f, "unresolved congestion on {overused_links} links")
             }
             RouteError::Unplaced { node } => write!(f, "node {node} is not placed"),
+            RouteError::Netlist(d) => write!(f, "{d}"),
             RouteError::Exhausted { provenance } => {
                 write!(f, "routing budget exhausted ({provenance})")
             }
@@ -225,9 +228,40 @@ impl RouteOptions {
     }
 }
 
+/// A netlist defect that leaves the connections to route undefined (see
+/// [`connections`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetDefect {
+    /// The PE at this node instantiates a rule the rule set lacks.
+    UnknownRule(u32),
+    /// The input at this slot of this node traces to no producer
+    /// ([`trace_through_regs`]): it leaves the netlist or runs around a
+    /// register cycle.
+    Untraceable(u32, usize),
+}
+
+impl std::fmt::Display for NetDefect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NetDefect::UnknownRule(node) => write!(f, "node {node} instantiates an unknown rule"),
+            NetDefect::Untraceable(node, slot) => {
+                write!(f, "input {slot} of node {node} traces to no producer")
+            }
+        }
+    }
+}
+
+/// A connection that needs a route: consumer node, input slot, producer
+/// node, interconnect registers folded onto the wire, and whether the
+/// signal is 16-bit.
+pub type Connection = (u32, usize, u32, u32, bool);
+
 /// The connections that need routes: every input edge of a placed node,
 /// with interconnect registers folded onto the wire.
-pub fn connections(netlist: &Netlist, rules: &RuleSet) -> Vec<(u32, usize, u32, u32, bool)> {
+///
+/// # Errors
+/// The first node, in netlist order, whose connections are undefined.
+pub fn connections(netlist: &Netlist, rules: &RuleSet) -> Result<Vec<Connection>, NetDefect> {
     let mut out = Vec::new();
     for (i, node) in netlist.nodes.iter().enumerate() {
         if place_class(&node.kind).is_none() {
@@ -235,16 +269,20 @@ pub fn connections(netlist: &Netlist, rules: &RuleSet) -> Vec<(u32, usize, u32, 
         }
         // a node's word inputs come first (`Netlist::input_types`)
         let n_word = match &node.kind {
-            NetKind::Pe(inst) => rules.rules[inst.rule as usize].config.word_input_map.len(),
+            NetKind::Pe(inst) => match rules.rules.get(inst.rule as usize) {
+                Some(rule) => rule.config.word_input_map.len(),
+                None => return Err(NetDefect::UnknownRule(i as u32)),
+            },
             NetKind::Fifo(_) | NetKind::WordOutput => 1,
             _ => 0,
         };
         for (slot, r) in node.inputs.iter().enumerate() {
-            let (producer, regs) = trace_through_regs(netlist, r.node);
+            let (producer, regs) = trace_through_regs(netlist, r.node)
+                .ok_or(NetDefect::Untraceable(i as u32, slot))?;
             out.push((i as u32, slot, producer, regs, slot < n_word));
         }
     }
-    out
+    Ok(out)
 }
 
 /// The fabric's directed tile-to-tile links as a padded adjacency: link
@@ -525,7 +563,7 @@ pub fn route(
     options: &RouteOptions,
 ) -> Result<Routing, RouteError> {
     apex_fault::fail_point!("route::start", RouteError::Injected("route::start"));
-    let conns = connections(netlist, rules);
+    let conns = connections(netlist, rules).map_err(RouteError::Netlist)?;
     let graph = RouteGraph::new(fabric);
     let mut st = RouterState::new(fabric);
     let mut routes: Vec<RoutedEdge> = Vec::with_capacity(conns.len());
@@ -536,7 +574,7 @@ pub fn route(
     // reroutes one connection and accumulates its usage
     let route_one = |st: &mut RouterState,
                      meter: &mut apex_fault::Meter,
-                     (consumer, slot, producer, regs, word): (u32, usize, u32, u32, bool)|
+                     (consumer, slot, producer, regs, word): Connection|
      -> Result<RoutedEdge, RouteError> {
         if !meter.tick() {
             return Err(RouteError::Exhausted {
@@ -648,6 +686,10 @@ pub fn route(
 /// One defect of a [`Routing`] (see [`Routing::defects`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDefect {
+    /// The netlist leaves the required connections undefined, so no
+    /// route can match one: the count and each route's connection go
+    /// unchecked.
+    Netlist(NetDefect),
     /// The routing has the first number of routes for the second number
     /// of required connections ([`connections`]).
     Count(usize, usize),
@@ -688,14 +730,14 @@ pub enum RouteFault {
 
 impl Routing {
     /// Every defect of the routing against the netlist's connections and
-    /// the placement: the route count first, then per route in order
-    /// whether it matches a required connection, whether it connects its
-    /// placed endpoints, whether each hop joins fabric neighbours and
-    /// whether the path is simple (only the first revisit), then every
-    /// over-capacity link in `(link, word)` order, counting the hops of
-    /// routes with placed endpoints. Empty exactly when the routing is
-    /// sound; never panics on a netlist that passes `Netlist::validate`
-    /// with `rules`.
+    /// the placement: the route count first (or, if the netlist leaves
+    /// the connections undefined, its first such defect), then per route
+    /// in order whether it matches a required connection, whether it
+    /// connects its placed endpoints, whether each hop joins fabric
+    /// neighbours and whether the path is simple (only the first
+    /// revisit), then every over-capacity link in `(link, word)` order,
+    /// counting the hops of routes with placed endpoints. Empty exactly
+    /// when the routing is sound; never panics or loops, on any netlist.
     pub fn defects(
         &self,
         netlist: &Netlist,
@@ -704,10 +746,18 @@ impl Routing {
         placement: &Placement,
     ) -> Vec<RouteDefect> {
         let mut out = Vec::new();
-        let conns = connections(netlist, rules);
-        if conns.len() != self.routes.len() {
-            out.push(RouteDefect::Count(self.routes.len(), conns.len()));
-        }
+        let conns = match connections(netlist, rules) {
+            Ok(conns) => {
+                if conns.len() != self.routes.len() {
+                    out.push(RouteDefect::Count(self.routes.len(), conns.len()));
+                }
+                Some(conns)
+            }
+            Err(d) => {
+                out.push(RouteDefect::Netlist(d));
+                None
+            }
+        };
         let tile = |node: u32| placement.tile_of_node.get(node as usize).copied().flatten();
         // the routes with placed endpoints, whose hops count towards
         // link capacity
@@ -718,8 +768,10 @@ impl Routing {
             let at = |fault| RouteDefect::Route(i, fault);
             let conn = (r.consumer, r.slot, r.producer, r.regs, r.word);
             // `route` keeps connection order; any other order is searched
-            if conns.get(i) != Some(&conn) && !conns.contains(&conn) {
-                out.push(at(RouteFault::Unrequired));
+            if let Some(conns) = &conns {
+                if conns.get(i) != Some(&conn) && !conns.contains(&conn) {
+                    out.push(at(RouteFault::Unrequired));
+                }
             }
             let (Some(src), Some(dst)) = (tile(r.producer), tile(r.consumer)) else {
                 out.push(at(RouteFault::Unplaced(tile(r.producer).is_none())));
@@ -802,6 +854,7 @@ pub fn verify_routed(
         return Ok(());
     };
     Err(match defect {
+        RouteDefect::Netlist(d) => d.to_string(),
         RouteDefect::Count(routes, conns) => format!("expected {conns} routes, found {routes}"),
         RouteDefect::OverCapacity {
             signals, tracks, ..
@@ -858,7 +911,7 @@ mod tests {
     #[test]
     fn route_count_matches_connection_count() {
         let (netlist, rules, _, _, routing) = routed_gaussian();
-        assert_eq!(routing.routes.len(), connections(&netlist, &rules).len());
+        assert_eq!(routing.routes.len(), connections(&netlist, &rules).unwrap().len());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(super) fn route_reference(
     options: &RouteOptions,
 ) -> Result<Routing, RouteError> {
     apex_fault::fail_point!("route::start", RouteError::Injected("route::start"));
-    let conns = connections(netlist, rules);
+    let conns = connections(netlist, rules).map_err(RouteError::Netlist)?;
     // usage and history per (link, word?) — sparse maps keyed by link id
     let mut history: BTreeMap<(usize, bool), f64> = BTreeMap::new();
     let mut routes: Vec<RoutedEdge> = Vec::new();

@@ -173,6 +173,28 @@ impl EnergyBreakdown {
     }
 }
 
+/// PE-core energy per steady-state cycle of a mapped netlist, pJ: the sum
+/// over PE instances, in netlist order, of each one's configured energy.
+/// That energy reads only op kinds and mux legs, which binding a rule's
+/// payloads never changes, so it comes from each rule's configuration,
+/// once per rule used.
+pub fn pe_energy_per_cycle(
+    netlist: &Netlist,
+    rules: &RuleSet,
+    pe: &PeSpec,
+    tech: &TechModel,
+) -> f64 {
+    let mut per_rule: Vec<Option<f64>> = vec![None; rules.rules.len()];
+    let mut energy = 0.0;
+    for node in &netlist.nodes {
+        if let NetKind::Pe(inst) = &node.kind {
+            let r = inst.rule as usize;
+            energy += *per_rule[r].get_or_insert_with(|| pe.energy(&rules.rules[r].config, tech));
+        }
+    }
+    energy
+}
+
 /// Rolls up per-cycle energy for a running application.
 pub fn cgra_energy_per_cycle(
     netlist: &Netlist,
@@ -182,18 +204,12 @@ pub fn cgra_energy_per_cycle(
     tech: &TechModel,
 ) -> EnergyBreakdown {
     let f = &tech.fabric;
-    let mut pe_energy = 0.0;
     let mut rf_energy = 0.0;
     let mut cb_energy = 0.0;
     let mut word_io = 0usize;
     for node in &netlist.nodes {
         match &node.kind {
-            NetKind::Pe(inst) => {
-                let rule = &rules.rules[inst.rule as usize];
-                let cfg = rule.instantiate(&inst.payloads);
-                pe_energy += pe.energy(&cfg, tech);
-                cb_energy += node.inputs.len() as f64 * f.cb_energy;
-            }
+            NetKind::Pe(_) => cb_energy += node.inputs.len() as f64 * f.cb_energy,
             NetKind::Fifo(_) => {
                 // one read + one write per cycle
                 rf_energy += 2.0 * tech.energy(apex_ir::OpKind::Fifo) + 0.05;
@@ -205,7 +221,7 @@ pub fn cgra_energy_per_cycle(
     let active_tiles =
         stats.pe_tiles.max(stats.rf_tiles) + stats.mem_tiles + stats.io_tiles + stats.routing_tiles;
     EnergyBreakdown {
-        pe: pe_energy,
+        pe: pe_energy_per_cycle(netlist, rules, pe, tech),
         rf: rf_energy,
         sb: stats.total_hops as f64 * f.sb_energy_per_hop
             + active_tiles as f64 * f.sb_idle_energy

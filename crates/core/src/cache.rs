@@ -28,6 +28,16 @@
 //! silently deleted, so disk corruption leaves evidence while the sweep
 //! transparently rebuilds the value.
 //!
+//! The PE-Spec search ([`crate::most_specialized_variant`]) stores its
+//! choice here too, as a *search record*: a sealed `{v, search}` line
+//! holding only the chosen step's index, under a key
+//! ([`crate::search_cache_key`]) that adds `max_steps` and the search's
+//! evaluation options to what a step's key hashes. Records share the
+//! entry path scheme, the checksum, quarantine, the tenant namespaces and
+//! eviction with variant entries. They make the evaluation backend (map,
+//! pipeline, place, route and the area/energy model) upstream of the
+//! cache: a change to its output must bump [`FORMAT`] too.
+//!
 //! The in-tree `serde` shim is marker-only, so the codec here is written
 //! by hand; [`encode_variant`] / [`decode_variant`] round-trip exactly,
 //! which the warm-path determinism suite (`tests/determinism.rs`) pins
@@ -53,9 +63,13 @@ use std::sync::OnceLock;
 
 /// Bump when the entry or value encoding or anything upstream of variant
 /// construction changes semantically; old entries then miss instead of
-/// resurrecting stale designs. The version is hashed into every cache
-/// key, so older entries are simply never addressed again rather than
-/// misread or falsely quarantined.
+/// resurrecting stale designs. Search records make the evaluation backend
+/// (map, pipeline, place, route, area and energy) upstream as well: a
+/// change to its output (`tests/backend_golden.rs` pins it) must bump
+/// this too, or a stale record picks a step the new backend would not.
+/// The version is hashed into every cache key, so older entries are
+/// simply never addressed again rather than misread or falsely
+/// quarantined.
 const FORMAT: &str = "apex-variant v3";
 
 // ---------------------------------------------------------------------------
@@ -78,6 +92,35 @@ pub fn variant_cache_key(
     tech: Option<&TechModel>,
     extra_kinds: &BTreeSet<OpKind>,
 ) -> u64 {
+    let parts = key_parts(
+        kind,
+        name,
+        analysis_apps,
+        eval_apps,
+        miner,
+        selection,
+        merge_opts,
+        tech,
+        extra_kinds,
+    );
+    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
+    fnv1a(&refs)
+}
+
+/// The canonical text parts [`variant_cache_key`] hashes; a search
+/// record's key ([`crate::search_cache_key`]) appends its own.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn key_parts(
+    kind: &str,
+    name: &str,
+    analysis_apps: &[&Application],
+    eval_apps: &[&Application],
+    miner: Option<&MinerConfig>,
+    selection: Option<&SubgraphSelection>,
+    merge_opts: Option<&MergeOptions>,
+    tech: Option<&TechModel>,
+    extra_kinds: &BTreeSet<OpKind>,
+) -> Vec<String> {
     let mut parts: Vec<String> = vec![FORMAT.to_owned(), kind.to_owned(), name.to_owned()];
     parts.push(format!("analysis:{}", analysis_apps.len()));
     for app in analysis_apps {
@@ -99,8 +142,7 @@ pub fn variant_cache_key(
     parts.push(format!("merge:{merge_opts:?}"));
     parts.push(format!("tech:{tech:?}"));
     parts.push(format!("extra:{extra_kinds:?}"));
-    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-    fnv1a(&refs)
+    parts
 }
 
 /// The part of a budget a completed build is a pure function of: the step
@@ -116,7 +158,7 @@ fn deterministic(budget: &Budget) -> Budget {
 /// Whether a search inside the build stopped on its deadline or a cancel
 /// flag. Such a variant is not a pure function of its cache key (more
 /// time would build a different one), so it is returned but not stored.
-fn stopped_by_clock(variant: &PeVariant) -> bool {
+pub(crate) fn stopped_by_clock(variant: &PeVariant) -> bool {
     variant.degradations.iter().any(|d| {
         [Provenance::TimedOut, Provenance::Cancelled]
             .into_iter()
@@ -280,12 +322,24 @@ impl VariantCache {
     /// so corruption is preserved as evidence, then reported as a miss and
     /// rebuilt.
     pub fn load(&self, key: u64) -> Option<PeVariant> {
+        self.load_with(key, decode_entry)
+    }
+
+    /// Loads the search record for `key` ([`crate::search_cache_key`]):
+    /// the index of the step a PE-Spec search chose. Counted, refreshed
+    /// and quarantined like a variant entry.
+    pub fn load_search(&self, key: u64) -> Option<usize> {
+        self.load_with(key, decode_search)
+    }
+
+    /// [`VariantCache::load`] with the entry decoder given.
+    fn load_with<T>(&self, key: u64, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
         let path = self.entry_path(key)?;
         let Ok(text) = std::fs::read_to_string(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        match decode_entry(&text) {
+        match decode(&text) {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 // refresh the entry's mtime so the byte-cap eviction pass
@@ -312,6 +366,19 @@ impl VariantCache {
     /// pass-through (the sweep must not fail because a cache could not be
     /// written).
     pub fn store(&self, key: u64, variant: &PeVariant) {
+        if self.is_enabled() {
+            self.store_text(key, &encode_entry(variant));
+        }
+    }
+
+    /// Stores a search record: `step` is the index of the step the search
+    /// for `key` chose ([`VariantCache::load_search`]).
+    pub(crate) fn store_search(&self, key: u64, step: usize) {
+        self.store_text(key, &encode_search(step));
+    }
+
+    /// [`VariantCache::store`] of an encoded entry.
+    fn store_text(&self, key: u64, text: &str) {
         let Some(path) = self.entry_path(key) else {
             return;
         };
@@ -319,7 +386,6 @@ impl VariantCache {
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let text = encode_entry(variant);
         let tmp = dir.join(format!(".{key:016x}.{}.tmp", std::process::id()));
         // write the tmp file through the I/O fault adapter so injected
         // ENOSPC / short writes degrade exactly like real ones: the
@@ -435,24 +501,20 @@ impl VariantCache {
         Ok(v)
     }
 
-    /// [`VariantCache::get_or_build`] scoped to an optional tenant
-    /// namespace. The tenant view's counter activity is folded back into
-    /// this store's counters, so a daemon's footer stats stay accurate
-    /// across namespaces.
-    ///
-    /// # Errors
-    /// Propagates the builder's error on a miss.
-    pub fn get_or_build_in(
+    /// Runs `f` on the view of this store scoped to an optional tenant
+    /// namespace (the store itself without one). The view's counter
+    /// activity is folded back into this store's counters, so a daemon's
+    /// footer stats stay accurate across namespaces.
+    pub(crate) fn in_namespace<R>(
         &self,
         tenant: Option<&str>,
-        key: u64,
-        build: impl FnOnce() -> Result<PeVariant, ApexError>,
-    ) -> Result<PeVariant, ApexError> {
+        f: impl FnOnce(&VariantCache) -> R,
+    ) -> R {
         let Some(tenant) = tenant else {
-            return self.get_or_build(key, build);
+            return f(self);
         };
         let ns = self.namespaced(tenant);
-        let out = ns.get_or_build(key, build);
+        let out = f(&ns);
         self.hits.fetch_add(ns.hits(), Ordering::Relaxed);
         self.misses.fetch_add(ns.misses(), Ordering::Relaxed);
         self.quarantined.fetch_add(ns.quarantined(), Ordering::Relaxed);
@@ -583,6 +645,22 @@ fn decode_entry(text: &str) -> Option<PeVariant> {
     let fields = record::open(text)?;
     match (fields.get("v"), fields.get("variant")) {
         (Some(v), Some(body)) if v == FORMAT && fields.len() == 2 => decode_variant(body),
+        _ => None,
+    }
+}
+
+/// A search record in the same envelope: one sealed line `{v, search}`
+/// holding the chosen step's index, never a copy of its variant.
+fn encode_search(step: usize) -> String {
+    record::seal(record::fields(&[("v", FORMAT), ("search", &step.to_string())]))
+}
+
+/// Opens a search record; `None` on any checksum mismatch, version
+/// mismatch or malformation, as [`decode_entry`].
+fn decode_search(text: &str) -> Option<usize> {
+    let fields = record::open(text)?;
+    match (fields.get("v"), fields.get("search")) {
+        (Some(v), Some(step)) if v == FORMAT && fields.len() == 2 => step.parse().ok(),
         _ => None,
     }
 }

@@ -6,7 +6,8 @@ use crate::dse::{resilient_flow, DseOptions};
 use crate::variant::PeVariant;
 use apex_apps::Application;
 use apex_cgra::{
-    AreaBreakdown, EnergyBreakdown, FabricConfig, PlaceOptions, PnrStats, RouteOptions,
+    pe_energy_per_cycle, AreaBreakdown, EnergyBreakdown, FabricConfig, PlaceOptions, PnrStats,
+    RouteOptions,
 };
 use apex_fault::ApexError;
 use apex_map::{map_application, MapStats};
@@ -100,13 +101,7 @@ pub fn post_mapping_estimate(
 ) -> Result<(usize, f64, f64), ApexError> {
     let design = map_application(&app.graph, &variant.spec.datapath, &variant.rules)?;
     let pe_area = variant.spec.area(tech).total();
-    let mut energy = 0.0;
-    for node in &design.netlist.nodes {
-        if let apex_map::NetKind::Pe(inst) = &node.kind {
-            let rule = &variant.rules.rules[inst.rule as usize];
-            energy += variant.spec.energy(&rule.instantiate(&inst.payloads), tech);
-        }
-    }
+    let energy = pe_energy_per_cycle(&design.netlist, &variant.rules, &variant.spec, tech);
     Ok((
         design.stats.pe_count,
         design.stats.pe_count as f64 * pe_area,

@@ -59,7 +59,7 @@ pub use journal::{
 pub use evaluate::{evaluate_app, post_mapping_estimate, AppEvaluation, EvalOptions};
 pub use variant::{
     baseline_variant, most_specialized_variant, ops_used, pe1_variant, required_op_kinds,
-    select_subgraphs,
+    search_cache_key, select_subgraphs,
     specialization_ladder, specialized_variant, variant_is_complete, PeVariant,
     SelectionRank, SubgraphSelection,
 };

@@ -8,6 +8,8 @@
 //! domain variants ("PE IP", "PE ML") merge subgraphs from every
 //! application of the domain.
 
+use crate::cache::VariantCache;
+use crate::evaluate::{evaluate_app, EvalOptions};
 use apex_apps::Application;
 use apex_fault::{ApexError, Degradation, DegradationKind, Provenance, Stage};
 use apex_ir::{Graph, Op, OpKind};
@@ -117,25 +119,24 @@ pub fn baseline_variant(eval_apps: &[&Application]) -> Result<PeVariant, ApexErr
 }
 
 /// Memoizes a variant build through the process-wide [`VariantCache`]
-/// (content-addressed by `key`). Under the `fault-injection` feature the
-/// cache is bypassed entirely: serving a stored variant would mask armed
-/// failpoints, and fault tests exist to exercise the live flow.
-///
-/// [`VariantCache`]: crate::cache::VariantCache
+/// (content-addressed by `key`).
 fn cached(
     key: u64,
     build: impl FnOnce() -> Result<PeVariant, ApexError>,
 ) -> Result<PeVariant, ApexError> {
-    #[cfg(feature = "fault-injection")]
-    {
-        let _ = key;
-        build()
+    if cfg!(feature = "fault-injection") {
+        return build();
     }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let tenant = crate::cache::thread_tenant();
-        crate::cache::VariantCache::shared().get_or_build_in(tenant.as_deref(), key, build)
-    }
+    in_thread_namespace(|cache| cache.get_or_build(key, build))
+}
+
+/// Runs `f` on the process-wide [`VariantCache`] in this thread's tenant
+/// namespace. Under the `fault-injection` feature no caller reaches the
+/// cache: serving a stored variant or search choice would mask
+/// armed failpoints, and fault tests exist to exercise the live flow.
+fn in_thread_namespace<R>(f: impl FnOnce(&VariantCache) -> R) -> R {
+    let tenant = crate::cache::thread_tenant();
+    VariantCache::shared().in_namespace(tenant.as_deref(), f)
 }
 
 /// "PE 1": the baseline restricted to the operations the applications
@@ -575,11 +576,42 @@ fn specialized_step(
     })
 }
 
-/// Steps `0..=max_steps` of one application's specialization, built
-/// lazily in order: step `k` merges the top `k` ranked subgraphs. The app
-/// is mined and ranked once, on the first step that misses the variant
-/// cache, and every later step builds from a prefix of that one ranked
-/// list; a fully warm sequence never mines.
+/// Step `k` of one application's specialization, of a sequence of at
+/// most `max_steps`: the variant merging the top `k` ranked subgraphs.
+/// The app is mined and ranked into `ranking` on the first call that
+/// misses the variant cache, keeping `max_steps` candidates, and later
+/// calls given the same cell build from a prefix of that one list.
+#[allow(clippy::too_many_arguments)]
+fn specialization_step(
+    app: &Application,
+    name: &str,
+    k: usize,
+    max_steps: usize,
+    miner: &MinerConfig,
+    merge_opts: &MergeOptions,
+    tech: &TechModel,
+    ranking: &OnceCell<Vec<RankedApp>>,
+) -> Result<PeVariant, ApexError> {
+    specialized_step(
+        name,
+        &[app],
+        &[app],
+        miner,
+        &SubgraphSelection {
+            per_app: k,
+            ..SubgraphSelection::default()
+        },
+        merge_opts,
+        tech,
+        &BTreeSet::new(),
+        ranking,
+        max_steps,
+    )
+}
+
+/// Steps `0..=max_steps` of one application's specialization
+/// ([`specialization_step`]), built lazily in order from one ranking; a
+/// fully warm sequence never mines.
 fn specialization_steps<'a>(
     app: &'a Application,
     name: impl Fn(usize) -> String + 'a,
@@ -590,20 +622,15 @@ fn specialization_steps<'a>(
 ) -> impl Iterator<Item = Result<PeVariant, ApexError>> + 'a {
     let ranking = OnceCell::new();
     (0..=max_steps).map(move |k| {
-        specialized_step(
+        specialization_step(
+            app,
             &name(k),
-            &[app],
-            &[app],
+            k,
+            max_steps,
             miner,
-            &SubgraphSelection {
-                per_app: k,
-                ..SubgraphSelection::default()
-            },
             merge_opts,
             tech,
-            &BTreeSet::new(),
             &ranking,
-            max_steps,
         )
     })
 }
@@ -664,6 +691,13 @@ pub(crate) fn materialize_with_consts(graph: &Graph, m: &MinedSubgraph) -> Graph
 /// step that misses the variant cache; step `k` merges the first `k`
 /// candidates of that ranking, so a fully warm search never mines.
 ///
+/// The search's choice is a pure function of [`search_cache_key`], so
+/// it is cached too: a *search record* holds the chosen step's index.
+/// On a record hit the chosen step comes from its own variant entry (or
+/// is rebuilt, if that entry was evicted or quarantined) and nothing is
+/// evaluated. A search in which any step was stopped by a deadline or a
+/// cancel flag writes no record, as such a step is not stored either.
+///
 /// # Errors
 /// Propagates variant-construction failures, and an evaluation failure
 /// of the first step (later ones end the search instead).
@@ -674,13 +708,26 @@ pub fn most_specialized_variant(
     tech: &TechModel,
     max_steps: usize,
 ) -> Result<PeVariant, ApexError> {
-    let mut options = crate::evaluate::EvalOptions::default();
-    options.place.moves = 4_000;
-    let mut best: Option<(PeVariant, f64, f64)> = None;
     let name = format!("pe_spec_{}", app.info.name);
-    for v in specialization_steps(app, |_| name.clone(), max_steps, miner, merge_opts, tech) {
+    let record = (!cfg!(feature = "fault-injection") && VariantCache::shared().is_enabled())
+        .then(|| search_cache_key(app, miner, merge_opts, tech, max_steps));
+    if let Some(key) = record {
+        let chosen = in_thread_namespace(|cache| cache.load_search(key));
+        if let Some(k) = chosen.filter(|&k| k <= max_steps) {
+            let ranking = OnceCell::new();
+            return specialization_step(
+                app, &name, k, max_steps, miner, merge_opts, tech, &ranking,
+            );
+        }
+    }
+    let options = search_options();
+    let mut best: Option<(usize, PeVariant, f64, f64)> = None;
+    let mut clock_stopped = false;
+    let steps = specialization_steps(app, |_| name.clone(), max_steps, miner, merge_opts, tech);
+    for (k, v) in steps.enumerate() {
         let v = v?;
-        let eval = match crate::evaluate::evaluate_app(&v, app, tech, &options) {
+        clock_stopped |= crate::cache::stopped_by_clock(&v);
+        let eval = match evaluate_app(&v, app, tech, &options) {
             Ok(eval) => eval,
             // deeper variants may stop evaluating (e.g. over-merged PEs no
             // longer fit the fabric) — keep the best evaluated one, but a
@@ -690,24 +737,64 @@ pub fn most_specialized_variant(
         };
         let (area, energy) = (eval.area.total(), eval.energy_per_cycle.total());
         match &best {
-            None => best = Some((v, area, energy)),
-            Some((_, ba, be)) => {
+            None => best = Some((k, v, area, energy)),
+            Some((_, _, ba, be)) => {
                 // tolerate sub-percent noise from placement
                 if area <= ba * 1.005 && energy <= be * 1.005 {
-                    best = Some((v, area.min(*ba), energy.min(*be)));
+                    best = Some((k, v, area.min(*ba), energy.min(*be)));
                 } else {
                     break; // more merging starts costing area/energy
                 }
             }
         }
     }
-    match best {
-        Some((v, _, _)) => Ok(v),
-        None => Err(ApexError::new(
+    let Some((k, v, _, _)) = best else {
+        return Err(ApexError::new(
             Stage::Merge,
             "specialization search produced no evaluable variant",
-        )),
+        ));
+    };
+    if let Some(key) = record.filter(|_| !clock_stopped) {
+        in_thread_namespace(|cache| cache.store_search(key, k));
     }
+    Ok(v)
+}
+
+/// The evaluation options every PE-Spec search step is judged with.
+fn search_options() -> EvalOptions {
+    let mut options = EvalOptions::default();
+    options.place.moves = 4_000;
+    options
+}
+
+/// The content-addressed key of a [`most_specialized_variant`] search
+/// record: everything the choice depends on. That is what each step's
+/// variant depends on (the format version, the app graph, the miner
+/// configuration with its deterministic budget, the merge options and the
+/// technology model), plus `max_steps` and the `Debug` form of the
+/// evaluation options the search judges each step with.
+pub fn search_cache_key(
+    app: &Application,
+    miner: &MinerConfig,
+    merge_opts: &MergeOptions,
+    tech: &TechModel,
+    max_steps: usize,
+) -> u64 {
+    let mut parts = crate::cache::key_parts(
+        "search",
+        &format!("pe_spec_{}", app.info.name),
+        &[app],
+        &[app],
+        Some(miner),
+        None,
+        Some(merge_opts),
+        Some(tech),
+        &BTreeSet::new(),
+    );
+    parts.push(format!("max_steps:{max_steps}"));
+    parts.push(format!("eval:{:?}", search_options()));
+    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
+    apex_fault::fnv1a(&refs)
 }
 
 fn finish(
@@ -955,10 +1042,9 @@ mod tests {
         )
         .unwrap();
         let pe1 = pe1_variant("pe1_gauss", &[&g], &[&g]).unwrap();
-        let mut options = crate::evaluate::EvalOptions::default();
-        options.place.moves = 4_000;
-        let spec_eval = crate::evaluate::evaluate_app(&spec, &g, &tech, &options).unwrap();
-        let pe1_eval = crate::evaluate::evaluate_app(&pe1, &g, &tech, &options).unwrap();
+        let options = search_options();
+        let spec_eval = evaluate_app(&spec, &g, &tech, &options).unwrap();
+        let pe1_eval = evaluate_app(&pe1, &g, &tech, &options).unwrap();
         // the stopping rule guarantees CGRA-level monotone improvement
         assert!(
             spec_eval.area.total() <= pe1_eval.area.total() * 1.01,

@@ -140,6 +140,10 @@ pub fn verify_placement(
 /// violations.
 ///
 /// Rules:
+/// * `ROUTE-NETLIST` — the netlist leaves its connection list undefined
+///   (a PE names a rule the rule set lacks, or an input traces to no
+///   producer: out of the netlist, or around a register cycle); the
+///   count and each route's connection then go unchecked,
 /// * `ROUTE-COUNT` — the number of routes disagrees with the netlist's
 ///   connection list,
 /// * `ROUTE-CONN` — a route does not correspond to any required
@@ -162,6 +166,9 @@ pub fn verify_routing(
 ) -> Vec<Violation> {
     let artifact = format!("routing of '{}'", netlist.name);
     let violation = |d| match d {
+        RouteDefect::Netlist(d) => {
+            Violation::new("ROUTE-NETLIST", &artifact, "connections", d.to_string())
+        }
         RouteDefect::Count(routes, conns) => Violation::new(
             "ROUTE-COUNT",
             &artifact,
@@ -521,6 +528,48 @@ mod tests {
         let verdict = verify_routed(&d.netlist, &d.rules, &d.fabric, &d.placement, &d.routing);
         assert!(verdict.is_err(), "verify_routed accepts:\n{}", crate::render(&vs));
         vs
+    }
+
+    /// A PE naming a rule the rule set lacks leaves its connections
+    /// undefined: reported, not an index panic.
+    #[test]
+    fn unknown_rule_is_reported() {
+        let mut d = small_design();
+        let pe = d
+            .netlist
+            .nodes
+            .iter_mut()
+            .find_map(|n| match &mut n.kind {
+                NetKind::Pe(inst) => Some(inst),
+                _ => None,
+            })
+            .expect("gaussian maps to PEs");
+        pe.rule = 9999;
+        let vs = rejected_routing(&d);
+        assert!(vs.iter().any(|v| v.rule == "ROUTE-NETLIST"), "{}", crate::render(&vs));
+    }
+
+    /// An input fed by a two-register cycle traces to no producer: the
+    /// register walk stops instead of looping forever.
+    #[test]
+    fn register_cycle_is_reported() {
+        let mut d = small_design();
+        let n = d.netlist.nodes.len() as u32;
+        for feed in [n + 1, n] {
+            d.netlist.nodes.push(apex_map::NetNode {
+                kind: NetKind::Reg,
+                inputs: vec![apex_map::NetRef { node: feed, port: 0 }],
+            });
+        }
+        let pe = d
+            .netlist
+            .nodes
+            .iter_mut()
+            .find(|node| matches!(node.kind, NetKind::Pe(_)) && !node.inputs.is_empty())
+            .expect("a PE has an input");
+        pe.inputs[0].node = n;
+        let vs = rejected_routing(&d);
+        assert!(vs.iter().any(|v| v.rule == "ROUTE-NETLIST"), "{}", crate::render(&vs));
     }
 
     #[test]

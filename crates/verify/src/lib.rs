@@ -34,7 +34,7 @@
 //!   `RULE-EQUIV`
 //! * `PE-PIPE-LEN`, `PE-PIPE-RANGE`, `PE-PIPE-ORDER`
 //! * `MAP-NETLIST`, `PLACE-LEN`, `PLACE-MISSING`, `PLACE-SPURIOUS`,
-//!   `PLACE-CLASS`, `PLACE-CAP`, `ROUTE-COUNT`, `ROUTE-CONN`,
+//!   `PLACE-CLASS`, `PLACE-CAP`, `ROUTE-NETLIST`, `ROUTE-COUNT`, `ROUTE-CONN`,
 //!   `ROUTE-ENDPOINT`, `ROUTE-PATH`, `ROUTE-INC`, `ROUTE-CAP`, `BITS-PE`,
 //!   `BITS-PAYLOAD`, `BITS-ROUNDTRIP`, `BITS-SB`, `BITS-TRACK`
 //!

@@ -6,6 +6,12 @@
 //! incremental rip-up and the congestion history are covered too. Any
 //! change to a tie-break, a track assignment, a packed bit or a decoded
 //! configuration changes a digest.
+//!
+//! The variant cache's PE-Spec search records store which step the
+//! search chose by evaluating each step on this backend. A change that
+//! moves a digest here must therefore also bump `FORMAT` in
+//! `crates/core/src/cache.rs`, or warm caches keep serving choices the
+//! new backend would not make.
 
 use apex::apps::{analyzed_apps, by_name, unseen_apps, Application};
 use apex::cgra::{
@@ -108,6 +114,8 @@ fn backend_output_of_the_nine_apps_is_pinned() {
             ));
         }
     }
+    // a change to any digest must bump the variant cache's `FORMAT`
+    // (see the module doc): search records depend on this output
     assert_eq!(
         digests,
         [

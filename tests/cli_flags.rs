@@ -5,7 +5,7 @@
 //! reproduces the full run byte-for-byte) — all must exit with the
 //! documented code, never panic, never silently ignore the request.
 //! `apex dse-file` must print exactly the daemon's payload for the same
-//! graph.
+//! graph, whether the variant cache is off, cold or warm.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -216,6 +216,36 @@ fn dse_file_prints_the_daemon_payload() {
         .expect("the daemon's runner succeeds");
     assert_eq!(report.provenance, apex::fault::Provenance::Completed);
     assert_eq!(stdout, report.payload);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dse_file_is_the_same_with_the_cache_off_cold_and_warm() {
+    let dir = scratch("dse-file-cache");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("mobilenet.g");
+    let graph_s = graph.to_string_lossy().into_owned();
+    let cache = dir.join("cache");
+    let cache_s = cache.to_string_lossy().into_owned();
+    let (code, stderr) = apex(&["save", "mobilenet", &graph_s]);
+    assert_eq!(code, 0, "save succeeds\nstderr: {stderr}");
+
+    let run = |envs: &[(&str, &str)]| {
+        let (code, stdout, stderr) = apex_env(&["dse-file", &graph_s], envs);
+        assert_eq!(code, 0, "dse-file succeeds\nstderr: {stderr}");
+        stdout
+    };
+    let off = run(&[("APEX_CACHE", "off"), ("APEX_CACHE_DIR", &cache_s)]);
+    assert!(!cache.exists(), "APEX_CACHE=off writes nothing");
+    let cold = run(&[("APEX_CACHE_DIR", &cache_s)]);
+    // fault-injection builds bypass the cache, so their runs are all cold
+    if !cfg!(feature = "fault-injection") {
+        assert!(cache.exists(), "a cold run fills the cache");
+    }
+    let warm = run(&[("APEX_CACHE_DIR", &cache_s)]);
+    assert_eq!(cold, off, "cold differs from cache-off");
+    assert_eq!(warm, off, "warm differs from cache-off");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,10 @@
 //! application once and build every step from a prefix of that ranking.
 //! These tests pin down that sharing the pass changes nothing: every step
 //! they build is byte-identical to a cold standalone build of the same
-//! step, and a second run over a warm cache is all hits.
+//! step, and a second run over a warm cache is all hits. A warm search
+//! reads its search record and the chosen step's entry, and nothing
+//! else; a corrupt record, an evicted step or a cancelled search still
+//! returns the cold choice.
 //!
 //! Under `fault-injection` the variant constructors bypass the cache, so
 //! the steps a search built cannot be read back; the suite runs only in
@@ -12,15 +15,26 @@
 
 use apex::apps::{analyzed_apps, unseen_apps, Application};
 use apex::core::{
-    encode_variant, most_specialized_variant, specialization_ladder, specialized_variant,
-    variant_cache_key, with_thread_tenant, SubgraphSelection, VariantCache,
+    encode_variant, most_specialized_variant, search_cache_key, specialization_ladder,
+    specialized_variant, variant_cache_key, with_thread_tenant, SubgraphSelection, VariantCache,
 };
+use apex::fault::{Budget, Degradation, Provenance, Stage};
 use apex::merge::MergeOptions;
 use apex::mining::MinerConfig;
 use apex::tech::TechModel;
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const STEPS: usize = 4;
+
+/// Held by every test: the cache counters are process-wide, so the tests
+/// that count hits and misses must not overlap.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Points the process-wide variant cache at a per-run scratch directory
 /// before anything initializes it (the shared cache reads the environment
@@ -80,8 +94,8 @@ fn step_key(app: &Application, name: &str, k: usize) -> u64 {
 }
 
 /// Runs `f` in `tenant`'s namespace and returns its result with the
-/// shared cache's (hits, misses) deltas. The suite is one test, so no
-/// other build moves the counters meanwhile.
+/// shared cache's (hits, misses) deltas. Every test holds [`serial`], so
+/// no other build moves the counters meanwhile.
 fn counted<R>(cache: &VariantCache, tenant: &str, f: impl FnOnce() -> R) -> (R, u64, u64) {
     let (hits, misses) = (cache.hits(), cache.misses());
     let out = with_thread_tenant(tenant, f);
@@ -90,6 +104,7 @@ fn counted<R>(cache: &VariantCache, tenant: &str, f: impl FnOnce() -> R) -> (R, 
 
 #[test]
 fn search_and_ladder_steps_equal_standalone_builds_and_rerun_warm() {
+    let _serial = serial();
     let (cache, dir) = isolated_cache();
     let (miner, merge, tech) = (
         MinerConfig::default(),
@@ -131,13 +146,15 @@ fn search_and_ladder_steps_equal_standalone_builds_and_rerun_warm() {
         let cold: Vec<String> = ladder.iter().map(encode_variant).collect();
         assert_eq!(warm, cold, "{app_name}: warm ladder differs");
 
-        // the search returns only its choice; every step it built is in
-        // its namespace of the cache
+        // the search returns only its choice; its record and every step
+        // it built are in its namespace of the cache
         let search_tenant = format!("search-{app_name}");
-        let (chosen, _, built) = counted(cache, &search_tenant, || {
+        let (chosen, _, misses) = counted(cache, &search_tenant, || {
             most_specialized_variant(&app, &miner, &merge, &tech, STEPS)
         });
         let chosen = encode_variant(&chosen.expect("search runs"));
+        // one miss on the search record, then one per step built
+        let built = misses - 1;
         assert!(built >= 1, "{app_name}: the search builds step 0");
         let name = format!("pe_spec_{app_name}");
         let ns = cache.namespaced(&search_tenant);
@@ -164,11 +181,120 @@ fn search_and_ladder_steps_equal_standalone_builds_and_rerun_warm() {
             steps.contains(&chosen),
             "{app_name}: the choice is a built step"
         );
+        // warm, the search reads its record and the chosen step's entry
         let (again, hits, misses) = counted(cache, &search_tenant, || {
             most_specialized_variant(&app, &miner, &merge, &tech, STEPS)
         });
-        assert_eq!((hits, misses), (built, 0), "{app_name}: warm search");
+        assert_eq!((hits, misses), (2, 0), "{app_name}: warm search");
         assert_eq!(encode_variant(&again.expect("warm search runs")), chosen);
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The entry file of `key` in `tenant`'s namespace under `dir`.
+fn entry(dir: &Path, tenant: &str, key: u64, ext: &str) -> PathBuf {
+    dir.join("tenants")
+        .join(tenant)
+        .join(format!("{key:016x}.{ext}"))
+}
+
+/// Runs the default search for `app` in `tenant`'s namespace and returns
+/// its encoded choice with the shared cache's (hits, misses) deltas.
+fn search(cache: &VariantCache, tenant: &str, app: &Application) -> (String, u64, u64) {
+    let (v, hits, misses) = counted(cache, tenant, || {
+        most_specialized_variant(
+            app,
+            &MinerConfig::default(),
+            &MergeOptions::default(),
+            &TechModel::default(),
+            STEPS,
+        )
+    });
+    (encode_variant(&v.expect("search runs")), hits, misses)
+}
+
+fn record_key(app: &Application) -> u64 {
+    search_cache_key(
+        app,
+        &MinerConfig::default(),
+        &MergeOptions::default(),
+        &TechModel::default(),
+        STEPS,
+    )
+}
+
+#[test]
+fn corrupt_record_is_quarantined_and_the_search_recomputes_its_choice() {
+    let _serial = serial();
+    let (cache, dir) = isolated_cache();
+    let app = apex::apps::gaussian();
+    let tenant = "corrupt-record";
+    let (cold, _, _) = search(cache, tenant, &app);
+    let record = entry(&dir, tenant, record_key(&app), "var");
+    let text = std::fs::read_to_string(&record).expect("the search wrote its record");
+    std::fs::write(&record, text.replacen("search", "seerch", 1)).expect("corrupt the record");
+
+    let quarantined = cache.quarantined();
+    let (again, _, misses) = search(cache, tenant, &app);
+    assert_eq!(again, cold, "the recomputed choice is the cold one");
+    assert_eq!(cache.quarantined() - quarantined, 1, "the record is quarantined");
+    assert!(misses >= 1);
+    assert!(entry(&dir, tenant, record_key(&app), "corrupt").exists());
+    // the recomputed search wrote a sound record again
+    assert_eq!(search(cache, tenant, &app), (cold, 2, 0), "warm after recompute");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn record_whose_step_was_evicted_rebuilds_an_identical_step() {
+    let _serial = serial();
+    let (cache, dir) = isolated_cache();
+    let app = apex::apps::gaussian();
+    let tenant = "evicted-step";
+    let (cold, _, _) = search(cache, tenant, &app);
+    let k = cache
+        .namespaced(tenant)
+        .load_search(record_key(&app))
+        .expect("the search wrote its record");
+    let name = format!("pe_spec_{}", app.info.name);
+    let step = entry(&dir, tenant, step_key(&app, &name, k), "var");
+    std::fs::remove_file(&step).expect("the chosen step is cached");
+
+    // the record hits, the chosen step misses and is rebuilt alone
+    let (again, hits, misses) = search(cache, tenant, &app);
+    assert_eq!(again, cold, "the rebuilt step is the cold choice");
+    assert_eq!((hits, misses), (1, 1));
+    assert!(step.exists(), "the rebuilt step is stored again");
+    assert_eq!(search(cache, tenant, &app), (cold, 2, 0));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn cancelled_search_writes_no_record() {
+    let _serial = serial();
+    let (cache, dir) = isolated_cache();
+    let app = apex::apps::gaussian();
+    let tenant = "cancelled";
+    let miner = MinerConfig {
+        budget: Budget::unlimited().with_cancel(Arc::new(AtomicBool::new(true))),
+        ..MinerConfig::default()
+    };
+    let v = with_thread_tenant(tenant, || {
+        most_specialized_variant(
+            &app,
+            &miner,
+            &MergeOptions::default(),
+            &TechModel::default(),
+            STEPS,
+        )
+    })
+    .expect("a cancelled search still chooses");
+    let cancelled = Degradation::from_provenance(Stage::Mine, Provenance::Cancelled)
+        .expect("cancellation degrades");
+    assert!(v.degradations.contains(&cancelled), "{:?}", v.degradations);
+    // the cancel flag is not part of the key: a record here would be
+    // served to an uncancelled search
+    let ns = cache.namespaced(tenant);
+    assert_eq!(ns.load_search(record_key(&app)), None, "no record written");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -13,8 +13,8 @@
 //! which supplies what bits cannot (the activity mask, the input maps),
 //! so each PE's configuration is cloned once. The result is indexed by
 //! netlist node, the override table [`Netlist::simulate_with`] takes. A
-//! missing or truncated configuration is a [`FabricSimError`], never a
-//! panic.
+//! missing or truncated configuration, or one that selects an op its unit
+//! does not have, is a [`FabricSimError`], never a panic.
 //!
 //! There is one simulation engine: decoded configurations run on the
 //! netlist's table-compiled lane simulator ([`Netlist::simulate_with`]),
@@ -25,10 +25,11 @@
 //! here requires the decoded run to equal a run on the rule templates
 //! themselves.
 
-use crate::bitstream::{unpack_config, Bitstream, TileConfig};
+use crate::bitstream::{Bitstream, TileConfig};
 use crate::place::Placement;
 use apex_map::{NetKind, Netlist, NetlistError};
 use apex_merge::{DatapathConfig, MergedDatapath};
+use apex_pe::{unpack_config, UnpackError};
 use apex_rewrite::RuleSet;
 
 /// Errors while reconstructing the configuration state from a bitstream.
@@ -45,6 +46,16 @@ pub enum FabricSimError {
         /// The netlist node whose configuration is cut short.
         node: u32,
     },
+    /// A PE instance's packed configuration selects an op beyond its
+    /// unit's op count, which packing never writes.
+    OpSelect {
+        /// The netlist node whose configuration is corrupt.
+        node: u32,
+        /// The datapath unit.
+        unit: u32,
+        /// The select's value.
+        select: u64,
+    },
     /// The decoded netlist failed to simulate.
     Netlist(NetlistError),
 }
@@ -58,6 +69,10 @@ impl std::fmt::Display for FabricSimError {
             FabricSimError::TruncatedConfig { node } => {
                 write!(f, "node {node}: PE configuration in the bitstream is truncated")
             }
+            FabricSimError::OpSelect { node, unit, select } => write!(
+                f,
+                "node {node}: PE configuration in the bitstream selects op {select} of unit {unit}, which has fewer ops"
+            ),
             FabricSimError::Netlist(e) => write!(f, "decoded netlist failed to simulate: {e}"),
         }
     }
@@ -81,7 +96,8 @@ impl From<NetlistError> for FabricSimError {
 ///
 /// # Errors
 /// Fails at the first PE instance, in node order, whose tile carries no
-/// packed configuration or a truncated one.
+/// packed configuration, a truncated one, or one whose op select names
+/// an op its unit does not have.
 pub fn decode_pe_configs(
     netlist: &Netlist,
     rules: &RuleSet,
@@ -122,10 +138,12 @@ pub fn decode_pe_configs(
             .ok_or(missing)?;
         *at = k + 1;
         let rule = &rules.rules[inst.rule as usize];
-        out[i] = Some(
-            unpack_config(dp, bits, &rule.config)
-                .ok_or(FabricSimError::TruncatedConfig { node: i as u32 })?,
-        );
+        let node = i as u32;
+        let cfg = unpack_config(dp, bits, &rule.config).map_err(|e| match e {
+            UnpackError::Truncated => FabricSimError::TruncatedConfig { node },
+            UnpackError::OpSelect { unit, select } => FabricSimError::OpSelect { node, unit, select },
+        })?;
+        out[i] = Some(cfg);
     }
     Ok(out)
 }
@@ -260,6 +278,52 @@ mod tests {
         assert_eq!(cut, design.netlist.pe_count());
     }
 
+    /// Setting the 14-op ALU's 4-bit op select to 15 in a PE's
+    /// configuration is a typed error naming that PE and unit: the RTL's
+    /// `case` computes 0 for the value, so decoding it as any op would make
+    /// the simulation disagree with the hardware.
+    #[test]
+    fn op_select_beyond_the_units_ops_is_reported() {
+        let app = apex_apps::gaussian();
+        let pe = baseline_pe();
+        let dp = &pe.datapath;
+        let (rules, _) = standard_ruleset(dp, &[], &[&app.graph]).unwrap();
+        let design = map_application(&app.graph, dp, &rules).unwrap();
+        let fabric = Fabric::new(FabricConfig::default());
+        let placement = place(&design.netlist, &fabric, &PlaceOptions::default()).unwrap();
+        let routing =
+            route(&design.netlist, &rules, &fabric, &placement, &RouteOptions::default()).unwrap();
+        let mut bitstream =
+            generate_bitstream(&design.netlist, &rules, dp, &fabric, &placement, &routing);
+        let alu = dp.nodes.iter().position(|n| n.ops.len() == 14).unwrap();
+        let lo: usize = apex_pe::fields(dp)
+            .take_while(|&(f, _)| f != apex_pe::Field::OpSelect(alu))
+            .map(|(_, w)| w)
+            .sum();
+        let node = design.netlist.nodes.iter()
+            .position(|n| matches!(n.kind, apex_map::NetKind::Pe(_)))
+            .unwrap();
+        let tile = placement.tile_of_node[node].unwrap();
+        let Some(TileConfig::Pe { bits }) = bitstream
+            .tiles
+            .get_mut(&tile)
+            .and_then(|cs| cs.iter_mut().find(|c| matches!(c, TileConfig::Pe { .. })))
+        else {
+            panic!("the first PE's tile has a PE configuration");
+        };
+        for b in lo..lo + 4 {
+            bits[b / 8] |= 1 << (b % 8);
+        }
+        let err = decode_pe_configs(&design.netlist, &rules, dp, &placement, &bitstream)
+            .unwrap_err();
+        let expected = FabricSimError::OpSelect {
+            node: node as u32,
+            unit: alu as u32,
+            select: 15,
+        };
+        assert_eq!(err, expected);
+    }
+
     #[test]
     fn missing_tile_config_is_reported() {
         let app = apex_apps::gaussian();
@@ -356,7 +420,8 @@ mod corruption_tests {
                     break;
                 }
             }
-            // a flip may decode to an illegal configuration (mux select
+            // a flip may select an op its unit lacks, which decoding
+            // refuses, or decode to an illegal configuration (mux select
             // beyond the candidate list) — clearly behaviour-changing
             let decoded = decode_pe_configs(
                 &design.netlist,
@@ -364,8 +429,11 @@ mod corruption_tests {
                 &pe.datapath,
                 &placement,
                 &corrupted,
-            )
-            .unwrap();
+            );
+            let Ok(decoded) = decoded else {
+                changed += 1;
+                continue;
+            };
             if decoded
                 .iter()
                 .flatten()

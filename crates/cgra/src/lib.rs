@@ -23,7 +23,7 @@ mod route;
 mod stats;
 mod verilog;
 
-pub use bitstream::{generate_bitstream, pack_config, unpack_config, Bitstream, TileConfig};
+pub use bitstream::{generate_bitstream, Bitstream, TileConfig};
 pub use fabric::{Fabric, FabricConfig, TileId, TileKind};
 pub use fabric_sim::{decode_pe_configs, simulate_from_bitstream, FabricSimError};
 pub use place::{

@@ -19,7 +19,7 @@
 //! time, exactly as in the AHA flow.
 
 use crate::fabric::{Fabric, TileKind};
-use apex_pe::{config_bits, emit_verilog, PeSpec};
+use apex_pe::{config_bits, emit_verilog, select_width, PeSpec};
 use std::fmt::Write as _;
 
 /// Emits the complete CGRA Verilog for a fabric built around one PE
@@ -44,7 +44,7 @@ pub fn emit_cgra_verilog(fabric: &Fabric, pe: &PeSpec) -> String {
     // per output track: select one of (4 dirs x tracks) inputs + the tile
     // output, plus one bit to enable the pipelining register
     let in_words = 4 * wt + 1;
-    let sb_word_sel = bits_for(in_words);
+    let sb_word_sel = select_width(in_words);
     let _ = writeln!(v, "module sb (");
     let _ = writeln!(v, "  input  wire clk,");
     let _ = writeln!(v, "  input  wire [{}:0] cfg,", 4 * wt * (sb_word_sel + 1) - 1);
@@ -98,7 +98,7 @@ pub fn emit_cgra_verilog(fabric: &Fabric, pe: &PeSpec) -> String {
     let _ = writeln!(v, "endmodule\n");
 
     // ---- connection box ----------------------------------------------------
-    let cb_sel = bits_for(4 * wt);
+    let cb_sel = select_width(4 * wt);
     let _ = writeln!(v, "module cb (");
     let _ = writeln!(v, "  input  wire [{}:0] cfg,", cb_sel.max(1) - 1);
     for d in ["n", "s", "e", "w"] {
@@ -153,7 +153,7 @@ pub fn emit_cgra_verilog(fabric: &Fabric, pe: &PeSpec) -> String {
             "  cb cb{k} (.cfg(cfg[{hi}:{lo}]), .n_w(n_w), .s_w(s_w), .e_w(e_w), .w_w(w_w), .out_w(in{k}_w));"
         );
     }
-    let pe_mod = sanitize(&pe.name);
+    let pe_mod = pe.module_name();
     let mut ports = vec![format!(".clk(clk)"), format!(".cfg(cfg[{}:0])", pe_cfg_bits - 1)];
     for k in 0..word_in {
         ports.push(format!(".word_in{k}(in{k}_w)"));
@@ -244,26 +244,6 @@ pub fn emit_cgra_verilog(fabric: &Fabric, pe: &PeSpec) -> String {
     let _ = writeln!(v, "  // {pe_tiles} PE tiles, {mem_tiles} memory tiles");
     let _ = writeln!(v, "endmodule");
     v
-}
-
-fn bits_for(choices: usize) -> usize {
-    if choices <= 1 {
-        0
-    } else {
-        (usize::BITS - (choices - 1).leading_zeros()) as usize
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    let s: String = name
-        .chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        format!("pe_{s}")
-    } else {
-        s
-    }
 }
 
 #[cfg(test)]

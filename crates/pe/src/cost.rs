@@ -7,7 +7,6 @@
 
 use apex_merge::{DatapathConfig, DpSource, MergedDatapath};
 use apex_tech::TechModel;
-use apex_ir::Op;
 
 /// Area breakdown of a PE core, µm².
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,36 +28,10 @@ impl PeArea {
     }
 }
 
-/// Number of configuration bits a datapath needs.
+/// Number of configuration bits a datapath needs: the width of every
+/// field of its layout ([`crate::fields`]).
 pub fn config_bits(dp: &MergedDatapath) -> usize {
-    let mut bits = 0usize;
-    for node in &dp.nodes {
-        bits += bits_for(node.ops.len());
-        // constant-like payloads live in configuration registers
-        for op in &node.ops {
-            bits += match op {
-                Op::Const(_) => 16,
-                Op::BitConst(_) => 1,
-                Op::Lut(_) => 8,
-                _ => 0,
-            };
-        }
-        for port in &node.port_candidates {
-            bits += bits_for(port.len());
-        }
-    }
-    // output selection: each output picks among nodes and inputs
-    let sources = dp.nodes.len() + dp.word_inputs + dp.bit_inputs;
-    bits += (dp.word_outputs + dp.bit_outputs) * bits_for(sources);
-    bits
-}
-
-fn bits_for(choices: usize) -> usize {
-    if choices <= 1 {
-        0
-    } else {
-        (usize::BITS - (choices - 1).leading_zeros()) as usize
-    }
+    crate::config::fields(dp).map(|(_, width)| width).sum()
 }
 
 /// Computes the PE core area of a datapath.
@@ -234,16 +207,6 @@ mod tests {
         let s = g.add(Op::Add, &[m, c]);
         g.output(s);
         MergedDatapath::from_graph(&g)
-    }
-
-    #[test]
-    fn bits_for_choice_counts() {
-        assert_eq!(bits_for(0), 0);
-        assert_eq!(bits_for(1), 0);
-        assert_eq!(bits_for(2), 1);
-        assert_eq!(bits_for(3), 2);
-        assert_eq!(bits_for(4), 2);
-        assert_eq!(bits_for(5), 3);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! * a functional model (via [`apex_merge::MergedDatapath::evaluate`]),
 //! * area / energy / timing estimates ([`pe_area`], [`config_energy`],
-//!   [`worst_critical_path`]), and
-//! * synthesizable Verilog RTL ([`emit_verilog`]).
+//!   [`worst_critical_path`]),
+//! * synthesizable Verilog RTL ([`emit_verilog`]), and
+//! * the layout of its configuration word ([`fields`]), along which the
+//!   RTL is sliced and the bitstream packed ([`pack_config`]) and decoded
+//!   ([`unpack_config`]).
 //!
 //! It also defines the baseline general-purpose PE of Fig. 1
 //! ([`baseline_pe`]) that all of Section 5's comparisons are made against,
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 mod baseline;
+mod config;
 mod cost;
 mod pe_spec;
 mod report;
@@ -37,6 +41,9 @@ mod verilog;
 
 pub use baseline::{
     baseline_op_kinds, baseline_pe, baseline_pe_with_ops, BASELINE_ALU_OPS, BASELINE_CMP_OPS,
+};
+pub use config::{
+    fields, pack_config, pack_config_with, select_width, unpack_config, Field, UnpackError,
 };
 pub use cost::{
     config_bits, config_critical_path, config_energy, pe_area, structural_critical_path,

@@ -46,6 +46,22 @@ impl PeSpec {
         }
     }
 
+    /// The Verilog module name of the PE: its name with every character
+    /// other than a letter, digit or `_` replaced by `_`, and prefixed
+    /// with `pe_` if it would start with a digit.
+    pub fn module_name(&self) -> String {
+        let s: String = self
+            .name
+            .chars()
+            .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
+            .collect();
+        if s.starts_with(|c: char| c.is_ascii_digit()) {
+            format!("pe_{s}")
+        } else {
+            s
+        }
+    }
+
     /// PE core area including pipeline registers, µm².
     pub fn area(&self, tech: &TechModel) -> PeArea {
         let mut area = pe_area(&self.datapath, tech, self.legacy_control);

@@ -3,9 +3,10 @@
 //! breakdown, and per-configuration timing — plus a self-checking Verilog
 //! testbench for the emitted RTL.
 
+use crate::config::pack_config;
 use crate::cost::{config_bits, config_critical_path, config_energy};
 use crate::pe_spec::PeSpec;
-use apex_merge::{DatapathConfig, DpSource};
+use apex_merge::DatapathConfig;
 use apex_tech::TechModel;
 use std::fmt::Write as _;
 
@@ -95,48 +96,40 @@ pub fn emit_testbench(
 ) -> String {
     let dp = &spec.datapath;
     assert_eq!(word_vectors.len(), bit_vectors.len(), "vector count mismatch");
-    let module = sanitize(&spec.name);
-    let packed = pack_bits(dp, cfg);
+    let module = spec.module_name();
+    let packed = pack_config(dp, cfg);
+    let width = config_bits(dp).max(1);
     let mut s = String::new();
     let _ = writeln!(s, "// Self-checking testbench for PE '{}'", spec.name);
     let _ = writeln!(s, "`timescale 1ns/1ps");
     let _ = writeln!(s, "module tb_{module};");
     let _ = writeln!(s, "  reg clk = 0;");
     let _ = writeln!(s, "  always #0.55 clk = ~clk;");
-    let _ = writeln!(s, "  reg [{}:0] cfg;", packed.len().max(1) - 1);
-    for k in 0..dp.word_inputs {
-        let _ = writeln!(s, "  reg [15:0] word_in{k};");
-    }
-    for k in 0..dp.bit_inputs {
-        let _ = writeln!(s, "  reg bit_in{k};");
-    }
-    for o in 0..dp.word_outputs {
-        let _ = writeln!(s, "  wire [15:0] word_out{o};");
-    }
-    for o in 0..dp.bit_outputs {
-        let _ = writeln!(s, "  wire bit_out{o};");
-    }
+    let _ = writeln!(s, "  reg [{}:0] cfg;", width - 1);
+    // one declaration and one connection per PE port
     let mut ports = vec![".clk(clk)".to_owned(), ".cfg(cfg)".to_owned()];
-    for k in 0..dp.word_inputs {
-        ports.push(format!(".word_in{k}(word_in{k})"));
-    }
-    for k in 0..dp.bit_inputs {
-        ports.push(format!(".bit_in{k}(bit_in{k})"));
-    }
-    for o in 0..dp.word_outputs {
-        ports.push(format!(".word_out{o}(word_out{o})"));
-    }
-    for o in 0..dp.bit_outputs {
-        ports.push(format!(".bit_out{o}(bit_out{o})"));
+    for (decl, name, count) in [
+        ("reg [15:0]", "word_in", dp.word_inputs),
+        ("reg", "bit_in", dp.bit_inputs),
+        ("wire [15:0]", "word_out", dp.word_outputs),
+        ("wire", "bit_out", dp.bit_outputs),
+    ] {
+        for k in 0..count {
+            let _ = writeln!(s, "  {decl} {name}{k};");
+            ports.push(format!(".{name}{k}({name}{k})"));
+        }
     }
     let _ = writeln!(s, "  {module} dut ({});", ports.join(", "));
     let _ = writeln!(s, "  integer errors = 0;");
     let _ = writeln!(s, "  initial begin");
-    let mut cfg_bits = String::new();
-    for b in packed.iter().rev() {
-        cfg_bits.push(if *b { '1' } else { '0' });
-    }
-    let _ = writeln!(s, "    cfg = {}'b{};", packed.len(), cfg_bits);
+    let cfg_bits: String = (0..width)
+        .rev()
+        .map(|k| match packed.get(k / 8) {
+            Some(byte) if byte >> (k % 8) & 1 == 1 => '1',
+            _ => '0',
+        })
+        .collect();
+    let _ = writeln!(s, "    cfg = {width}'b{cfg_bits};");
     for (v, (words, bits)) in word_vectors.iter().zip(bit_vectors).enumerate() {
         // pad vectors onto PE ports through the configuration's input maps
         let mut pe_words = vec![0u16; dp.word_inputs];
@@ -184,100 +177,6 @@ pub fn emit_testbench(
     let _ = writeln!(s, "  end");
     let _ = writeln!(s, "endmodule");
     s
-}
-
-/// Packs a configuration into bits with the emitter's layout (mirrors
-/// `apex_cgra::pack_config`, kept here so the PE crate stays standalone).
-fn pack_bits(dp: &apex_merge::MergedDatapath, cfg: &DatapathConfig) -> Vec<bool> {
-    use apex_ir::Op;
-    let mut bits: Vec<bool> = Vec::new();
-    let push_val = |bits: &mut Vec<bool>, value: u64, width: usize| {
-        for k in 0..width {
-            bits.push((value >> k) & 1 == 1);
-        }
-    };
-    let width_for = |choices: usize| -> usize {
-        if choices <= 1 {
-            0
-        } else {
-            (usize::BITS - (choices - 1).leading_zeros()) as usize
-        }
-    };
-    for (i, node) in dp.nodes.iter().enumerate() {
-        let nc = cfg.node_cfg.get(i).and_then(Option::as_ref);
-        let op_idx = nc
-            .and_then(|nc| {
-                node.ops.iter().position(|o| match (o, &nc.op) {
-                    (Op::Const(_), Op::Const(_)) => true,
-                    (Op::BitConst(_), Op::BitConst(_)) => true,
-                    (Op::Lut(_), Op::Lut(_)) => true,
-                    (a, b) => a == b,
-                })
-            })
-            .unwrap_or(0);
-        push_val(&mut bits, op_idx as u64, width_for(node.ops.len()));
-        for (k, op) in node.ops.iter().enumerate() {
-            let active = nc.filter(|_| k == op_idx);
-            match op {
-                Op::Const(_) => {
-                    let v = match active.map(|nc| nc.op) {
-                        Some(Op::Const(v)) => v,
-                        _ => 0,
-                    };
-                    push_val(&mut bits, u64::from(v), 16);
-                }
-                Op::BitConst(_) => {
-                    let v = matches!(active.map(|nc| nc.op), Some(Op::BitConst(true)));
-                    push_val(&mut bits, u64::from(v), 1);
-                }
-                Op::Lut(_) => {
-                    let v = match active.map(|nc| nc.op) {
-                        Some(Op::Lut(t)) => t,
-                        _ => 0,
-                    };
-                    push_val(&mut bits, u64::from(v), 8);
-                }
-                _ => {}
-            }
-        }
-        for (p, cands) in node.port_candidates.iter().enumerate() {
-            let sel = nc.and_then(|nc| nc.port_sel.get(p)).copied().unwrap_or(0);
-            push_val(&mut bits, u64::from(sel), width_for(cands.len()));
-        }
-    }
-    let total_sources = dp.nodes.len() + dp.word_inputs + dp.bit_inputs;
-    let w = width_for(total_sources);
-    let src_index = |s: DpSource| -> usize {
-        match s {
-            DpSource::WordInput(k) => k as usize,
-            DpSource::BitInput(k) => dp.word_inputs + k as usize,
-            DpSource::Node(j) => dp.word_inputs + dp.bit_inputs + j as usize,
-        }
-    };
-    for o in 0..dp.word_outputs {
-        let v = cfg.word_out_sel.get(o).map(|s| src_index(*s)).unwrap_or(0);
-        push_val(&mut bits, v as u64, w);
-    }
-    for o in 0..dp.bit_outputs {
-        let v = cfg.bit_out_sel.get(o).map(|s| src_index(*s)).unwrap_or(0);
-        push_val(&mut bits, v as u64, w);
-    }
-    if bits.is_empty() {
-        bits.push(false);
-    }
-    bits
-}
-
-fn sanitize(name: &str) -> String {
-    let s: String = name
-        .chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        format!("pe_{s}")
-    } else {
-        s
-    }
 }
 
 #[cfg(test)]

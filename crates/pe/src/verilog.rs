@@ -6,37 +6,14 @@
 //! op-select case per multi-op functional unit, per-configuration constant
 //! registers, output muxes, and (for pipelined PEs) stage registers.
 
+use crate::config::{fields, source_at, source_count, Field};
 use crate::pe_spec::PeSpec;
-use apex_merge::{DpSource, MergedDatapath};
-use apex_ir::Op;
+use apex_ir::{Op, ValueType};
+use apex_merge::DpSource;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Allocates configuration-bit slices in the same order as
-/// [`crate::config_bits`] counts them.
-struct CfgAlloc {
-    next: usize,
-}
-
-impl CfgAlloc {
-    fn take(&mut self, bits: usize) -> Option<(usize, usize)> {
-        if bits == 0 {
-            return None;
-        }
-        let lo = self.next;
-        self.next += bits;
-        Some((lo + bits - 1, lo))
-    }
-}
-
-fn bits_for(choices: usize) -> usize {
-    if choices <= 1 {
-        0
-    } else {
-        (usize::BITS - (choices - 1).leading_zeros()) as usize
-    }
-}
-
-fn src_name(_dp: &MergedDatapath, src: DpSource) -> String {
+fn src_name(src: DpSource) -> String {
     match src {
         DpSource::WordInput(k) => format!("word_in{k}"),
         DpSource::BitInput(k) => format!("bit_in{k}"),
@@ -44,11 +21,13 @@ fn src_name(_dp: &MergedDatapath, src: DpSource) -> String {
     }
 }
 
-fn slice(range: Option<(usize, usize)>) -> String {
-    match range {
-        Some((hi, lo)) if hi == lo => format!("cfg[{lo}]"),
-        Some((hi, lo)) => format!("cfg[{hi}:{lo}]"),
-        None => "1'b0".to_owned(),
+/// The `cfg` port's bits `lo .. lo + width`, or a constant 0 for a
+/// zero-width field.
+fn slice(lo: usize, width: usize) -> String {
+    match width {
+        0 => "1'b0".to_owned(),
+        1 => format!("cfg[{lo}]"),
+        _ => format!("cfg[{}:{lo}]", lo + width - 1),
     }
 }
 
@@ -99,11 +78,19 @@ fn op_expr(op: Op, ins: &[String]) -> String {
 
 /// Emits a synthesizable Verilog-2001 module for the PE.
 ///
-/// The configuration word layout matches [`crate::config_bits`]; the
-/// emitted module declares `localparam CFG_BITS` with the total width.
+/// Each configuration field reads its slice of the `cfg` port along the
+/// layout ([`crate::fields`]); the emitted module declares `localparam
+/// CFG_BITS` with the total width.
 pub fn emit_verilog(spec: &PeSpec) -> String {
     let dp = &spec.datapath;
-    let mut alloc = CfgAlloc { next: 0 };
+    let mut cfg_bits = 0;
+    let cfg: BTreeMap<Field, String> = fields(dp)
+        .map(|(field, width)| {
+            let lo = cfg_bits;
+            cfg_bits += width;
+            (field, slice(lo, width))
+        })
+        .collect();
     let mut body = String::new();
     let stage = |i: usize| -> u32 {
         spec.pipeline
@@ -118,16 +105,15 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
     };
 
     // per-source delayed versions needed by pipeline stage crossings
-    let mut max_delay: std::collections::BTreeMap<String, (usize, bool)> =
-        std::collections::BTreeMap::new(); // name -> (max delay, is_word)
+    let mut max_delay: BTreeMap<String, (usize, bool)> = BTreeMap::new(); // name -> (max delay, is_word)
     if spec.pipeline.is_some() {
         for (v, node) in dp.nodes.iter().enumerate() {
             for port in &node.port_candidates {
                 for &src in port {
                     let d = stage(v).saturating_sub(src_stage(src)) as usize;
                     if d > 0 {
-                        let name = src_name(dp, src);
-                        let is_word = dp.source_type(src) == apex_ir::ValueType::Word;
+                        let name = src_name(src);
+                        let is_word = dp.source_type(src) == ValueType::Word;
                         let e = max_delay.entry(name).or_insert((0, is_word));
                         e.0 = e.0.max(d);
                     }
@@ -145,31 +131,19 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
     };
 
     for (i, node) in dp.nodes.iter().enumerate() {
-        let out_word = node.output_type() == apex_ir::ValueType::Word;
+        let out_word = node.output_type() == ValueType::Word;
         let width = if out_word { "[15:0] " } else { "" };
         let _ = writeln!(body, "  // node {i}: {:?}", node.ops);
-        let op_sel = alloc.take(bits_for(node.ops.len()));
-        // payload slices in op order
-        let payloads: Vec<Option<(usize, usize)>> = node
-            .ops
-            .iter()
-            .map(|op| match op {
-                Op::Const(_) => alloc.take(16),
-                Op::BitConst(_) => alloc.take(1),
-                Op::Lut(_) => alloc.take(8),
-                _ => None,
-            })
-            .collect();
         // port muxes
         let mut port_wires = Vec::new();
         for (p, cands) in node.port_candidates.iter().enumerate() {
-            let sel = alloc.take(bits_for(cands.len()));
+            let sel = &cfg[&Field::PortSelect(i, p)];
             let wname = format!("n{i}_p{p}");
             let pw = if dp
                 .nodes[i]
                 .ops
                 .iter()
-                .any(|op| p < op.arity() && op.input_types()[p] == apex_ir::ValueType::Word)
+                .any(|op| p < op.arity() && op.input_types()[p] == ValueType::Word)
             {
                 "[15:0] "
             } else {
@@ -182,49 +156,37 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
                 let _ = writeln!(
                     body,
                     "  wire {pw}{wname} = {};",
-                    delayed(&src_name(dp, cands[0]), d)
+                    delayed(&src_name(cands[0]), d)
                 );
             } else {
                 let mut expr = String::new();
                 for (k, &c) in cands.iter().enumerate().rev() {
                     let d = stage(i).saturating_sub(src_stage(c)) as usize;
-                    let name = delayed(&src_name(dp, c), d);
+                    let name = delayed(&src_name(c), d);
                     if k == cands.len() - 1 {
                         expr = name;
                     } else {
-                        expr = format!("({} == {k}) ? {name} : ({expr})", slice(sel));
+                        expr = format!("({sel} == {k}) ? {name} : ({expr})");
                     }
                 }
                 let _ = writeln!(body, "  wire {pw}{wname} = {expr};");
             }
             port_wires.push(wname);
         }
-        // op evaluation
+        // op evaluation: payload ops read their configuration slice
+        let expr = |k: usize| match node.ops[k] {
+            Op::Const(_) | Op::BitConst(_) => cfg[&Field::Payload(i, k)].clone(),
+            Op::Lut(_) => format!("{}[{{n{i}_p2, n{i}_p1, n{i}_p0}}]", cfg[&Field::Payload(i, k)]),
+            op => op_expr(op, &port_wires),
+        };
         if node.ops.len() == 1 {
-            let op = node.ops[0];
-            let expr = match op {
-                Op::Const(_) | Op::BitConst(_) => slice(payloads[0]),
-                Op::Lut(_) => format!(
-                    "{}[{{n{i}_p2, n{i}_p1, n{i}_p0}}]",
-                    slice(payloads[0])
-                ),
-                _ => op_expr(op, &port_wires),
-            };
-            let _ = writeln!(body, "  wire {width}n{i}_out = {expr};");
+            let _ = writeln!(body, "  wire {width}n{i}_out = {};", expr(0));
         } else {
             let _ = writeln!(body, "  reg {width}n{i}_out_c;");
             let _ = writeln!(body, "  always @(*) begin");
-            let _ = writeln!(body, "    case ({})", slice(op_sel));
-            for (k, op) in node.ops.iter().enumerate() {
-                let expr = match op {
-                    Op::Const(_) | Op::BitConst(_) => slice(payloads[k]),
-                    Op::Lut(_) => format!(
-                        "{}[{{n{i}_p2, n{i}_p1, n{i}_p0}}]",
-                        slice(payloads[k])
-                    ),
-                    _ => op_expr(*op, &port_wires),
-                };
-                let _ = writeln!(body, "      {k}: n{i}_out_c = {expr};");
+            let _ = writeln!(body, "    case ({})", cfg[&Field::OpSelect(i)]);
+            for k in 0..node.ops.len() {
+                let _ = writeln!(body, "      {k}: n{i}_out_c = {};", expr(k));
             }
             let _ = writeln!(body, "      default: n{i}_out_c = 0;");
             let _ = writeln!(body, "    endcase");
@@ -256,62 +218,29 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
         body.push('\n');
     }
 
-    // output muxes over the global source space
-    let total_sources = dp.nodes.len() + dp.word_inputs + dp.bit_inputs;
-    let out_sel_bits = bits_for(total_sources);
-    let global = |k: usize| -> String {
-        if k < dp.word_inputs {
-            format!("word_in{k}")
-        } else if k < dp.word_inputs + dp.bit_inputs {
-            format!("bit_in{}", k - dp.word_inputs)
-        } else {
-            format!("n{}_out", k - dp.word_inputs - dp.bit_inputs)
-        }
-    };
-    for o in 0..dp.word_outputs {
-        let sel = alloc.take(out_sel_bits);
-        let mut expr = "16'd0".to_owned();
-        for k in (0..total_sources).rev() {
-            // only word-typed sources are legal output selections
-            let is_word = if k < dp.word_inputs {
-                true
-            } else if k < dp.word_inputs + dp.bit_inputs {
-                false
-            } else {
-                dp.nodes[k - dp.word_inputs - dp.bit_inputs].output_type()
-                    == apex_ir::ValueType::Word
-            };
-            if !is_word {
-                continue;
+    // output muxes over the PE's source space; only sources of the
+    // output's type are legal selections
+    for (ty, outputs, zero, port) in [
+        (ValueType::Word, dp.word_outputs, "16'd0", "word_out"),
+        (ValueType::Bit, dp.bit_outputs, "1'b0", "bit_out"),
+    ] {
+        for output in 0..outputs {
+            let sel = &cfg[&Field::OutputSelect(ty, output)];
+            let mut expr = zero.to_owned();
+            for k in (0..source_count(dp)).rev() {
+                let src = source_at(dp, k);
+                if dp.source_type(src) == ty {
+                    expr = format!("({sel} == {k}) ? {} : ({expr})", src_name(src));
+                }
             }
-            expr = format!("({} == {k}) ? {} : ({expr})", slice(sel), global(k));
+            let _ = writeln!(body, "  assign {port}{output} = {expr};");
         }
-        let _ = writeln!(body, "  assign word_out{o} = {expr};");
-    }
-    for o in 0..dp.bit_outputs {
-        let sel = alloc.take(out_sel_bits);
-        let mut expr = "1'b0".to_owned();
-        for k in (0..total_sources).rev() {
-            let is_bit = if k < dp.word_inputs {
-                false
-            } else if k < dp.word_inputs + dp.bit_inputs {
-                true
-            } else {
-                dp.nodes[k - dp.word_inputs - dp.bit_inputs].output_type()
-                    == apex_ir::ValueType::Bit
-            };
-            if !is_bit {
-                continue;
-            }
-            expr = format!("({} == {k}) ? {} : ({expr})", slice(sel), global(k));
-        }
-        let _ = writeln!(body, "  assign bit_out{o} = {expr};");
     }
 
-    let cfg_bits = alloc.next.max(1);
+    let cfg_bits = cfg_bits.max(1);
     let mut header = String::new();
     let _ = writeln!(header, "// Generated by apex-pe from spec '{}'", spec.name);
-    let _ = writeln!(header, "module {} (", sanitize(&spec.name));
+    let _ = writeln!(header, "module {} (", spec.module_name());
     let _ = writeln!(header, "  input  wire clk,");
     let _ = writeln!(header, "  input  wire [{}:0] cfg,", cfg_bits - 1);
     for k in 0..dp.word_inputs {
@@ -333,18 +262,6 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
     header.push('\n');
 
     format!("{header}{body}endmodule\n")
-}
-
-fn sanitize(name: &str) -> String {
-    let s: String = name
-        .chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
-        .collect();
-    if s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        format!("pe_{s}")
-    } else {
-        s
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,12 @@
 
 use crate::Violation;
 use apex_cgra::{
-    pack_config, place_class, unpack_config, Bitstream, Fabric, PlaceClass, Placement,
-    RouteDefect, RouteFault, Routing, TileConfig, TileId, TileKind,
+    place_class, Bitstream, Fabric, PlaceClass, Placement, RouteDefect, RouteFault, Routing,
+    TileConfig, TileId, TileKind,
 };
 use apex_map::{NetKind, Netlist};
 use apex_merge::MergedDatapath;
+use apex_pe::{pack_config, unpack_config};
 use apex_rewrite::RuleSet;
 use std::collections::BTreeMap;
 use std::mem::discriminant;
@@ -341,7 +342,7 @@ pub fn verify_bitstream(
             }
             Some(_) => {}
         }
-        if unpack_config(dp, &packed, &cfg).as_ref() != Some(&cfg) {
+        if unpack_config(dp, &packed, &cfg).as_ref() != Ok(&cfg) {
             out.push(Violation::new(
                 "BITS-ROUNDTRIP",
                 &artifact,

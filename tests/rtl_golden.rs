@@ -9,13 +9,13 @@
 //! a packed bit or an emitted line changes a digest.
 
 use apex::apps::{analyzed_apps, by_name, Application};
-use apex::cgra::{emit_cgra_verilog, pack_config, Fabric, FabricConfig};
+use apex::cgra::{emit_cgra_verilog, Fabric, FabricConfig};
 use apex::core::{baseline_variant, specialized_variant, PeVariant, SubgraphSelection};
 use apex::fault::fnv1a;
 use apex::ir::Op;
 use apex::merge::{DatapathConfig, MergeOptions};
 use apex::mining::MinerConfig;
-use apex::pe::{config_bits, datasheet, emit_testbench, emit_verilog, PeSpec};
+use apex::pe::{config_bits, datasheet, emit_testbench, emit_verilog, pack_config, PeSpec};
 use apex::pipeline::{auto_pipeline, PePipelineOptions};
 use apex::tech::TechModel;
 use std::collections::BTreeSet;

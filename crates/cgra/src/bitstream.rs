@@ -2,8 +2,8 @@
 //!
 //! Packs every tile's configuration: PE tiles get their datapath
 //! configuration packed along the PE's configuration layout
-//! ([`apex_pe::fields`]), the one the Verilog emitter slices its `cfg`
-//! port along; switch boxes get one entry per routed hop (input
+//! ([`apex_pe::for_each_field`]), which the Verilog emitter slices its
+//! `cfg` port along; switch boxes get one entry per routed hop (input
 //! side/track → output side/track); connection boxes get the selected
 //! track per PE input.
 //!

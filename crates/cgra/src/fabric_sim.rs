@@ -296,10 +296,13 @@ mod tests {
         let mut bitstream =
             generate_bitstream(&design.netlist, &rules, dp, &fabric, &placement, &routing);
         let alu = dp.nodes.iter().position(|n| n.ops.len() == 14).unwrap();
-        let lo: usize = apex_pe::fields(dp)
-            .take_while(|&(f, _)| f != apex_pe::Field::OpSelect(alu))
-            .map(|(_, w)| w)
-            .sum();
+        let (mut at, mut lo) = (0, 0);
+        apex_pe::for_each_field(dp, |field, width| {
+            if field == apex_pe::Field::OpSelect(alu) {
+                lo = at;
+            }
+            at += width;
+        });
         let node = design.netlist.nodes.iter()
             .position(|n| matches!(n.kind, apex_map::NetKind::Pe(_)))
             .unwrap();

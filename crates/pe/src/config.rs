@@ -1,14 +1,14 @@
 //! The layout of a PE's configuration word: the one definition of which
 //! fields it holds, in what order, and how wide each is.
 //!
-//! [`fields`] walks a [`MergedDatapath`] and yields every field with its
-//! width, lowest bits first. Per functional unit it yields the op select,
-//! then one payload register per payload op in op order (`Const` 16 bits,
-//! `BitConst` 1, `Lut` 8), then one select per input port. After the
-//! units come one select per word output and per bit output. An output
-//! select indexes the PE's source space: word inputs, bit inputs, then
-//! units. A select over `n` choices is [`select_width`]`(n)` bits wide,
-//! which is zero for a single choice.
+//! [`for_each_field`] walks a [`MergedDatapath`] and visits every field
+//! with its width, lowest bits first. Per functional unit it visits the
+//! op select, then one payload register per payload op in op order
+//! (`Const` 16 bits, `BitConst` 1, `Lut` 8), then one select per input
+//! port. After the units come one select per word output and per bit
+//! output. An output select indexes the PE's source space: word inputs,
+//! bit inputs, then units. A select over `n` choices is
+//! [`select_width`]`(n)` bits wide, which is zero for a single choice.
 //!
 //! Every consumer reads this walk: [`crate::config_bits`] sums its widths,
 //! [`crate::emit_verilog`] slices the `cfg` port along it, and
@@ -17,6 +17,14 @@
 //! reads them back whole, one bounds check per field, without allocating
 //! per field. A truncated configuration, or an op select the packer never
 //! writes, is an [`UnpackError`], never a panic.
+//!
+//! The walk is a loop nest calling a closure, not an iterator, because
+//! every PE of a bitstream is packed and decoded along it. The codec's
+//! closures are `#[inline(always)]`, so the `match` on each visited
+//! field resolves where the walk visits it, and the helpers the generic
+//! [`pack_config_with`] calls are `#[inline]`, so they also inline into
+//! the crate that instantiates it. An iterator walk, or the same walk
+//! without the inlining, packs and decodes measurably slower.
 
 use apex_ir::{Op, ValueType};
 use apex_merge::{DatapathConfig, DpNode, DpSource, MergedDatapath};
@@ -37,6 +45,7 @@ pub enum Field {
 }
 
 /// Bits needed to select one of `choices` alternatives.
+#[inline]
 pub fn select_width(choices: usize) -> usize {
     if choices <= 1 {
         0
@@ -46,6 +55,7 @@ pub fn select_width(choices: usize) -> usize {
 }
 
 /// Width of the payload register an op carries, if it carries one.
+#[inline]
 fn payload_width(op: Op) -> Option<usize> {
     match op {
         Op::Const(_) => Some(16),
@@ -55,32 +65,26 @@ fn payload_width(op: Op) -> Option<usize> {
     }
 }
 
-/// Every field of the datapath's configuration word with its width, in
-/// layout order (see the module doc).
-pub fn fields(dp: &MergedDatapath) -> impl Iterator<Item = (Field, usize)> + '_ {
-    let units = dp.nodes.iter().enumerate().flat_map(|(node, unit)| {
-        let op_select = (Field::OpSelect(node), select_width(unit.ops.len()));
-        let payloads = unit
-            .ops
-            .iter()
-            .enumerate()
-            .filter_map(move |(op, &o)| Some((Field::Payload(node, op), payload_width(o)?)));
-        let ports = unit
-            .port_candidates
-            .iter()
-            .enumerate()
-            .map(move |(port, c)| (Field::PortSelect(node, port), select_width(c.len())));
-        std::iter::once(op_select).chain(payloads).chain(ports)
-    });
+/// Calls `visit` on every field of the datapath's configuration word
+/// with its width, in layout order (see the module doc).
+pub fn for_each_field(dp: &MergedDatapath, mut visit: impl FnMut(Field, usize)) {
+    for (node, unit) in dp.nodes.iter().enumerate() {
+        visit(Field::OpSelect(node), select_width(unit.ops.len()));
+        for (op, &o) in unit.ops.iter().enumerate() {
+            if let Some(width) = payload_width(o) {
+                visit(Field::Payload(node, op), width);
+            }
+        }
+        for (port, candidates) in unit.port_candidates.iter().enumerate() {
+            visit(Field::PortSelect(node, port), select_width(candidates.len()));
+        }
+    }
     let width = select_width(source_count(dp));
-    let outputs = [
-        (ValueType::Word, dp.word_outputs),
-        (ValueType::Bit, dp.bit_outputs),
-    ];
-    let outputs = outputs
-        .into_iter()
-        .flat_map(move |(ty, n)| (0..n).map(move |o| (Field::OutputSelect(ty, o), width)));
-    units.chain(outputs)
+    for (ty, outputs) in [(ValueType::Word, dp.word_outputs), (ValueType::Bit, dp.bit_outputs)] {
+        for output in 0..outputs {
+            visit(Field::OutputSelect(ty, output), width);
+        }
+    }
 }
 
 /// Size of the PE's source space, which output selects index.
@@ -89,6 +93,7 @@ pub(crate) fn source_count(dp: &MergedDatapath) -> usize {
 }
 
 /// A source's index in the PE's source space.
+#[inline]
 fn source_index(dp: &MergedDatapath, src: DpSource) -> usize {
     match src {
         DpSource::WordInput(k) => k as usize,
@@ -109,6 +114,7 @@ pub(crate) fn source_at(dp: &MergedDatapath, k: usize) -> DpSource {
 }
 
 /// The output selects of type `ty`.
+#[inline]
 fn out_sel(cfg: &DatapathConfig, ty: ValueType) -> &[DpSource] {
     match ty {
         ValueType::Word => &cfg.word_out_sel,
@@ -117,6 +123,7 @@ fn out_sel(cfg: &DatapathConfig, ty: ValueType) -> &[DpSource] {
 }
 
 /// The index of `op` among the unit's ops; payload ops match by kind.
+#[inline]
 fn op_index(unit: &DpNode, op: Op) -> Option<usize> {
     unit.ops.iter().position(|o| match (o, op) {
         (Op::Const(_), Op::Const(_))
@@ -135,6 +142,7 @@ struct BitWriter {
 
 impl BitWriter {
     /// Appends the low `width` bits of `value`.
+    #[inline]
     fn put(&mut self, mut value: u64, width: usize) {
         let mut left = width;
         while left > 0 {
@@ -194,7 +202,7 @@ pub fn pack_config_with(
     let mut bits = BitWriter::default();
     // the index and op the unit being walked runs, if it is active
     let mut active: Option<(usize, Op)> = None;
-    for (field, width) in fields(dp) {
+    for_each_field(dp, #[inline(always)] |field, width| {
         let value = match field {
             Field::OpSelect(node) => {
                 let op = cfg
@@ -223,7 +231,7 @@ pub fn pack_config_with(
                 .map_or(0, |&src| source_index(dp, src) as u64),
         };
         bits.put(value, width);
-    }
+    });
     bits.bytes
 }
 
@@ -267,16 +275,23 @@ pub fn unpack_config(
     let mut cfg = template.clone();
     // the op index the unit being walked selects
     let mut selected = 0;
-    for (field, width) in fields(dp) {
-        let v = bits.take(width).ok_or(UnpackError::Truncated)?;
+    let mut failed = None;
+    for_each_field(dp, #[inline(always)] |field, width| {
+        if failed.is_some() {
+            return;
+        }
+        let Some(v) = bits.take(width) else {
+            failed = Some(UnpackError::Truncated);
+            return;
+        };
         match field {
             Field::OpSelect(node) => {
-                let bad = UnpackError::OpSelect {
-                    unit: node as u32,
-                    select: v,
-                };
                 selected = v as usize;
-                let op = *dp.nodes[node].ops.get(selected).ok_or(bad)?;
+                let Some(&op) = dp.nodes[node].ops.get(selected) else {
+                    let unit = node as u32;
+                    failed = Some(UnpackError::OpSelect { unit, select: v });
+                    return;
+                };
                 if let Some(Some(nc)) = cfg.node_cfg.get_mut(node) {
                     nc.op = op;
                 }
@@ -309,8 +324,8 @@ pub fn unpack_config(
                 }
             }
         }
-    }
-    Ok(cfg)
+    });
+    failed.map_or(Ok(cfg), Err)
 }
 
 #[cfg(test)]
@@ -394,10 +409,13 @@ mod tests {
             bit_input_map: vec![],
             node_map: vec![],
         };
-        let lo: usize = fields(&dp)
-            .take_while(|&(f, _)| f != Field::OpSelect(alu))
-            .map(|(_, w)| w)
-            .sum();
+        let (mut at, mut lo) = (0, 0);
+        for_each_field(&dp, |field, width| {
+            if field == Field::OpSelect(alu) {
+                lo = at;
+            }
+            at += width;
+        });
         for select in 0..16u64 {
             let mut bytes = pack_config(&dp, &template);
             for b in 0..4 {

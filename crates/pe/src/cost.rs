@@ -29,9 +29,11 @@ impl PeArea {
 }
 
 /// Number of configuration bits a datapath needs: the width of every
-/// field of its layout ([`crate::fields`]).
+/// field of its layout ([`crate::for_each_field`]).
 pub fn config_bits(dp: &MergedDatapath) -> usize {
-    crate::config::fields(dp).map(|(_, width)| width).sum()
+    let mut bits = 0;
+    crate::config::for_each_field(dp, |_, width| bits += width);
+    bits
 }
 
 /// Computes the PE core area of a datapath.

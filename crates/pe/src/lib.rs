@@ -7,7 +7,7 @@
 //! * area / energy / timing estimates ([`pe_area`], [`config_energy`],
 //!   [`worst_critical_path`]),
 //! * synthesizable Verilog RTL ([`emit_verilog`]), and
-//! * the layout of its configuration word ([`fields`]), along which the
+//! * the layout of its configuration word ([`for_each_field`]), along which the
 //!   RTL is sliced and the bitstream packed ([`pack_config`]) and decoded
 //!   ([`unpack_config`]).
 //!
@@ -43,7 +43,7 @@ pub use baseline::{
     baseline_op_kinds, baseline_pe, baseline_pe_with_ops, BASELINE_ALU_OPS, BASELINE_CMP_OPS,
 };
 pub use config::{
-    fields, pack_config, pack_config_with, select_width, unpack_config, Field, UnpackError,
+    for_each_field, pack_config, pack_config_with, select_width, unpack_config, Field, UnpackError,
 };
 pub use cost::{
     config_bits, config_critical_path, config_energy, pe_area, structural_critical_path,

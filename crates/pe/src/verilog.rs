@@ -6,7 +6,7 @@
 //! op-select case per multi-op functional unit, per-configuration constant
 //! registers, output muxes, and (for pipelined PEs) stage registers.
 
-use crate::config::{fields, source_at, source_count, Field};
+use crate::config::{for_each_field, source_at, source_count, Field};
 use crate::pe_spec::PeSpec;
 use apex_ir::{Op, ValueType};
 use apex_merge::DpSource;
@@ -79,18 +79,16 @@ fn op_expr(op: Op, ins: &[String]) -> String {
 /// Emits a synthesizable Verilog-2001 module for the PE.
 ///
 /// Each configuration field reads its slice of the `cfg` port along the
-/// layout ([`crate::fields`]); the emitted module declares `localparam
+/// layout ([`crate::for_each_field`]); the emitted module declares `localparam
 /// CFG_BITS` with the total width.
 pub fn emit_verilog(spec: &PeSpec) -> String {
     let dp = &spec.datapath;
     let mut cfg_bits = 0;
-    let cfg: BTreeMap<Field, String> = fields(dp)
-        .map(|(field, width)| {
-            let lo = cfg_bits;
-            cfg_bits += width;
-            (field, slice(lo, width))
-        })
-        .collect();
+    let mut cfg: BTreeMap<Field, String> = BTreeMap::new();
+    for_each_field(dp, |field, width| {
+        cfg.insert(field, slice(cfg_bits, width));
+        cfg_bits += width;
+    });
     let mut body = String::new();
     let stage = |i: usize| -> u32 {
         spec.pipeline

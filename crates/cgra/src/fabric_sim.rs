@@ -71,7 +71,8 @@ impl std::fmt::Display for FabricSimError {
             }
             FabricSimError::OpSelect { node, unit, select } => write!(
                 f,
-                "node {node}: PE configuration in the bitstream selects op {select} of unit {unit}, which has fewer ops"
+                "node {node}: PE configuration in the bitstream selects op {select} \
+                 of unit {unit}, which has fewer ops"
             ),
             FabricSimError::Netlist(e) => write!(f, "decoded netlist failed to simulate: {e}"),
         }
@@ -141,7 +142,9 @@ pub fn decode_pe_configs(
         let node = i as u32;
         let cfg = unpack_config(dp, bits, &rule.config).map_err(|e| match e {
             UnpackError::Truncated => FabricSimError::TruncatedConfig { node },
-            UnpackError::OpSelect { unit, select } => FabricSimError::OpSelect { node, unit, select },
+            UnpackError::OpSelect { unit, select } => {
+                FabricSimError::OpSelect { node, unit, select }
+            }
         })?;
         out[i] = Some(cfg);
     }

@@ -113,15 +113,6 @@ pub(crate) fn source_at(dp: &MergedDatapath, k: usize) -> DpSource {
     }
 }
 
-/// The output selects of type `ty`.
-#[inline]
-fn out_sel(cfg: &DatapathConfig, ty: ValueType) -> &[DpSource] {
-    match ty {
-        ValueType::Word => &cfg.word_out_sel,
-        ValueType::Bit => &cfg.bit_out_sel,
-    }
-}
-
 /// The index of `op` among the unit's ops; payload ops match by kind.
 #[inline]
 fn op_index(unit: &DpNode, op: Op) -> Option<usize> {
@@ -226,9 +217,11 @@ pub fn pack_config_with(
                 .and_then(Option::as_ref)
                 .and_then(|nc| nc.port_sel.get(port))
                 .map_or(0, |&sel| u64::from(sel)),
-            Field::OutputSelect(ty, output) => out_sel(cfg, ty)
-                .get(output)
-                .map_or(0, |&src| source_index(dp, src) as u64),
+            Field::OutputSelect(ty, output) => {
+                let word = ty == ValueType::Word;
+                let sel = if word { &cfg.word_out_sel } else { &cfg.bit_out_sel };
+                sel.get(output).map_or(0, |&src| source_index(dp, src) as u64)
+            }
         };
         bits.put(value, width);
     });
@@ -315,10 +308,8 @@ pub fn unpack_config(
                 }
             }
             Field::OutputSelect(ty, output) => {
-                let sel = match ty {
-                    ValueType::Word => &mut cfg.word_out_sel,
-                    ValueType::Bit => &mut cfg.bit_out_sel,
-                };
+                let word = ty == ValueType::Word;
+                let sel = if word { &mut cfg.word_out_sel } else { &mut cfg.bit_out_sel };
                 if let Some(slot) = sel.get_mut(output) {
                     *slot = source_at(dp, v as usize);
                 }

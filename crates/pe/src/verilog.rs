@@ -102,8 +102,9 @@ pub fn emit_verilog(spec: &PeSpec) -> String {
         }
     };
 
-    // per-source delayed versions needed by pipeline stage crossings
-    let mut max_delay: BTreeMap<String, (usize, bool)> = BTreeMap::new(); // name -> (max delay, is_word)
+    // per-source delayed versions needed by pipeline stage crossings:
+    // name -> (max delay, is_word)
+    let mut max_delay: BTreeMap<String, (usize, bool)> = BTreeMap::new();
     if spec.pipeline.is_some() {
         for (v, node) in dp.nodes.iter().enumerate() {
             for port in &node.port_candidates {

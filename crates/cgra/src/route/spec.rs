@@ -202,44 +202,23 @@ mod properties {
     use crate::fabric::FabricConfig;
     use crate::place::{place, PlaceOptions};
     use crate::route::{route, verify_routed, RouteGraph, RouterState, NO_TILE};
-    use apex_ir::{Graph, Op};
+    use apex_ir::Op;
     use apex_map::map_application;
     use apex_pe::baseline_pe;
     use apex_rewrite::standard_ruleset;
+    use apex_testgen::DfgGen;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    fn arb_app() -> impl Strategy<Value = Graph> {
-        let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 4..40);
-        spec.prop_map(|ops| {
-            let mut g = Graph::new("prop_app");
-            let mut pool = vec![g.input(), g.input(), g.input(), g.input()];
-            for (sel, x, y) in ops {
-                let a = pool[(x as usize) % pool.len()];
-                let b = pool[(y as usize) % pool.len()];
-                let n = match sel {
-                    0 => g.add(Op::Add, &[a, b]),
-                    1 => g.add(Op::Mul, &[a, b]),
-                    2 => g.add(Op::Sub, &[a, b]),
-                    3 => g.add(Op::Umin, &[a, b]),
-                    _ => {
-                        let c = g.constant(x);
-                        g.add(Op::Add, &[a, c])
-                    }
-                };
-                pool.push(n);
-            }
-            // a couple of outputs
-            let n = pool.len();
-            let last = pool[n - 1];
-            let second = pool[n - 2];
-            g.output(last);
-            if second != last {
-                g.output(second);
-            }
-            g
-        })
-    }
+    /// Word DAGs over four inputs, read at the last two values.
+    const APP: DfgGen = DfgGen {
+        name: "prop_app",
+        inputs: (4, 0),
+        ops: &[Op::Add, Op::Mul, Op::Sub, Op::Umin],
+        const_ops: &[Op::Add],
+        len: 4..40,
+        outputs: (2, 0),
+    };
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -319,7 +298,7 @@ mod properties {
         /// by construction) it is bit-identical to the reference engine.
         #[test]
         fn incremental_routing_is_sound(
-            app in arb_app(),
+            app in APP,
             seed: u64,
             wt in 2usize..=5,
             bt in 2usize..=5,

@@ -5,49 +5,28 @@ use apex_cgra::{
     gather_stats, generate_bitstream, place, route, simulate_from_bitstream, verify_routed, Fabric,
     FabricConfig, FabricSimError, PlaceOptions, RouteOptions, TileKind,
 };
-use apex_ir::{Graph, Op};
+use apex_ir::Op;
 use apex_map::map_application;
 use apex_pe::baseline_pe;
 use apex_rewrite::standard_ruleset;
+use apex_testgen::DfgGen;
 use proptest::prelude::*;
 
-fn arb_app() -> impl Strategy<Value = Graph> {
-    let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 4..40);
-    spec.prop_map(|ops| {
-        let mut g = Graph::new("prop_app");
-        let mut pool = vec![g.input(), g.input(), g.input(), g.input()];
-        for (sel, x, y) in ops {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Mul, &[a, b]),
-                2 => g.add(Op::Sub, &[a, b]),
-                3 => g.add(Op::Umin, &[a, b]),
-                _ => {
-                    let c = g.constant(x);
-                    g.add(Op::Add, &[a, c])
-                }
-            };
-            pool.push(n);
-        }
-        // a couple of outputs
-        let n = pool.len();
-        let last = pool[n - 1];
-        let second = pool[n - 2];
-        g.output(last);
-        if second != last {
-            g.output(second);
-        }
-        g
-    })
-}
+/// Word DAGs over four inputs, read at the last two values.
+const APP: DfgGen = DfgGen {
+    name: "prop_app",
+    inputs: (4, 0),
+    ops: &[Op::Add, Op::Mul, Op::Sub, Op::Umin],
+    const_ops: &[Op::Add],
+    len: 4..40,
+    outputs: (2, 0),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn random_apps_place_route_and_verify(app in arb_app(), seed: u64) {
+    fn random_apps_place_route_and_verify(app in APP, seed: u64) {
         let pe = baseline_pe();
         let (rules, report) = standard_ruleset(&pe.datapath, &[], &[&app]).unwrap();
         prop_assert!(report.missing.is_empty());
@@ -92,7 +71,7 @@ proptest! {
     }
 
     #[test]
-    fn placement_seeds_change_layout_not_legality(app in arb_app()) {
+    fn placement_seeds_change_layout_not_legality(app in APP) {
         let pe = baseline_pe();
         let (rules, _) = standard_ruleset(&pe.datapath, &[], &[&app]).unwrap();
         let design = map_application(&app, &pe.datapath, &rules).unwrap();
@@ -115,7 +94,7 @@ proptest! {
     /// configuration bit that execution reads.
     #[test]
     fn bitstream_sim_matches_template_sim(
-        app in arb_app(),
+        app in APP,
         seed: u64,
         n_cycles in 0usize..6,
         pe_latency in 0u32..3,

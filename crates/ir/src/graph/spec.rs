@@ -1,10 +1,11 @@
 //! [`Graph::extract_subgraph`]'s executable specification, compiled only
 //! for tests: the original extraction, which finds sinks through a
-//! whole-graph fanout table. The property below requires the O(kept)
-//! extraction to return exactly its graph and node map.
+//! whole-graph fanout table, and the random graphs on which the O(kept)
+//! extraction must return exactly its graph and node map.
 
 use super::{Graph, NodeId};
 use crate::op::{Op, ValueType};
+use apex_testgen::{apex_ir::Op as GenOp, DfgGen};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The fanout-table extraction, retained as the specification of
@@ -56,46 +57,25 @@ pub(super) fn extract_subgraph_reference(
     (out, map)
 }
 
-/// Deterministic xorshift stream for the generated graphs and keep-sets.
-pub(super) struct XorShift(pub u64);
-
-impl XorShift {
-    pub(super) fn below(&mut self, n: usize) -> usize {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 % n as u64) as usize
-    }
-}
-
-/// A random valid graph mixing word and bit values, constants, registers
+/// Random valid graphs mixing word and bit values, constants, registers
 /// and primary outputs, so sinks of both types and kept outputs occur.
-pub(super) fn random_graph(rng: &mut XorShift) -> Graph {
-    let mut g = Graph::new("rand");
-    let mut words = vec![g.input(), g.input()];
-    let mut bits = vec![g.bit_input()];
-    for _ in 0..3 + rng.below(30) {
-        let w = |rng: &mut XorShift| words[rng.below(words.len())];
-        let (a, b) = (w(rng), w(rng));
-        let s = bits[rng.below(bits.len())];
-        match rng.below(9) {
-            0 => words.push(g.add(Op::Add, &[a, b])),
-            1 => words.push(g.add(Op::Mul, &[a, b])),
-            2 => {
-                let c = g.constant(rng.below(100) as u16);
-                words.push(g.add(Op::Sub, &[a, c]));
-            }
-            3 => bits.push(g.add(Op::Slt, &[a, b])),
-            4 => words.push(g.add(Op::Mux, &[a, b, s])),
-            5 => bits.push(g.add(Op::BitNot, &[s])),
-            6 => words.push(g.add(Op::Reg, &[a])),
-            7 => {
-                g.output(a);
-            }
-            _ => {
-                g.bit_output(s);
-            }
-        }
-    }
-    g
-}
+/// `apex-testgen` links the non-test build of this crate, a second copy
+/// whose `Graph` cannot reach this module: its ops are that copy's, and
+/// its graphs arrive as DFG text.
+pub(super) const MIXED: DfgGen = DfgGen {
+    name: "rand",
+    inputs: (2, 1),
+    ops: &[
+        GenOp::Add,
+        GenOp::Mul,
+        GenOp::Slt,
+        GenOp::Mux,
+        GenOp::BitNot,
+        GenOp::Reg,
+        GenOp::Output,
+        GenOp::BitOutput,
+    ],
+    const_ops: &[GenOp::Sub],
+    len: 3..33,
+    outputs: (0, 0),
+};

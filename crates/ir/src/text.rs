@@ -352,29 +352,4 @@ n5 = bitoutput n4
         let err = from_text(src).unwrap_err();
         assert_eq!(err.line, 3);
     }
-
-    #[test]
-    fn every_benchmark_round_trips() {
-        // exercised more broadly in apps' tests; here a dense graph
-        let mut g = Graph::new("dense");
-        let mut pool = vec![g.input(), g.input()];
-        for i in 0..40u16 {
-            let a = pool[i as usize % pool.len()];
-            let b = pool[(i as usize * 7 + 1) % pool.len()];
-            let n = match i % 5 {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Mul, &[a, b]),
-                2 => g.add(Op::Umax, &[a, b]),
-                3 => {
-                    let c = g.constant(i);
-                    g.add(Op::Xor, &[a, c])
-                }
-                _ => g.add(Op::Sub, &[a, b]),
-            };
-            pool.push(n);
-        }
-        let last = *pool.last().unwrap();
-        g.output(last);
-        assert_eq!(from_text(&to_text(&g)).unwrap(), g);
-    }
 }

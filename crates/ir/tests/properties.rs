@@ -1,7 +1,8 @@
 //! Property tests on the IR: algebraic identities of the operation
 //! semantics and graph invariants.
 
-use apex_ir::{Graph, Op, OpKind, Value, ValueType, ALL_OP_KINDS};
+use apex_ir::{from_text, to_text, Op, OpKind, Value, ValueType, ALL_OP_KINDS};
+use apex_testgen::DfgGen;
 use proptest::prelude::*;
 
 proptest! {
@@ -80,52 +81,56 @@ proptest! {
 
 // ---- typed evaluation vs raw lanes ------------------------------------------
 
-/// Every variant `Op::eval` can evaluate (primary inputs have none), with
-/// all 256 `Lut` tables.
+/// One of every variant `Op::eval` can evaluate (primary inputs have
+/// none); the graph generator draws each payload afresh.
+const EVERY_OP: &[Op] = &[
+    Op::Output,
+    Op::BitOutput,
+    Op::Const(0),
+    Op::BitConst(false),
+    Op::Reg,
+    Op::BitReg,
+    Op::Fifo(3),
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::Abs,
+    Op::Smin,
+    Op::Smax,
+    Op::Umin,
+    Op::Umax,
+    Op::Shl,
+    Op::Lshr,
+    Op::Ashr,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Not,
+    Op::Mux,
+    Op::Eq,
+    Op::Neq,
+    Op::Slt,
+    Op::Sle,
+    Op::Sgt,
+    Op::Sge,
+    Op::Ult,
+    Op::Ule,
+    Op::Ugt,
+    Op::Uge,
+    Op::BitAnd,
+    Op::BitOr,
+    Op::BitXor,
+    Op::BitNot,
+    Op::BitMux,
+    Op::Lut(0),
+];
+
+/// Every variant `Op::eval` can evaluate, with both signs of `Const`,
+/// both `BitConst`s and all 256 `Lut` tables.
 fn evaluable_ops() -> Vec<Op> {
-    let mut ops = vec![
-        Op::Output,
-        Op::BitOutput,
-        Op::Const(0),
-        Op::Const(0x8000),
-        Op::BitConst(false),
-        Op::BitConst(true),
-        Op::Reg,
-        Op::BitReg,
-        Op::Fifo(3),
-        Op::Add,
-        Op::Sub,
-        Op::Mul,
-        Op::Abs,
-        Op::Smin,
-        Op::Smax,
-        Op::Umin,
-        Op::Umax,
-        Op::Shl,
-        Op::Lshr,
-        Op::Ashr,
-        Op::And,
-        Op::Or,
-        Op::Xor,
-        Op::Not,
-        Op::Mux,
-        Op::Eq,
-        Op::Neq,
-        Op::Slt,
-        Op::Sle,
-        Op::Sgt,
-        Op::Sge,
-        Op::Ult,
-        Op::Ule,
-        Op::Ugt,
-        Op::Uge,
-        Op::BitAnd,
-        Op::BitOr,
-        Op::BitXor,
-        Op::BitNot,
-        Op::BitMux,
-    ];
-    ops.extend((0..=255u8).map(Op::Lut));
+    let mut ops = EVERY_OP.to_vec();
+    ops.extend([Op::Const(0x8000), Op::BitConst(true)]);
+    ops.extend((1..=255u8).map(Op::Lut));
     ops
 }
 
@@ -197,40 +202,40 @@ proptest! {
 
 // ---- random graphs: interpreter vs simulator -------------------------------
 
-fn arb_word_graph() -> impl Strategy<Value = Graph> {
-    let spec = prop::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u16>()), 1..24);
-    spec.prop_map(|ops| {
-        let mut g = Graph::new("prop");
-        let mut pool = vec![g.input(), g.input(), g.input()];
-        for (sel, x, y, payload) in ops {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Sub, &[a, b]),
-                2 => g.add(Op::Mul, &[a, b]),
-                3 => g.add(Op::Umax, &[a, b]),
-                4 => g.add(Op::Lshr, &[a, b]),
-                5 => {
-                    let c = g.constant(payload);
-                    g.add(Op::Xor, &[a, c])
-                }
-                6 => g.add(Op::Reg, &[a]),
-                _ => g.add(Op::Abs, &[a]),
-            };
-            pool.push(n);
-        }
-        let out = *pool.last().unwrap();
-        g.output(out);
-        g
-    })
-}
+/// Word DAGs over three inputs, read at the last value.
+const WORD_GRAPH: DfgGen = DfgGen {
+    name: "prop",
+    inputs: (3, 0),
+    ops: &[
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Umax,
+        Op::Lshr,
+        Op::Reg,
+        Op::Abs,
+    ],
+    const_ops: &[Op::Xor],
+    len: 1..24,
+    outputs: (1, 0),
+};
+
+/// Graphs over the whole catalogue: every evaluable op, bit ops, LUTs,
+/// constants, registers and mid-graph outputs included.
+const ANY_GRAPH: DfgGen = DfgGen {
+    name: "any",
+    inputs: (3, 2),
+    ops: EVERY_OP,
+    const_ops: &[],
+    len: 1..40,
+    outputs: (1, 1),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn validate_accepts_generated_graphs(g in arb_word_graph()) {
+    fn validate_accepts_generated_graphs(g in WORD_GRAPH) {
         prop_assert!(g.try_validate().is_ok());
         // node vector is a topological order by construction
         for (id, node) in g.iter() {
@@ -241,7 +246,7 @@ proptest! {
     }
 
     #[test]
-    fn extract_subgraph_preserves_validity(g in arb_word_graph(), pick: u8) {
+    fn extract_subgraph_preserves_validity(g in WORD_GRAPH, pick: u8) {
         let compute = g.compute_nodes();
         if compute.is_empty() {
             return Ok(());
@@ -252,5 +257,17 @@ proptest! {
         let (sub, map) = g.extract_subgraph(keep, "chunk");
         prop_assert!(sub.try_validate().is_ok());
         prop_assert_eq!(map.len(), keep.len());
+    }
+
+    /// DFG text is how generated graphs reach `apex-ir`'s own spec
+    /// modules: it round-trips every op, and its rendering is a fixed
+    /// point.
+    #[test]
+    fn generated_graphs_round_trip_through_text(g in ANY_GRAPH) {
+        prop_assert!(g.try_validate().is_ok());
+        let text = to_text(&g);
+        let back = from_text(&text).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&back, &g);
+        prop_assert_eq!(to_text(&back), text);
     }
 }

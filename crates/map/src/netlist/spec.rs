@@ -183,43 +183,28 @@ impl Netlist {
 /// (ring buffers, drain cycles) is exercised alongside the PE path.
 mod properties {
     use crate::{map_application, NetKind, NetRef};
-    use apex_ir::{Graph, Op, ValueType};
+    use apex_ir::{Op, ValueType};
     use apex_pe::baseline_pe;
     use apex_rewrite::standard_ruleset;
+    use apex_testgen::DfgGen;
     use proptest::prelude::*;
 
-    fn arb_app() -> impl Strategy<Value = Graph> {
-        let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 4..32);
-        spec.prop_map(|ops| {
-            let mut g = Graph::new("sim_prop_app");
-            let mut pool = vec![g.input(), g.input(), g.input()];
-            for (sel, x, y) in ops {
-                let a = pool[(x as usize) % pool.len()];
-                let b = pool[(y as usize) % pool.len()];
-                let n = match sel {
-                    0 => g.add(Op::Add, &[a, b]),
-                    1 => g.add(Op::Mul, &[a, b]),
-                    2 => g.add(Op::Sub, &[a, b]),
-                    3 => g.add(Op::Umin, &[a, b]),
-                    _ => {
-                        let c = g.constant(x);
-                        g.add(Op::Add, &[a, c])
-                    }
-                };
-                pool.push(n);
-            }
-            let last = pool[pool.len() - 1];
-            g.output(last);
-            g
-        })
-    }
+    /// Word DAGs over three inputs, read at the last value.
+    const APP: DfgGen = DfgGen {
+        name: "sim_prop_app",
+        inputs: (3, 0),
+        ops: &[Op::Add, Op::Mul, Op::Sub, Op::Umin],
+        const_ops: &[Op::Add],
+        len: 4..32,
+        outputs: (1, 0),
+    };
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn compiled_sim_matches_reference(
-            app in arb_app(),
+            app in APP,
             splices in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..4), 0..8),
             n_cycles in 0usize..6,
             pe_latency in 0u32..4,
@@ -309,7 +294,7 @@ mod properties {
         /// produce the same `InputShortage` from both engines.
         #[test]
         fn compiled_sim_matches_reference_on_short_inputs(
-            app in arb_app(),
+            app in APP,
             drop in 1usize..3,
             pe_latency in 0u32..2,
         ) {

@@ -150,10 +150,11 @@ fn resolve(s: Src, values: &[Value], scratch: &[Value]) -> Value {
 mod properties {
     use super::super::CompiledSim;
     use crate::{map_application, NetKind, NetRef, Netlist, NetlistError, PeInstance, SimStreams};
-    use apex_ir::{Graph, NodeId, Op, ValueType};
+    use apex_ir::{Op, ValueType};
     use apex_merge::{DatapathConfig, DpSource, MergedDatapath};
     use apex_pe::baseline_pe;
     use apex_rewrite::{standard_ruleset, RuleSet};
+    use apex_testgen::DfgGen;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -287,35 +288,15 @@ mod properties {
     }
 
     /// Word and bit inputs feeding word ops, muxes, compares and LUTs,
-    /// with word and bit outputs.
-    fn arb_mixed_app() -> impl Strategy<Value = Graph> {
-        let spec = prop::collection::vec((0u8..7, any::<u16>(), any::<u16>(), any::<u16>()), 4..24);
-        spec.prop_map(|ops| {
-            let mut g = Graph::new("sim_lane_app");
-            let mut words = vec![g.input(), g.input()];
-            let mut bits = vec![g.bit_input(), g.bit_input()];
-            let pick = |pool: &[NodeId], k: u16| pool[k as usize % pool.len()];
-            for (sel, x, y, z) in ops {
-                let (wx, wy) = (pick(&words, x), pick(&words, y));
-                let (bx, by, bz) = (pick(&bits, x), pick(&bits, y), pick(&bits, z));
-                match sel {
-                    0 => words.push(g.add(Op::Add, &[wx, wy])),
-                    1 => words.push(g.add(Op::Mux, &[wx, wy, bz])),
-                    2 => bits.push(g.add(Op::Ult, &[wx, wy])),
-                    3 => bits.push(g.add(Op::Slt, &[wx, wy])),
-                    4 => bits.push(g.add(Op::Lut(z as u8), &[bx, by, bz])),
-                    5 => words.push(g.add(Op::Sub, &[wx, wy])),
-                    _ => {
-                        let c = g.constant(z);
-                        words.push(g.add(Op::Smax, &[wx, c]));
-                    }
-                }
-            }
-            g.output(words[words.len() - 1]);
-            g.bit_output(bits[bits.len() - 1]);
-            g
-        })
-    }
+    /// read at the last word and the last bit value.
+    const MIXED_APP: DfgGen = DfgGen {
+        name: "sim_lane_app",
+        inputs: (2, 2),
+        ops: &[Op::Add, Op::Mux, Op::Ult, Op::Slt, Op::Lut(0), Op::Sub],
+        const_ops: &[Op::Smax],
+        len: 4..24,
+        outputs: (1, 1),
+    };
 
     /// Splices a delay onto each chosen edge: word edges get a Reg or a
     /// Fifo (depth 1..=3), bit edges a BitReg.
@@ -348,7 +329,7 @@ mod properties {
         /// latency is non-zero).
         #[test]
         fn lanes_match_cycle_major_on_mixed_netlists(
-            app in arb_mixed_app(),
+            app in MIXED_APP,
             splices in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..4), 0..8),
             n_cycles in 0usize..6,
             lens in prop::collection::vec(0u8..5, 4),
@@ -410,7 +391,7 @@ mod properties {
         /// cycle at all stays `Ok`.
         #[test]
         fn errors_match_cycle_major_and_interpreter(
-            app in arb_mixed_app(),
+            app in MIXED_APP,
             n_cycles in 0usize..3,
             pe_latency in 0u32..2,
             drop_word: bool,

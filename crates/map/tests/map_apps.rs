@@ -2,10 +2,10 @@
 //! baseline PE, and the mapped netlist is functionally identical to the
 //! application's IR golden model.
 
-use apex_ir::{evaluate as ir_eval, Op, Value};
 use apex_map::{map_application, NetKind};
 use apex_pe::baseline_pe;
 use apex_rewrite::standard_ruleset;
+use apex_testgen::{input_counts, ir_golden};
 
 fn check_equivalence(app: &apex_apps::Application, trials: usize) -> apex_map::MapStats {
     let pe = baseline_pe();
@@ -23,16 +23,7 @@ fn check_equivalence(app: &apex_apps::Application, trials: usize) -> apex_map::M
         .validate(&rules)
         .unwrap_or_else(|e| panic!("{}: {e}", app.info.name));
 
-    let word_n = app
-        .graph
-        .node_ids()
-        .filter(|&i| app.graph.op(i) == Op::Input)
-        .count();
-    let bit_n = app
-        .graph
-        .node_ids()
-        .filter(|&i| app.graph.op(i) == Op::BitInput)
-        .count();
+    let (word_n, bit_n) = input_counts(&app.graph);
     let mut seed = 0x1234_5678_9ABC_DEF0u64;
     let mut next = move || {
         seed ^= seed << 13;
@@ -45,34 +36,16 @@ fn check_equivalence(app: &apex_apps::Application, trials: usize) -> apex_map::M
             .map(|_| if t == 0 { 37 } else { next() as u16 & 0xFF })
             .collect();
         let bits: Vec<bool> = (0..bit_n).map(|_| next() & 1 == 1).collect();
-        let mut wi = words.iter();
-        let mut bi = bits.iter();
-        let golden_in: Vec<Value> = app
-            .graph
-            .primary_inputs()
-            .iter()
-            .map(|&pi| match app.graph.op(pi) {
-                Op::Input => Value::Word(*wi.next().unwrap()),
-                Op::BitInput => Value::Bit(*bi.next().unwrap()),
-                _ => unreachable!(),
-            })
-            .collect();
-        let golden = ir_eval(&app.graph, &golden_in);
-        let (got_w, got_b) = design.netlist.evaluate(&pe.datapath, &rules, &words, &bits).unwrap();
-        let mut gw = got_w.into_iter();
-        let mut gb = got_b.into_iter();
-        for (po, g) in app.graph.primary_outputs().iter().zip(golden) {
-            match app.graph.op(*po) {
-                Op::Output => assert_eq!(
-                    gw.next().unwrap(),
-                    g.word(),
-                    "{} trial {t}: word output mismatch",
-                    app.info.name
-                ),
-                Op::BitOutput => assert_eq!(gb.next().unwrap(), g.bit(), "{}", app.info.name),
-                _ => unreachable!(),
-            }
-        }
+        let got = design
+            .netlist
+            .evaluate(&pe.datapath, &rules, &words, &bits)
+            .unwrap();
+        assert_eq!(
+            got,
+            ir_golden(&app.graph, &words, &bits),
+            "{} trial {t}",
+            app.info.name
+        );
     }
     design.stats
 }

@@ -1,10 +1,11 @@
 //! Behavioural tests: merged datapaths must still implement every source
 //! subgraph exactly, stay acyclic, and actually save hardware.
 
-use apex_ir::{evaluate as ir_eval, Graph, Op, Value};
+use apex_ir::{Graph, Op};
 use apex_merge::{merge_all, merge_graph, MergeOptions, MergedDatapath};
 use apex_mining::{mine, MinerConfig};
 use apex_tech::TechModel;
+use apex_testgen::{input_counts, ir_golden, DfgGen};
 use proptest::prelude::*;
 
 fn tech() -> TechModel {
@@ -14,14 +15,7 @@ fn tech() -> TechModel {
 /// Checks one config of a merged datapath against the IR golden model on
 /// a set of input vectors.
 fn assert_config_matches(dp: &MergedDatapath, cfg_idx: usize, graph: &Graph, trials: u64) {
-    let word_n = graph
-        .node_ids()
-        .filter(|&i| graph.op(i) == Op::Input)
-        .count();
-    let bit_n = graph
-        .node_ids()
-        .filter(|&i| graph.op(i) == Op::BitInput)
-        .count();
+    let (word_n, bit_n) = input_counts(graph);
     let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (cfg_idx as u64);
     let mut next = move || {
         seed ^= seed << 13;
@@ -32,31 +26,10 @@ fn assert_config_matches(dp: &MergedDatapath, cfg_idx: usize, graph: &Graph, tri
     for _ in 0..trials {
         let words: Vec<u16> = (0..word_n).map(|_| next() as u16).collect();
         let bits: Vec<bool> = (0..bit_n).map(|_| next() & 1 == 1).collect();
-        // the graph interleaves word/bit inputs in insertion order
-        let mut wi = words.iter();
-        let mut bi = bits.iter();
-        let golden_inputs: Vec<Value> = graph
-            .primary_inputs()
-            .iter()
-            .map(|&pi| match graph.op(pi) {
-                Op::Input => Value::Word(*wi.next().unwrap()),
-                Op::BitInput => Value::Bit(*bi.next().unwrap()),
-                _ => unreachable!(),
-            })
-            .collect();
-        let golden = ir_eval(graph, &golden_inputs);
-        let (got_w, got_b) = dp
+        let got = dp
             .evaluate_as_source(&dp.configs[cfg_idx], &words, &bits)
             .expect("valid config");
-        let mut gw = got_w.into_iter();
-        let mut gb = got_b.into_iter();
-        for (po, g) in graph.primary_outputs().iter().zip(golden) {
-            match graph.op(*po) {
-                Op::Output => assert_eq!(gw.next().unwrap(), g.word(), "word output mismatch"),
-                Op::BitOutput => assert_eq!(gb.next().unwrap(), g.bit(), "bit output mismatch"),
-                _ => unreachable!(),
-            }
-        }
+        assert_eq!(got, ir_golden(graph, &words, &bits), "config {cfg_idx}");
     }
 }
 
@@ -267,39 +240,24 @@ fn merge_mined_subgraphs_from_convolution() {
 // property test: random DAG pairs merge soundly
 // ---------------------------------------------------------------------------
 
-fn arb_graph(name: &'static str) -> impl Strategy<Value = Graph> {
-    // build a random small word-only DAG from a sequence of op choices
-    let ops = prop::collection::vec((0u8..6, any::<u16>(), any::<u16>()), 1..8);
-    ops.prop_map(move |spec| {
-        let mut g = Graph::new(name);
-        let mut pool: Vec<apex_ir::NodeId> = vec![g.input(), g.input()];
-        for (sel, x, y) in spec {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Sub, &[a, b]),
-                2 => g.add(Op::Mul, &[a, b]),
-                3 => g.add(Op::Smax, &[a, b]),
-                4 => {
-                    let c = g.constant(x);
-                    g.add(Op::Mul, &[a, c])
-                }
-                _ => g.add(Op::Lshr, &[a, b]),
-            };
-            pool.push(n);
-        }
-        let last = *pool.last().unwrap();
-        g.output(last);
-        g
-    })
-}
+/// Small word DAGs over two inputs, read at the last value.
+const GRAPH: DfgGen = DfgGen {
+    name: "p",
+    inputs: (2, 0),
+    ops: &[Op::Add, Op::Sub, Op::Mul, Op::Smax, Op::Lshr],
+    const_ops: &[Op::Mul],
+    len: 1..8,
+    outputs: (1, 0),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn random_merges_preserve_both_configs(g1 in arb_graph("p1"), g2 in arb_graph("p2")) {
+    fn random_merges_preserve_both_configs(
+        g1 in DfgGen { name: "p1", ..GRAPH },
+        g2 in DfgGen { name: "p2", ..GRAPH },
+    ) {
         let (dp, _) = merge_graph(
             &MergedDatapath::from_graph(&g1),
             &g2,

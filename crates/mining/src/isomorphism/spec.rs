@@ -211,6 +211,7 @@ mod properties {
     use crate::{find_embeddings, mine, MinerConfig};
     use apex_fault::{Budget, Provenance};
     use apex_ir::{Graph, Op};
+    use apex_testgen::DfgGen;
     use proptest::prelude::*;
 
     /// What [`check_growth`] exercised.
@@ -350,39 +351,22 @@ mod properties {
         assert!(total.capped > 0, "{total:?}");
     }
 
-    fn arb_graph() -> impl Strategy<Value = Graph> {
-        let spec = prop::collection::vec((0u8..6, any::<u16>(), any::<u16>()), 4..40);
-        spec.prop_map(|ops| {
-            let mut g = Graph::new("prop");
-            let mut pool = vec![g.input(), g.input()];
-            for (sel, x, y) in ops {
-                let a = pool[(x as usize) % pool.len()];
-                let b = pool[(y as usize) % pool.len()];
-                let n = match sel {
-                    0 => g.add(Op::Add, &[a, b]),
-                    1 => g.add(Op::Mul, &[a, b]),
-                    2 => g.add(Op::Sub, &[a, b]),
-                    3 => {
-                        let c = g.constant(x);
-                        g.add(Op::Mul, &[a, c])
-                    }
-                    4 => g.add(Op::Umax, &[a, b]),
-                    _ => g.add(Op::Lshr, &[a, b]),
-                };
-                pool.push(n);
-            }
-            let last = *pool.last().unwrap();
-            g.output(last);
-            g
-        })
-    }
+    /// Word DAGs over two inputs, read at the last value.
+    const GRAPH: DfgGen = DfgGen {
+        name: "prop",
+        inputs: (2, 0),
+        ops: &[Op::Add, Op::Mul, Op::Sub, Op::Umax, Op::Lshr],
+        const_ops: &[Op::Mul],
+        len: 4..40,
+        outputs: (1, 0),
+    };
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
         fn grown_lists_equal_the_search_on_arbitrary_graphs(
-            g in arb_graph(),
+            g in GRAPH,
             limit in 1usize..60,
             cap in 0u32..2048,
         ) {
@@ -403,7 +387,7 @@ mod properties {
         }
 
         #[test]
-        fn soa_search_matches_reference_matcher(g in arb_graph()) {
+        fn soa_search_matches_reference_matcher(g in GRAPH) {
             // the SoA/bitset search must return EXACTLY the embedding
             // sequence of the retained naive reference matcher — same rows,
             // same order, same truncation — on every mined pattern shape

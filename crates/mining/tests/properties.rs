@@ -1,44 +1,28 @@
 //! Property tests on the miner: soundness of reported statistics on
 //! random DAGs, canonical-code invariance, and MIS independence.
 
-use apex_ir::{Graph, NodeId, Op};
+use apex_ir::{NodeId, Op};
 use apex_mining::{
     find_embeddings, maximal_independent_set, mine, GraphIndex, MinerConfig, Pattern,
 };
+use apex_testgen::DfgGen;
 use proptest::prelude::*;
 
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    let spec = prop::collection::vec((0u8..6, any::<u16>(), any::<u16>()), 4..40);
-    spec.prop_map(|ops| {
-        let mut g = Graph::new("prop");
-        let mut pool = vec![g.input(), g.input()];
-        for (sel, x, y) in ops {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Mul, &[a, b]),
-                2 => g.add(Op::Sub, &[a, b]),
-                3 => {
-                    let c = g.constant(x);
-                    g.add(Op::Mul, &[a, c])
-                }
-                4 => g.add(Op::Umax, &[a, b]),
-                _ => g.add(Op::Lshr, &[a, b]),
-            };
-            pool.push(n);
-        }
-        let last = *pool.last().unwrap();
-        g.output(last);
-        g
-    })
-}
+/// Word DAGs over two inputs, read at the last value.
+const GRAPH: DfgGen = DfgGen {
+    name: "prop",
+    inputs: (2, 0),
+    ops: &[Op::Add, Op::Mul, Op::Sub, Op::Umax, Op::Lshr],
+    const_ops: &[Op::Mul],
+    len: 4..40,
+    outputs: (1, 0),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn every_occurrence_is_an_induced_match(g in arb_graph()) {
+    fn every_occurrence_is_an_induced_match(g in GRAPH) {
         let mined = mine(&g, &MinerConfig {
             min_support: 2,
             max_pattern_nodes: 4,
@@ -68,7 +52,7 @@ proptest! {
     }
 
     #[test]
-    fn mis_is_independent_and_maximal(g in arb_graph()) {
+    fn mis_is_independent_and_maximal(g in GRAPH) {
         let mined = mine(&g, &MinerConfig {
             min_support: 2,
             max_pattern_nodes: 3,
@@ -97,7 +81,7 @@ proptest! {
     }
 
     #[test]
-    fn canonical_code_is_invariant_under_relabeling(g in arb_graph(), seed: u64) {
+    fn canonical_code_is_invariant_under_relabeling(g in GRAPH, seed: u64) {
         // pick a random small occurrence and rebuild the pattern from a
         // permuted node order: codes must match
         let compute = g.compute_nodes();
@@ -114,7 +98,7 @@ proptest! {
     }
 
     #[test]
-    fn utilizable_occurrences_are_a_subset(g in arb_graph()) {
+    fn utilizable_occurrences_are_a_subset(g in GRAPH) {
         let mined = mine(&g, &MinerConfig {
             min_support: 2,
             max_pattern_nodes: 3,
@@ -138,7 +122,7 @@ proptest! {
     }
 
     #[test]
-    fn mined_datapaths_validate_and_evaluate(g in arb_graph()) {
+    fn mined_datapaths_validate_and_evaluate(g in GRAPH) {
         let mined = mine(&g, &MinerConfig {
             min_support: 2,
             max_pattern_nodes: 4,

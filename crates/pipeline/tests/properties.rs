@@ -1,45 +1,30 @@
 //! Property tests: branch-delay matching must preserve streaming
 //! semantics for arbitrary mapped applications and PE latencies.
 
-use apex_ir::{Graph, Op};
+use apex_ir::Op;
 use apex_map::map_application;
 use apex_pe::baseline_pe;
 use apex_pipeline::{pipeline_application, AppPipelineOptions};
 use apex_rewrite::standard_ruleset;
+use apex_testgen::DfgGen;
 use proptest::prelude::*;
 
-fn arb_app() -> impl Strategy<Value = Graph> {
-    let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 3..30);
-    spec.prop_map(|ops| {
-        let mut g = Graph::new("prop_app");
-        let mut pool = vec![g.input(), g.input(), g.input()];
-        for (sel, x, y) in ops {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Mul, &[a, b]),
-                2 => g.add(Op::Sub, &[a, b]),
-                3 => g.add(Op::Smax, &[a, b]),
-                _ => {
-                    let c = g.constant(x);
-                    g.add(Op::Mul, &[a, c])
-                }
-            };
-            pool.push(n);
-        }
-        let last = *pool.last().unwrap();
-        g.output(last);
-        g
-    })
-}
+/// Word DAGs over three inputs, read at the last value.
+const APP: DfgGen = DfgGen {
+    name: "prop_app",
+    inputs: (3, 0),
+    ops: &[Op::Add, Op::Mul, Op::Sub, Op::Smax],
+    const_ops: &[Op::Mul],
+    len: 3..30,
+    outputs: (1, 0),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn branch_delay_matching_preserves_streams(
-        app in arb_app(),
+        app in APP,
         lat in 0u32..4,
         cutoff in 0u32..4,
         inputs in prop::collection::vec(any::<u16>(), 3)

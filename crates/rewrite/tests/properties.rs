@@ -6,41 +6,26 @@ use apex_ir::{Graph, Op};
 use apex_merge::{merge_all, MergeOptions};
 use apex_rewrite::{standard_ruleset, synthesize_op_rule, verify_rule};
 use apex_tech::TechModel;
+use apex_testgen::DfgGen;
 use proptest::prelude::*;
 
-fn arb_subgraph(name: &'static str) -> impl Strategy<Value = Graph> {
-    let spec = prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 2..8);
-    spec.prop_map(move |ops| {
-        let mut g = Graph::new(name);
-        let mut pool = vec![g.input(), g.input()];
-        for (sel, x, y) in ops {
-            let a = pool[(x as usize) % pool.len()];
-            let b = pool[(y as usize) % pool.len()];
-            let n = match sel {
-                0 => g.add(Op::Add, &[a, b]),
-                1 => g.add(Op::Mul, &[a, b]),
-                2 => g.add(Op::Sub, &[a, b]),
-                3 => {
-                    let c = g.constant(x);
-                    g.add(Op::Mul, &[a, c])
-                }
-                _ => g.add(Op::Smax, &[a, b]),
-            };
-            pool.push(n);
-        }
-        let last = *pool.last().unwrap();
-        g.output(last);
-        g
-    })
-}
+/// Small word DAGs over two inputs, read at the last value.
+const SUBGRAPH: DfgGen = DfgGen {
+    name: "p",
+    inputs: (2, 0),
+    ops: &[Op::Add, Op::Mul, Op::Sub, Op::Smax],
+    const_ops: &[Op::Mul],
+    len: 2..8,
+    outputs: (1, 0),
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
     fn rulesets_for_random_merged_pes_all_verify(
-        g1 in arb_subgraph("p1"),
-        g2 in arb_subgraph("p2")
+        g1 in DfgGen { name: "p1", ..SUBGRAPH },
+        g2 in DfgGen { name: "p2", ..SUBGRAPH }
     ) {
         let tech = TechModel::default();
         let (dp, _) = merge_all(

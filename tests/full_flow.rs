@@ -11,12 +11,12 @@ use apex::core::{
     baseline_variant, evaluate_app, pe1_variant, specialized_variant, EvalOptions,
     SubgraphSelection,
 };
-use apex::ir::{evaluate as ir_eval, Op, Value};
 use apex::map::map_application;
 use apex::merge::MergeOptions;
 use apex::mining::MinerConfig;
 use apex::pipeline::{pipeline_application, AppPipelineOptions};
 use apex::tech::TechModel;
+use apex_testgen::{input_counts, ir_golden};
 use std::collections::BTreeSet;
 
 /// Deterministic xorshift for test vectors.
@@ -71,12 +71,12 @@ fn specialized_cgra_streams_bit_exact_results() {
         .unwrap();
 
     for t in 0..CYCLES {
-        let inputs: Vec<Value> = (0..n_in).map(|i| Value::Word(streams[i][t])).collect();
-        let golden = ir_eval(&app.graph, &inputs);
+        let inputs: Vec<u16> = streams.iter().map(|s| s[t]).collect();
+        let (golden, _) = ir_golden(&app.graph, &inputs, &[]);
         for (o, g) in outs.iter().zip(golden) {
             assert_eq!(
                 o[t + report.latency as usize],
-                g.word(),
+                g,
                 "pipelined fabric output must match the golden model at cycle {t}"
             );
         }
@@ -142,45 +142,20 @@ fn specialization_never_loses_functionality() {
             map_application(&app.graph, &variant.spec.datapath, &variant.rules).unwrap();
 
         let mut next = rng(app.info.name.len() as u64);
-        let word_n = app
-            .graph
-            .node_ids()
-            .filter(|&i| app.graph.op(i) == Op::Input)
-            .count();
-        let bit_n = app
-            .graph
-            .node_ids()
-            .filter(|&i| app.graph.op(i) == Op::BitInput)
-            .count();
+        let (word_n, bit_n) = input_counts(&app.graph);
         for _ in 0..3 {
             let words: Vec<u16> = (0..word_n).map(|_| next() as u16 & 0xFF).collect();
             let bits: Vec<bool> = (0..bit_n).map(|_| next() & 1 == 1).collect();
-            let mut wi = words.iter();
-            let mut bi = bits.iter();
-            let golden_in: Vec<Value> = app
-                .graph
-                .primary_inputs()
-                .iter()
-                .map(|&pi| match app.graph.op(pi) {
-                    Op::Input => Value::Word(*wi.next().unwrap()),
-                    Op::BitInput => Value::Bit(*bi.next().unwrap()),
-                    _ => unreachable!(),
-                })
-                .collect();
-            let golden = ir_eval(&app.graph, &golden_in);
-            let (got_w, got_b) = design
+            let got = design
                 .netlist
                 .evaluate(&variant.spec.datapath, &variant.rules, &words, &bits)
                 .unwrap();
-            let mut gw = got_w.into_iter();
-            let mut gb = got_b.into_iter();
-            for (po, g) in app.graph.primary_outputs().iter().zip(golden) {
-                match app.graph.op(*po) {
-                    Op::Output => assert_eq!(gw.next().unwrap(), g.word(), "{}", app.info.name),
-                    Op::BitOutput => assert_eq!(gb.next().unwrap(), g.bit(), "{}", app.info.name),
-                    _ => unreachable!(),
-                }
-            }
+            assert_eq!(
+                got,
+                ir_golden(&app.graph, &words, &bits),
+                "{}",
+                app.info.name
+            );
         }
     }
 }

@@ -609,32 +609,6 @@ fn specialization_step(
     )
 }
 
-/// Steps `0..=max_steps` of one application's specialization
-/// ([`specialization_step`]), built lazily in order from one ranking; a
-/// fully warm sequence never mines.
-fn specialization_steps<'a>(
-    app: &'a Application,
-    name: impl Fn(usize) -> String + 'a,
-    max_steps: usize,
-    miner: &'a MinerConfig,
-    merge_opts: &'a MergeOptions,
-    tech: &'a TechModel,
-) -> impl Iterator<Item = Result<PeVariant, ApexError>> + 'a {
-    let ranking = OnceCell::new();
-    (0..=max_steps).map(move |k| {
-        specialization_step(
-            app,
-            &name(k),
-            k,
-            max_steps,
-            miner,
-            merge_opts,
-            tech,
-            &ranking,
-        )
-    })
-}
-
 /// Builds the ladder of increasingly specialized variants for one
 /// application (the paper's PE 1, PE 2, …, Fig. 11): variant `k` merges
 /// the top `k` subgraphs. The application is mined and ranked once for
@@ -650,15 +624,13 @@ pub fn specialization_ladder(
     merge_opts: &MergeOptions,
     tech: &TechModel,
 ) -> Result<Vec<PeVariant>, ApexError> {
-    specialization_steps(
-        app,
-        |k| format!("pe{}_{}", k + 1, app.info.name),
-        steps,
-        miner,
-        merge_opts,
-        tech,
-    )
-    .collect()
+    let ranking = OnceCell::new();
+    (0..=steps)
+        .map(|k| {
+            let name = format!("pe{}_{}", k + 1, app.info.name);
+            specialization_step(app, &name, k, steps, miner, merge_opts, tech, &ranking)
+        })
+        .collect()
 }
 
 /// Materializes a mined subgraph as a datapath from its representative
@@ -723,9 +695,9 @@ pub fn most_specialized_variant(
     let options = search_options();
     let mut best: Option<(usize, PeVariant, f64, f64)> = None;
     let mut clock_stopped = false;
-    let steps = specialization_steps(app, |_| name.clone(), max_steps, miner, merge_opts, tech);
-    for (k, v) in steps.enumerate() {
-        let v = v?;
+    let ranking = OnceCell::new();
+    for k in 0..=max_steps {
+        let v = specialization_step(app, &name, k, max_steps, miner, merge_opts, tech, &ranking)?;
         clock_stopped |= crate::cache::stopped_by_clock(&v);
         let eval = match evaluate_app(&v, app, tech, &options) {
             Ok(eval) => eval,
@@ -746,6 +718,17 @@ pub fn most_specialized_variant(
                     break; // more merging starts costing area/energy
                 }
             }
+        }
+        // once no candidate past the first `k` brings a new datapath (a
+        // build skips repeated codes), every later step rebuilds this one
+        let exhausted = |a: &RankedApp| {
+            a.as_ref().map_or(true, |(_, c)| {
+                let (taken, rest) = c.split_at(k.min(c.len()));
+                rest.iter().all(|r| taken.iter().any(|t| t.code == r.code))
+            })
+        };
+        if ranking.get().is_some_and(|apps| apps.iter().all(exhausted)) {
+            break;
         }
     }
     let Some((k, v, _, _)) = best else {

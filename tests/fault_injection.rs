@@ -10,7 +10,9 @@
 
 #![cfg(feature = "fault-injection")]
 
-use apex::apps::{analyzed_apps, gaussian, harris, unseen_apps, unsharp, Application};
+use apex::apps::{
+    analyzed_apps, gaussian, harris, mobilenet_layer, unseen_apps, unsharp, Application,
+};
 use apex::core::{
     dse_evaluate_app, dse_evaluate_suite, evaluate_app, most_specialized_variant,
     specialized_variant, DseOptions, EvalOptions, PeVariant, SubgraphSelection,
@@ -304,6 +306,29 @@ fn specialization_search_mines_each_app_once() {
             .join("; ")
     );
     assert!(!v.sources.is_empty(), "the search merged subgraphs");
+}
+
+#[test]
+fn specialization_search_stops_once_the_ranking_adds_nothing_new() {
+    // mobilenet's four ranked candidates hold two datapaths, the last
+    // three alike, so steps 3 and 4 would rebuild step 2's variant: the
+    // search evaluates steps 0-2 and stops. Each evaluated step routes
+    // once; armed beyond reach, the site only counts
+    let _armed = Armed::after("route::start", u64::MAX);
+    let v = most_specialized_variant(
+        &mobilenet_layer(),
+        &MinerConfig::default(),
+        &MergeOptions::default(),
+        &TechModel::default(),
+        4,
+    )
+    .expect("the search runs");
+    assert_eq!(v.sources.len(), 2, "both distinct datapaths merged");
+    assert_eq!(
+        failpoints::hits("route::start"),
+        3,
+        "steps 0, 1 and 2 evaluated"
+    );
 }
 
 #[test]

@@ -579,26 +579,29 @@ fn default_cache_dir() -> PathBuf {
     workspace_target_subdir("apex-cache")
 }
 
-/// Reduces an untrusted tenant name (it arrived over a socket) to a safe
-/// single path component: alphanumerics, `-`, `_` and `.` pass through,
-/// everything else becomes `_`, and the result is capped at 64 chars and
-/// never empty or dot-only (no `..` traversal, no hidden-file surprises).
+/// Maps an untrusted tenant name (it arrived over a socket) to a safe
+/// single path component, a different one for every name. A name that is
+/// already safe (1 to 64 of `[A-Za-z0-9._-]`, not all dots: no `..`
+/// traversal) is its own directory. Any other name becomes its first 47
+/// characters with each unsafe one mapped to `_` (`default` if that
+/// leaves nothing but dots), then `~` and the FNV-1a of the whole raw
+/// name, 64 characters at most. `~` is outside the safe set, so the two
+/// classes never meet.
 pub(crate) fn sanitize_tenant(tenant: &str) -> String {
-    let mut out: String = tenant
-        .chars()
-        .take(64)
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.is_empty() || out.chars().all(|c| c == '.') {
-        out = "default".to_owned();
+    let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.');
+    let dots = |s: &str| s.chars().all(|c| c == '.');
+    if (1..=64).contains(&tenant.len()) && tenant.chars().all(safe) && !dots(tenant) {
+        return tenant.to_owned();
     }
-    out
+    let mut prefix: String = tenant
+        .chars()
+        .take(47)
+        .map(|c| if safe(c) { c } else { '_' })
+        .collect();
+    if dots(&prefix) {
+        prefix = "default".to_owned();
+    }
+    format!("{prefix}~{:016x}", apex_fault::fnv1a(&[tenant]))
 }
 
 /// Recursively collects `(is_corrupt, mtime, path, len)` for every cache
@@ -1379,13 +1382,32 @@ mod tests {
     #[test]
     fn tenant_names_are_sanitized_to_safe_path_components() {
         assert_eq!(sanitize_tenant("acme-1"), "acme-1");
-        assert_eq!(sanitize_tenant("../../etc/passwd"), ".._.._etc_passwd");
-        assert_eq!(sanitize_tenant(""), "default");
-        assert_eq!(sanitize_tenant(".."), "default");
-        assert_eq!(sanitize_tenant("a/b\\c d"), "a_b_c_d");
+        assert_eq!(
+            sanitize_tenant("../../etc/passwd"),
+            ".._.._etc_passwd~8665bcf03be96c1f"
+        );
+        assert_eq!(sanitize_tenant(""), "default~af63d24c8601db8e");
+        assert_eq!(sanitize_tenant(".."), "default~f7d96d17ec4b61f6");
+        assert_eq!(sanitize_tenant("a/b\\c d"), "a_b_c_d~8fd912fd37d8db4d");
         assert!(sanitize_tenant(&"x".repeat(200)).len() <= 64);
         // traversal can never survive sanitization
         assert!(!sanitize_tenant("../../x").contains('/'));
+    }
+
+    #[test]
+    fn tenants_whose_names_sanitize_alike_do_not_share_entries() {
+        let dir = std::env::temp_dir().join(format!("apex-cache-alike-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let root = VariantCache::at(&dir);
+        let v = spec_variant();
+        let key = 0x5555_0000_3333_4444u64;
+        let long = "t".repeat(64);
+        for (a, b) in [("a:b", "a_b"), ("..", "default"), (&*long, &*format!("{long}x"))] {
+            root.namespaced(a).store(key, &v);
+            assert!(root.namespaced(a).load(key).is_some(), "{a} loads its own entry");
+            assert!(root.namespaced(b).load(key).is_none(), "{b} sees {a}'s entry");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

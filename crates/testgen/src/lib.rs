@@ -55,7 +55,7 @@ pub use apex_ir;
 /// of 1 to 4), and a sink (`Output`, `BitOutput`) adds a primary output
 /// instead of a value. Finally the last `outputs.0` word values (newest
 /// first) and the last `outputs.1` bit values become primary outputs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DfgGen {
     /// The graph's name.
     pub name: &'static str,
